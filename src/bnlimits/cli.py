@@ -4,13 +4,15 @@ Thin wrappers over the library plus the genus-23 audit report.  All
 commands take --json for machine-readable output; text and JSON output are
 deterministic, so repeated runs are byte-identical.  Exit codes: 0 on
 success (and on matching --expect), 1 when a verdict differs from the
-expectation, 2 on input errors.
+expectation, 2 on input errors, and 141 without a message when the reader
+closes stdout early, as for a process ended by SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -32,6 +34,7 @@ from .numerology import (
 )
 
 REGENERATION_NOTE = "asserted per Regeneration Theorem, not verified"
+EXIT_BROKEN_PIPE = 128 + 13  # what a shell reports for a process ended by SIGPIPE
 
 
 def _emit_json(payload: Any) -> None:
@@ -231,7 +234,7 @@ def cmd_limit(args) -> int:
     t = SeriesType(desc.curve.genus, args.r, args.d)
     if args.action == "refute":
         report = limit_checker.refute(desc.curve, t, prune=not args.naive,
-                                      survivor_cap=args.cap, jobs=args.jobs)
+                                      survivor_cap=args.cap)
         verdict = report.verdict
         out = report.to_json()
         text = report.render()
@@ -280,7 +283,7 @@ def _verify(desc: CurveDescription, name: str):
     return limit_checker.verify_witness(desc.curve, t, witness.aspects_dict())
 
 
-def _report_g23(include_tail_variant: bool, jobs: int) -> tuple[dict, str, int]:
+def _report_g23(include_tail_variant: bool) -> tuple[dict, str, int]:
     g = 23
     mismatches: list[str] = []
     findings: list[str] = []
@@ -320,7 +323,7 @@ def _report_g23(include_tail_variant: bool, jobs: int) -> tuple[dict, str, int]:
 
     def run_refute(desc: CurveDescription, r: int, d: int):
         t = SeriesType(desc.curve.genus, r, d)
-        rep = limit_checker.refute(desc.curve, t, jobs=jobs)
+        rep = limit_checker.refute(desc.curve, t)
         refutes[(desc.curve.id, (r, d))] = rep
         return rep
 
@@ -548,7 +551,7 @@ def _render_report(payload, refutes, verifies) -> str:
 def cmd_report(args) -> int:
     if args.target != "g23":
         raise ValueError(f"unknown report target {args.target!r}; only 'g23' is available")
-    payload, text, code = _report_g23(args.include_tail_variant, args.jobs)
+    payload, text, code = _report_g23(args.include_tail_variant)
     if args.json:
         _emit_json(payload)
     else:
@@ -638,7 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", help="witness name (verify)")
     p.add_argument("--expect", help="expected verdict; exit 1 on mismatch")
     p.add_argument("--naive", action="store_true", help="disable minimal-complement pruning")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--cap", type=int, default=100, help="survivor listing cap")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_limit)
@@ -651,7 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", help="only 'g23'")
     p.add_argument("--include-tail-variant", action="store_true", dest="include_tail_variant",
                    help="also run the boundary chain with the elliptic tail")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_report)
 
@@ -662,7 +663,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (`bnlimits ... | head`): stop quietly,
+        # and keep the interpreter's final flush from failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -312,8 +312,12 @@ def factsheet_check(facts: FactSheet | None, t: SeriesType,
     Ramification points of a fixed series are finite in number, so requiring
     positive weight at more general points than the asserted dimension of
     the series space is impossible.  The rule never certifies existence:
-    anything not refuted is unknown.
+    anything not refuted is unknown, and so is everything when the fact
+    sheet does not assert that the marked points are general.
     """
+    if facts is not None and not facts.points_general:
+        return CheckResult("unknown", RULE_FACTSHEET_COUNT,
+                           detail="marked points not asserted general; counting rule does not apply")
     positive = sum(1 for a in rams if weight(a) > 0)
     dim = facts.dim_for(t.r, t.d) if facts is not None else None
     if dim is None:

@@ -10,27 +10,29 @@ therefore certifies nonexistence; surviving candidates are reported as
 found, never confirmed (smoothability is not verified here).
 
 Enumeration pivots on the component with the most nodes.  For a two-noded
-elliptic pivot the engine walks all pairs of vanishing sequences at its two
-points; adjacent general components are tested only at the pointwise
-minimal sequence compatible with the pivot side, which is sound because the
-clamp criteria are downward closed in the ramification.  For a star around
-a fact-sheet or general component, one-noded elliptic tails force a cusp on
-the hub side, and the hub rule is evaluated once on those forced floors.
-Setting prune=False replaces the minimal-complement shortcut by a full scan
-(and the forced floors by per-sequence minima), which is the reference mode
-the pruning is validated against.
+elliptic pivot the engine accounts for all pairs of vanishing sequences at
+its two points, counting whole boxes of them from prefix sums and walking
+only where the torsion rule can bite or survivors are listed; adjacent
+general components are tested only at the pointwise minimal sequence
+compatible with the pivot side, which is sound because the clamp criteria
+are downward closed in the ramification.  For a star around a fact-sheet or
+general component, one-noded elliptic tails force a cusp on the hub side,
+and the hub rule is evaluated once on those forced floors.  Setting
+prune=False replaces the minimal-complement shortcut by a full scan (and
+the forced floors by per-sequence minima), which is the reference mode the
+pruning is validated against.
 
 Reports are deterministic: candidates are ordered lexicographically and
-repeated runs produce identical output.  The pair enumeration may be
-partitioned across processes with jobs > 1; results are merged in
-lexicographic order, so the report does not depend on the partitioning.
+repeated runs produce identical output.  A series with more than
+MAX_SEQUENCES vanishing sequences per point is refused.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Mapping, Sequence
 
 from .curves import (
@@ -58,6 +60,10 @@ from .numerology import (
 )
 
 SMOOTHABILITY_NOTE = "smoothability not verified"
+
+# Largest number C(d+1, r+1) of vanishing sequences per point that a scan
+# materialises.  The g23 audit needs 5,985; a g^5_24 would need 177,100.
+MAX_SEQUENCES = 100_000
 
 
 class UnsupportedCurveError(ValueError):
@@ -367,6 +373,10 @@ def _analyze(curve: CompactCurve) -> _Plan:
 
 
 def _all_seqs(r: int, d: int) -> list[tuple[int, ...]]:
+    size = comb(d + 1, r + 1)
+    if size > MAX_SEQUENCES:
+        raise ValueError(f"{series_name(r, d)} has C({d + 1}, {r + 1}) = {size} vanishing sequences"
+                         f" per point, above the engine's limit of {MAX_SEQUENCES}")
     return list(combinations(range(d + 1), r + 1))
 
 
@@ -379,11 +389,6 @@ def _max_tail_seq(r: int, d: int) -> tuple[int, ...] | None:
     if d < r + 1:
         return None  # the only candidate (0..d) has both d-1 and d
     return tuple(d - 1 - (r - i) for i in range(r)) + (d,)
-
-
-def _cusp_floor(r: int, d: int) -> tuple[int, ...]:
-    """Vanishing floor forced across a node by any admissible elliptic tail."""
-    return (0,) + tuple(range(2, r + 2))
 
 
 def _clamp_feasible(c: tuple[int, ...], genus: int, d: int, r: int, cusps: int) -> bool:
@@ -448,13 +453,16 @@ def _slot_status_fn(slot: _Slot, t: SeriesType, naive: bool, seqs: list[tuple[in
     return naive_status
 
 
-def _slot_assignment(slot: _Slot, a: tuple[int, ...], d: int, r: int) -> Assignment:
-    """Aspect data for the component(s) behind a slot, given the pivot side a."""
-    out: Assignment = {slot.neighbor.id: {slot.neighbor_point: min_complement(a, d)}}
-    if slot.kind == "bridge":
-        out[slot.neighbor.id][slot.far_point] = _cusp_floor(r, d)
-        out[slot.tail.id] = {slot.tail_point: _max_tail_seq(r, d)}
-    return out
+def _survivor(pivot: Component, sides, d: int, r: int) -> Survivor:
+    """Survivor with pivot sequence a at each slot, sides being (slot, a, slot status)."""
+    out: Assignment = {pivot.id: {slot.point: a for slot, a, _ in sides}}
+    for slot, a, _ in sides:
+        out[slot.neighbor.id] = {slot.neighbor_point: min_complement(a, d)}
+        if slot.kind == "bridge":
+            # the floor forced across a node by any admissible elliptic tail
+            out[slot.neighbor.id][slot.far_point] = (0,) + tuple(range(2, r + 2))
+            out[slot.tail.id] = {slot.tail_point: _max_tail_seq(r, d)}
+    return Survivor.from_dict(out, [slot.neighbor.id for slot, _, st in sides if st == "unknown"])
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +470,7 @@ def _slot_assignment(slot: _Slot, a: tuple[int, ...], d: int, r: int) -> Assignm
 
 
 def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
-           survivor_cap: int = 100, jobs: int = 1) -> RefutationReport:
+           survivor_cap: int = 100) -> RefutationReport:
     """Exhaust aspect candidates for a limit g^r_d and apply the necessary rules.
 
     Returns verdict "refuted" only if every candidate was eliminated by a
@@ -473,12 +481,14 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
     """
     if t.g != curve.genus:
         raise ValueError(f"series genus {t.g} does not match curve genus {curve.genus}")
+    if survivor_cap < 0:
+        raise ValueError(f"survivor cap must be nonnegative, got {survivor_cap}")
     plan = _analyze(curve)
     if plan.mode == "floor":
         return _refute_floor(curve, t, plan, prune)
     if plan.mode == "single":
         return _refute_single(curve, t, plan, prune, survivor_cap)
-    return _refute_pair(curve, t, plan, prune, survivor_cap, jobs)
+    return _refute_pair(curve, t, plan, prune, survivor_cap)
 
 
 def _finish(curve, t, candidates, hits, survivors, count, prune, extra_notes=()) -> RefutationReport:
@@ -504,46 +514,28 @@ def _finish(curve, t, candidates, hits, survivors, count, prune, extra_notes=())
     )
 
 
-def _refute_pair(curve, t, plan, prune, cap, jobs) -> RefutationReport:
-    r, d = t.r, t.d
-    seqs = _all_seqs(r, d)
-    n = len(seqs)
-    chunks = [(0, n)]
-    if jobs > 1:
-        step = (n + jobs - 1) // jobs
-        chunks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-    args = [(curve, t, prune, cap, lo, hi) for lo, hi in chunks]
-    if jobs > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_pair_worker, args))
-    else:
-        parts = [_pair_worker(a) for a in args]
-    hits: dict[str, int] = {}
-    survivors: list[Survivor] = []
-    count = 0
-    for part_hits, part_survivors, part_count in parts:
-        for k, v in part_hits.items():
-            hits[k] = hits.get(k, 0) + v
-        survivors.extend(part_survivors)  # chunks are in lexicographic order
-        count += part_count
-    return _finish(curve, t, n * n, hits, survivors[:cap], count, prune)
+def _refute_pair(curve, t, plan, prune, cap) -> RefutationReport:
+    """Two-noded elliptic pivot: count the pairs (a, b) box by box.
 
-
-def _pair_worker(args):
-    curve, t, prune, cap, lo, hi = args
-    plan = _analyze(curve)
+    The rules on b alone are counted from down-set sums over the box
+    b <= caps(a) that the pairwise bound leaves; the torsion rule, the only
+    one coupling a and b, needs two coordinates of b at their cap.
+    """
     slot_u, slot_v = plan.slots
     r, d = t.r, t.d
     pivot = plan.pivot
     torsion = pivot.torsion_between(slot_u.point, slot_v.point)
     seqs = _all_seqs(r, d)
+    n = len(seqs)
     index = {s: i for i, s in enumerate(seqs)}
 
     status_u_fn = _slot_status_fn(slot_u, t, not prune, seqs)
     status_v_fn = _slot_status_fn(slot_v, t, not prune, seqs)
-    status_u = [status_u_fn(a) for a in seqs]
-    status_v = [status_v_fn(a) for a in seqs]
-    pole_ok = [_single_pole_ok(a, d) for a in seqs]
+    pole_ok = [_single_pole_ok(b, d) for b in seqs]
+    status_v = [status_v_fn(b) if ok else "fail" for b, ok in zip(seqs, pole_ok)]
+    good = [sv != "fail" for sv in status_v]
+    pole_in, fail_v_in, good_in = _down_sums(
+        seqs, index, [not ok for ok in pole_ok], [ok and not g for ok, g in zip(pole_ok, good)], good)
 
     key_pole = f"{RULE_ELLIPTIC_SINGLE_POLE}@{pivot.id}"
     key_u = _slot_rule_key(slot_u)
@@ -551,74 +543,89 @@ def _pair_worker(args):
     key_pair = f"{RULE_ELLIPTIC_PAIR_BOUND}@{pivot.id}"
     key_tor = f"{RULE_ELLIPTIC_TORSION}@{pivot.id}"
 
-    n = len(seqs)
-    hits: dict[str, int] = {}
+    hits: Counter[str] = Counter()
     survivors: list[Survivor] = []
     count = 0
-
-    def bump(key: str, by: int = 1) -> None:
-        hits[key] = hits.get(key, 0) + by
-
-    for ia in range(lo, hi):
-        a = seqs[ia]
+    for ia, a in enumerate(seqs):
         if not pole_ok[ia]:
-            bump(key_pole, n)
+            hits[key_pole] += n
             continue
-        su = status_u[ia]
+        su = status_u_fn(a)
         if su == "fail":
-            bump(key_u, n)
+            hits[key_u] += n
             continue
-        # pairwise bound region: b[j] <= d - a[r-j] for all j
         caps = tuple(d - a[r - j] for j in range(r + 1))
-        in_box = 0
-        for b in _gen_ceiling(caps):
-            in_box += 1
+        ic = index[caps]
+        live = good_in[ic]
+        hits[key_pair] += n - pole_in[ic] - fail_v_in[ic] - live
+        for key, by in ((key_pole, pole_in[ic]), (key_v, fail_v_in[ic])):
+            if by:
+                hits[key] += by
+        if live:
+            tor = sum(1 for b in _boundary(caps) if good[index[b]] and _torsion_fails(a, b, d, torsion))
+            if tor:
+                hits[key_tor] += tor
+                live -= tor
+            count += live
+        if not live or len(survivors) >= cap:
+            continue
+        for b in _box([0] * (r + 1), caps):
             ib = index[b]
-            if not pole_ok[ib]:
-                bump(key_pole)
+            if not good[ib] or _torsion_fails(a, b, d, torsion):
                 continue
-            sv = status_v[ib]
-            if sv == "fail":
-                bump(key_v)
-                continue
-            eq = [i for i in range(r + 1) if a[i] + b[r - i] == d]
-            if len(eq) >= 2:
-                if torsion is None:
-                    bump(key_tor)
-                    continue
-                base = a[eq[0]]
-                if any((a[i] - base) % torsion for i in eq):
-                    bump(key_tor)
-                    continue
-            count += 1
-            if len(survivors) < cap:
-                assignment: Assignment = {pivot.id: {slot_u.point: a, slot_v.point: b}}
-                for slot, side in ((slot_u, a), (slot_v, b)):
-                    for comp, pts in _slot_assignment(slot, side, d, r).items():
-                        assignment.setdefault(comp, {}).update(pts)
-                unconfirmed = [s.neighbor.id for s, st in ((slot_u, su), (slot_v, sv))
-                               if st == "unknown"]
-                survivors.append(Survivor.from_dict(assignment, unconfirmed))
-        bump(key_pair, n - in_box)
-    return hits, survivors, count
+            survivors.append(_survivor(pivot, ((slot_u, a, su), (slot_v, b, status_v[ib])), d, r))
+            if len(survivors) == cap:
+                break
+    return _finish(curve, t, n * n, hits, survivors, count, prune)
 
 
-def _gen_ceiling(caps: tuple[int, ...]):
-    """Strictly increasing integer tuples b with 0 <= b[j] <= caps[j]."""
-    r1 = len(caps)
-    if any(caps[j] < j for j in range(r1)):
-        return
-    seq = [0] * r1
+def _torsion_fails(a: tuple[int, ...], b: tuple[int, ...], d: int, torsion: int | None) -> bool:
+    """Torsion-divisibility rule for a pair inside the pairwise bound."""
+    eq = [i for i, x in enumerate(a) if x + b[-1 - i] == d]
+    return len(eq) >= 2 and (torsion is None or any((a[i] - a[eq[0]]) % torsion for i in eq))
 
-    def rec(j: int, lo: int):
-        for v in range(lo, caps[j] + 1):
-            seq[j] = v
-            if j + 1 == r1:
-                yield tuple(seq)
-            else:
-                yield from rec(j + 1, v + 1)
 
-    yield from rec(0, 0)
+def _down_sums(seqs: list[tuple[int, ...]], index: dict, *weights: list) -> list[list[int]]:
+    """For each weight list, its sums over the down-sets {b <= c} of increasing tuples.
+
+    One lexicographic sweep per axis j adds the sum at the largest increasing
+    tuple below c - e_j (c_j lowered by one, earlier coordinates clamped).
+    """
+    tables = [[int(w) for w in ws] for ws in weights]
+    for j in range(len(seqs[0])):
+        steps = []
+        for s in seqs:
+            c = list(s)
+            c[j] -= 1
+            k = j
+            while k > 0 and c[k - 1] >= c[k]:
+                c[k - 1] = c[k] - 1
+                k -= 1
+            steps.append(index[tuple(c)] if c[0] >= 0 else -1)
+        for table in tables:
+            for i, p in enumerate(steps):
+                if p >= 0:
+                    table[i] += table[p]
+    return tables
+
+
+def _box(lo: Sequence[int], hi: Sequence[int]) -> list[tuple[int, ...]]:
+    """Strictly increasing tuples b with lo[j] <= b[j] <= hi[j], in lexicographic order."""
+    level = [(v,) for v in range(lo[0], hi[0] + 1)]
+    for j in range(1, len(hi)):
+        low, top = lo[j], hi[j] + 1
+        level = [b + (v,) for b in level for v in range(max(low, b[-1] + 1), top)]
+    return level
+
+
+def _boundary(caps: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Tuples b <= caps with at least two coordinates at their cap."""
+    out: set[tuple[int, ...]] = set()
+    for j1, j2 in combinations(range(len(caps)), 2):
+        lo = [0] * len(caps)
+        lo[j1], lo[j2] = caps[j1], caps[j2]
+        out.update(_box(lo, caps))
+    return out
 
 
 def _refute_single(curve, t, plan, prune, cap) -> RefutationReport:
@@ -642,11 +649,7 @@ def _refute_single(curve, t, plan, prune, cap) -> RefutationReport:
             continue
         count += 1
         if len(survivors) < cap:
-            assignment: Assignment = {pivot.id: {slot.point: a}}
-            for comp, pts in _slot_assignment(slot, a, d, r).items():
-                assignment.setdefault(comp, {}).update(pts)
-            survivors.append(Survivor.from_dict(
-                assignment, [slot.neighbor.id] if st == "unknown" else []))
+            survivors.append(_survivor(pivot, ((slot, a, st),), d, r))
     return _finish(curve, t, len(seqs), hits, survivors, count, prune)
 
 
@@ -659,18 +662,14 @@ def _refute_floor(curve, t, plan, prune) -> RefutationReport:
     floors: list[tuple[int, ...]] = []
     for slot in plan.slots:
         if prune:
-            smax = _max_tail_seq(r, d)
-            if smax is None:
-                hits[f"{RULE_ELLIPTIC_SINGLE_POLE}@{slot.neighbor.id}"] = 1
-                return _finish(curve, t, 1, hits, [], 0, prune)
-            floors.append(min_complement(smax, d))
+            admissible = [s for s in (_max_tail_seq(r, d),) if s is not None]
         else:
             admissible = [s for s in _all_seqs(r, d) if _single_pole_ok(s, d)]
-            if not admissible:
-                hits[f"{RULE_ELLIPTIC_SINGLE_POLE}@{slot.neighbor.id}"] = 1
-                return _finish(curve, t, 1, hits, [], 0, prune)
-            comps = [min_complement(s, d) for s in admissible]
-            floors.append(tuple(min(c[i] for c in comps) for i in range(r + 1)))
+        if not admissible:
+            hits[f"{RULE_ELLIPTIC_SINGLE_POLE}@{slot.neighbor.id}"] = 1
+            return _finish(curve, t, 1, hits, [], 0, prune)
+        comps = [min_complement(s, d) for s in admissible]
+        floors.append(tuple(min(c[i] for c in comps) for i in range(r + 1)))
 
     t_pivot = SeriesType(pivot.genus, r, d)
     floor_rams = [vanishing_to_ramification(VanishingSeq(f, d)) for f in floors]

@@ -115,7 +115,7 @@ def test_criterion_3_slopes():
 def test_criterion_4_chain9_web_refuted_and_net_confirmed():
     desc = load_fixture("chain_9torsion")
     t0 = time.perf_counter()
-    report = refute(desc.curve, SeriesType(23, 3, 20), jobs=1)
+    report = refute(desc.curve, SeriesType(23, 3, 20))
     elapsed = time.perf_counter() - t0
     assert report.verdict == "refuted"
     assert report.candidates_examined == comb(21, 4) ** 2

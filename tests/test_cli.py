@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -115,6 +119,42 @@ def test_curve_file_errors(tmp_path, capsys):
     assert code == 2 and "unknown keys" in err
     code, _, err = run(capsys, "limit", "refute", "no-such-fixture", "1", "12")
     assert code == 2
+
+
+def test_bad_sizes_fail_fast(capsys):
+    code, out, err = run(capsys, "limit", "refute", "chain-9torsion", "1", "12", "--cap", "-1")
+    assert code == 2 and out == "" and "survivor cap must be nonnegative" in err
+    code, out, err = run(capsys, "limit", "refute", "chain-9torsion", "11", "32")
+    assert code == 2 and out == ""
+    assert "C(33, 12) = 354817320 vanishing sequences per point" in err
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # a torsion-free chain with 5,148 surviving pencils prints about 270 kB
+    curve = CompactCurve(
+        "wide-chain", 23,
+        (
+            Component("A", 11, "general", ("p",)),
+            Component("E", 1, "elliptic", ("p", "q")),
+            Component("B", 11, "general", ("q",)),
+        ),
+        (Node((("A", "p"), ("E", "p"))), Node((("E", "q"), ("B", "q")))),
+    )
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(curvefile.curve_to_json(curvefile.CurveDescription(curve, ()))))
+    src = str(Path(curvefile.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bnlimits", "limit", "refute", str(path), "1", "20",
+         "--cap", "100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"refutation report: curve wide-chain")
+    proc.stdout.close()  # like `| head -1`
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == ""
 
 
 def test_fixture_round_trip(tmp_path):

@@ -174,3 +174,10 @@ def test_factsheet_counting():
     no_fact = RamificationSeq((1, 1, 1), 2, 15)
     assert factsheet_check(facts, SeriesType(15, 2, 15), [no_fact]).status == "unknown"
     assert factsheet_check(None, t, [cusp]).status == "unknown"
+
+
+def test_factsheet_counting_needs_general_points():
+    facts = FactSheet((SeriesDimFact(1, 12, 7),), gonality=6, points_general=False)
+    cusp = RamificationSeq((0, 1), 1, 12)
+    res = factsheet_check(facts, SeriesType(15, 1, 12), [cusp] * 8)
+    assert res.status == "unknown" and "not asserted general" in res.detail

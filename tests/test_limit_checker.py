@@ -1,12 +1,14 @@
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnlimits.curvefile import load_fixture
+from bnlimits.curvefile import curve_from_json, curve_to_json, load_fixture
 from bnlimits.curves import CompactCurve, Component, Node, TorsionPair
 from bnlimits.limit_checker import (
+    MAX_SEQUENCES,
     UnsupportedCurveError,
     additivity_audit,
     min_complement,
@@ -131,14 +133,34 @@ def test_pruned_matches_naive(fixtures, name, series):
     assert pruned.survivors == naive.survivors
 
 
-def test_refute_deterministic_and_parallel(fixtures):
+def test_refute_deterministic(fixtures):
     curve = fixtures["chain_12torsion"].curve
     t = SeriesType(23, 1, 12)
     a = refute(curve, t)
     b = refute(curve, t)
     assert a == b
-    c = refute(curve, t, jobs=2)
-    assert c == a
+
+
+def test_star_points_not_general_never_refutes(fixtures):
+    # the counting rule needs general points; without them the hub abstains
+    doc = curve_to_json(fixtures["septic_star"])
+    doc["components"][0]["facts"]["points_general"] = False
+    curve = curve_from_json(doc).curve
+    report = refute(curve, SeriesType(23, 1, 12))
+    assert report.verdict == "survivors"
+    assert report.survivors[0].unconfirmed == ("G",)
+    assert "factsheet-ramification-count@G" not in dict(report.rule_hits)
+
+
+def test_refute_rejects_bad_sizes(fixtures):
+    curve = fixtures["chain_9torsion"].curve
+    with pytest.raises(ValueError, match="survivor cap"):
+        refute(curve, SeriesType(23, 1, 12), survivor_cap=-1)
+    # g^5_24 and g^11_32 are refused before any sequence is built
+    for r, d in ((5, 24), (11, 32)):
+        with pytest.raises(ValueError, match="vanishing sequences per point"):
+            refute(curve, SeriesType(23, r, d))
+    assert comb(21, 4) <= MAX_SEQUENCES  # the audit's webs stay inside the limit
 
 
 def test_verify_witness_confirmed(fixtures):

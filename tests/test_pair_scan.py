@@ -1,0 +1,108 @@
+from math import comb
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from pair_oracle import brute_force_pairs
+
+from bnlimits.curvefile import load_fixture
+from bnlimits.curves import CompactCurve, Component, FactSheet, Node, SeriesDimFact, TorsionPair
+from bnlimits.limit_checker import refute
+from bnlimits.numerology import SeriesType
+
+ORACLE_SEQ_CAP = 120  # C(d+1, r+1) up to which the n^2 brute force stays quick
+
+PAIR_FIXTURES = ("chain_9torsion", "chain_12torsion", "chain_9torsion_elltail")
+
+
+def _scan_fields(report) -> dict:
+    return {
+        "verdict": report.verdict,
+        "candidates_examined": report.candidates_examined,
+        "rule_hits": report.rule_hits,
+        "survivor_count": report.survivor_count,
+        "survivors": report.survivors,
+        "truncated": report.truncated,
+    }
+
+
+@pytest.mark.parametrize("name", PAIR_FIXTURES)
+@pytest.mark.parametrize("series", [(1, 11), (1, 12)])
+@pytest.mark.parametrize("cap", [0, 100])
+def test_fixture_series_match_brute_force(name, series, cap):
+    r, d = series
+    assert comb(d + 1, r + 1) <= ORACLE_SEQ_CAP
+    curve = load_fixture(name).curve
+    expected = brute_force_pairs(curve, r, d, cap)
+    for prune in (True, False):
+        report = refute(curve, SeriesType(curve.genus, r, d), prune=prune, survivor_cap=cap)
+        assert _scan_fields(report) == expected
+
+
+@st.composite
+def pair_curves(draw):
+    """An elliptic pivot E with two nodes; behind each a general leaf, a
+    fact-sheet leaf, or a general bridge ending in an elliptic tail."""
+    r = draw(st.integers(1, 3))
+    top = max(d for d in range(r + 1, 30) if comb(d + 1, r + 1) <= ORACLE_SEQ_CAP)
+    d = draw(st.integers(r + 1, top))
+    order = draw(st.one_of(st.none(), st.integers(2, 13)))
+    torsion = (TorsionPair(("p", "q"), order),) if order else ()
+    comps = [Component("E", 1, "elliptic", ("p", "q"), torsion=torsion)]
+    nodes = []
+    for point, name in (("p", "A"), ("q", "B")):
+        kind = draw(st.sampled_from(["general", "factsheet", "bridge"]))
+        genus = draw(st.integers(0, 8))
+        if kind == "general":
+            comps.append(Component(name, genus, "general", ("x",)))
+        elif kind == "factsheet":
+            dims = draw(st.lists(st.integers(0, 2), max_size=1))
+            facts = FactSheet(tuple(SeriesDimFact(r, d, dim) for dim in dims),
+                              points_general=draw(st.booleans()))
+            comps.append(Component(name, genus, "factsheet", ("x",), facts=facts))
+        else:
+            comps.append(Component(name, genus, "general", ("x", "y")))
+            comps.append(Component(f"{name}T", 1, "elliptic", ("y",)))
+            nodes.append(Node(((name, "y"), (f"{name}T", "y"))))
+        nodes.append(Node((("E", point), (name, "x"))))
+    curve = CompactCurve("fuzz-pair", sum(c.genus for c in comps), tuple(comps), tuple(nodes))
+    return curve, r, d
+
+
+# torsion failures and survivors share a box here, so the listing must skip the former
+SHARED_BOX = (CompactCurve(
+    "shared-box", 1,
+    (Component("A", 0, "general", ("x",)), Component("E", 1, "elliptic", ("p", "q")),
+     Component("B", 0, "general", ("x",))),
+    (Node((("A", "x"), ("E", "p"))), Node((("E", "q"), ("B", "x"))))), 1, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair_curves(), st.sampled_from([0, 1, 3, 100]))
+@example(SHARED_BOX, 100)
+def test_random_pair_curves_match_brute_force(drawn, cap):
+    curve, r, d = drawn
+    expected = brute_force_pairs(curve, r, d, cap)
+    for prune in (True, False):
+        report = refute(curve, SeriesType(curve.genus, r, d), prune=prune, survivor_cap=cap)
+        assert _scan_fields(report) == expected
+
+
+@pytest.mark.parametrize("name,clamp_c1", [
+    ("chain_9torsion", "general-pointed-clamp@C1"),
+    ("chain_12torsion", "general-pointed-clamp@C1"),
+    ("chain_9torsion_elltail", "general-pointed-cusp-clamp@C1"),
+])
+def test_web_refutation_rule_hits_golden(name, clamp_c1):
+    # the pair-scan counts of the paper's g^3_20 refutations, pinned exactly
+    report = refute(load_fixture(name).curve, SeriesType(23, 3, 20))
+    assert report.verdict == "refuted"
+    assert report.candidates_examined == comb(21, 4) ** 2 == 35_820_225
+    assert dict(report.rule_hits) == {
+        "elliptic-pair-bound@E": 12_002_016,
+        "elliptic-single-pole@E": 1_023_435,
+        "elliptic-torsion-divisibility@E": 257,
+        clamp_c1: 21_845_250,
+        "general-pointed-clamp@C2": 949_267,
+    }
+    assert report.survivor_count == 0 and report.survivors == () and not report.truncated
