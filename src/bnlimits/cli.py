@@ -58,7 +58,7 @@ def _resolve_curve(ref: str) -> CurveDescription:
     path = Path(ref)
     if path.exists():
         return curvefile.load_curve_file(path)
-    return curvefile.load_fixture(ref.replace("-", "_"))
+    return curvefile.load_fixture(ref)
 
 
 # ---------------------------------------------------------------------------

@@ -175,8 +175,13 @@ def fixture_dir() -> Path:
 
 
 def load_fixture(name: str) -> CurveDescription:
-    path = fixture_dir() / f"{name}.json"
-    if not path.exists():
-        names = sorted(p.stem for p in fixture_dir().glob("*.json"))
-        raise ValueError(f"no bundled curve {name!r}; available: {names}")
-    return load_curve_file(path)
+    """Load a bundled curve by its file name (without .json, "-" for "_") or by its id."""
+    path = fixture_dir() / f"{name.replace('-', '_')}.json"
+    if path.exists():
+        return load_curve_file(path)
+    bundled = {p.stem: load_curve_file(p) for p in sorted(fixture_dir().glob("*.json"))}
+    for desc in bundled.values():
+        if desc.curve.id == name:
+            return desc
+    available = [f"{stem} (id {desc.curve.id})" for stem, desc in bundled.items()]
+    raise ValueError(f"no bundled curve {name!r}; available: {available}")

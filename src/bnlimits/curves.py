@@ -124,12 +124,6 @@ class Node:
             raise ValueError(f"node joins component {a[0]} to itself")
         object.__setattr__(self, "ends", tuple(sorted((tuple(a), tuple(b)))))
 
-    def end_on(self, comp_id: str) -> tuple[str, str] | None:
-        for end in self.ends:
-            if end[0] == comp_id:
-                return end
-        return None
-
     def __str__(self) -> str:
         (c1, p1), (c2, p2) = self.ends
         return f"{c1}.{p1}~{c2}.{p2}"

@@ -22,6 +22,11 @@ prune=False replaces the minimal-complement shortcut by a full scan (and
 the forced floors by per-sequence minima), which is the reference mode the
 pruning is validated against.
 
+The sequences of each (r, d) with their index tables, and the status table
+of the component behind a node (keyed by its kind, genus, fact sheet, r, d
+and prune mode), are built once per process in small LRU caches of
+immutable tuples and reused by later refutations.
+
 Reports are deterministic: candidates are ordered lexicographically and
 repeated runs produce identical output.  A series with more than
 MAX_SEQUENCES vanishing sequences per point is refused.
@@ -31,9 +36,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from .curves import (
     KIND_ELLIPTIC,
@@ -45,6 +52,7 @@ from .curves import (
     CheckResult,
     CompactCurve,
     Component,
+    FactSheet,
     elliptic_single_point_check,
     elliptic_two_point_check,
     factsheet_check,
@@ -296,6 +304,11 @@ class _Slot:
     tail: Component | None = None
     tail_point: str | None = None
 
+    @property
+    def key(self) -> tuple:
+        """What the status of the component behind this slot depends on, besides (r, d)."""
+        return self.kind, self.neighbor.genus, self.neighbor.facts
+
 
 @dataclass(frozen=True)
 class _Plan:
@@ -415,42 +428,83 @@ def _slot_rule_key(slot: _Slot) -> str:
     return f"{RULE_FACTSHEET_COUNT}@{slot.neighbor.id}"
 
 
-def _slot_status_fn(slot: _Slot, t: SeriesType, naive: bool, seqs: list[tuple[int, ...]]):
-    """Build a -> status ("pass"/"fail"/"unknown") for the component behind a slot.
+class _Lattice(NamedTuple):
+    """The vanishing sequences of a g^r_d at one point, in lexicographic order.
+
+    The tables are indexed by position in seqs and hold positions.
+    """
+
+    seqs: tuple[tuple[int, ...], ...]
+    index: Mapping[tuple[int, ...], int]
+    steps: tuple[tuple[int, ...], ...]  # per axis j: largest sequence below s - e_j, or -1
+    comp: tuple[int, ...]  # min_complement(s)
+    caps: tuple[int, ...]  # the pairwise bound's caps b <= (d - s[r], ..., d - s[0])
+    pole_ok: tuple[bool, ...]
+
+
+@lru_cache(maxsize=4)
+def _lattice(r: int, d: int) -> _Lattice:
+    seqs = tuple(_all_seqs(r, d))
+    index = {s: i for i, s in enumerate(seqs)}
+    steps = []
+    for j in range(r + 1):  # lower s_j by one, clamping earlier coordinates
+        row = []
+        for s in seqs:
+            c = list(s)
+            c[j] -= 1
+            k = j
+            while k > 0 and c[k - 1] >= c[k]:
+                c[k - 1] = c[k] - 1
+                k -= 1
+            row.append(index[tuple(c)] if c[0] >= 0 else -1)
+        steps.append(tuple(row))
+    caps = tuple(index[tuple(d - x for x in reversed(s))] for s in seqs)
+    comp = tuple(index[tuple(map(max, seqs[c], range(r + 1)))] for c in caps)  # min_complement
+    return _Lattice(seqs, MappingProxyType(index), tuple(steps), comp, caps,
+                    tuple(_single_pole_ok(s, d) for s in seqs))
+
+
+class _Neighbour(NamedTuple):
+    """Status ("pass"/"fail"/"unknown") by sequence index of the component behind a slot.
+
+    A second-node table also marks the good b (single pole and slot pass) and
+    holds the down-set sums of the single-pole failures, of the slot failures
+    among the rest, and of the good b.
+    """
+
+    status: tuple[str, ...]
+    good: tuple[bool, ...] = ()
+    sums: tuple[tuple[int, ...], ...] = ()
+
+
+@lru_cache(maxsize=8)
+def _neighbour(kind: str, genus: int, facts: FactSheet | None, r: int, d: int, prune: bool,
+               far: bool = False) -> _Neighbour:
+    """Status table of the component behind a slot; far adds the second-node columns.
 
     Pruned mode evaluates the exact clamp criterion on the pointwise minimal
-    compatible sequence.  Naive mode scans every compatible sequence instead
-    and asks whether any is feasible, which avoids the monotonicity lemma.
+    compatible sequence.  Naive mode scans every compatible clamp-feasible
+    sequence instead, which avoids the monotonicity lemma.
     """
-    r, d = t.r, t.d
-    genus = slot.neighbor.genus
-    cusps = 1 if slot.kind == "bridge" else 0
-
-    if slot.kind == "leaf-factsheet":
-        facts = slot.neighbor.facts
-
-        def factsheet_status(a: tuple[int, ...]) -> str:
-            c = min_complement(a, d)
-            ram = vanishing_to_ramification(VanishingSeq(c, d))
-            return factsheet_check(facts, SeriesType(slot.neighbor.genus, r, d), [ram]).status
-
-        return factsheet_status
-
-    if not naive:
-        def pruned_status(a: tuple[int, ...]) -> str:
-            ok = _clamp_feasible(min_complement(a, d), genus, d, r, cusps)
-            return "pass" if ok else "fail"
-
-        return pruned_status
-
-    def naive_status(a: tuple[int, ...]) -> str:
-        rev = tuple(reversed(a))
-        for s in seqs:  # lexicographic scan; first hit is the pointwise minimum
-            if all(s[i] + rev[i] >= d for i in range(r + 1)) and _clamp_feasible(s, genus, d, r, cusps):
-                return "pass"
-        return "fail"
-
-    return naive_status
+    lat = _lattice(r, d)
+    if far:
+        status = _neighbour(kind, genus, facts, r, d, prune).status
+        good = tuple(ok and st != "fail" for ok, st in zip(lat.pole_ok, status))
+        return _Neighbour(status, good, _down_sums(
+            lat, [not ok for ok in lat.pole_ok], [ok and not g for ok, g in zip(lat.pole_ok, good)], good))
+    if kind == "leaf-factsheet":
+        t = SeriesType(genus, r, d)
+        return _Neighbour(tuple(
+            factsheet_check(facts, t, [vanishing_to_ramification(VanishingSeq(lat.seqs[c], d))]).status
+            for c in lat.comp))
+    cusps = 1 if kind == "bridge" else 0
+    feasible = [_clamp_feasible(s, genus, d, r, cusps) for s in lat.seqs]
+    if prune:
+        ok = [feasible[c] for c in lat.comp]
+    else:
+        listed = [s for s, f in zip(lat.seqs, feasible) if f]
+        ok = [any(all(x >= y for x, y in zip(s, lat.seqs[c])) for s in listed) for c in lat.caps]
+    return _Neighbour(tuple("pass" if f else "fail" for f in ok))
 
 
 def _survivor(pivot: Component, sides, d: int, r: int) -> Survivor:
@@ -525,17 +579,11 @@ def _refute_pair(curve, t, plan, prune, cap) -> RefutationReport:
     r, d = t.r, t.d
     pivot = plan.pivot
     torsion = pivot.torsion_between(slot_u.point, slot_v.point)
-    seqs = _all_seqs(r, d)
+    lat = _lattice(r, d)
+    seqs, index = lat.seqs, lat.index
     n = len(seqs)
-    index = {s: i for i, s in enumerate(seqs)}
-
-    status_u_fn = _slot_status_fn(slot_u, t, not prune, seqs)
-    status_v_fn = _slot_status_fn(slot_v, t, not prune, seqs)
-    pole_ok = [_single_pole_ok(b, d) for b in seqs]
-    status_v = [status_v_fn(b) if ok else "fail" for b, ok in zip(seqs, pole_ok)]
-    good = [sv != "fail" for sv in status_v]
-    pole_in, fail_v_in, good_in = _down_sums(
-        seqs, index, [not ok for ok in pole_ok], [ok and not g for ok, g in zip(pole_ok, good)], good)
+    status_u = _neighbour(*slot_u.key, r, d, prune).status
+    status_v, good, (pole_in, fail_v_in, good_in) = _neighbour(*slot_v.key, r, d, prune, True)
 
     key_pole = f"{RULE_ELLIPTIC_SINGLE_POLE}@{pivot.id}"
     key_u = _slot_rule_key(slot_u)
@@ -546,16 +594,14 @@ def _refute_pair(curve, t, plan, prune, cap) -> RefutationReport:
     hits: Counter[str] = Counter()
     survivors: list[Survivor] = []
     count = 0
-    for ia, a in enumerate(seqs):
-        if not pole_ok[ia]:
+    for a, ok, su, ic in zip(seqs, lat.pole_ok, status_u, lat.caps):
+        if not ok:
             hits[key_pole] += n
             continue
-        su = status_u_fn(a)
         if su == "fail":
             hits[key_u] += n
             continue
-        caps = tuple(d - a[r - j] for j in range(r + 1))
-        ic = index[caps]
+        caps = seqs[ic]
         live = good_in[ic]
         hits[key_pair] += n - pole_in[ic] - fail_v_in[ic] - live
         for key, by in ((key_pole, pole_in[ic]), (key_v, fail_v_in[ic])):
@@ -585,28 +631,19 @@ def _torsion_fails(a: tuple[int, ...], b: tuple[int, ...], d: int, torsion: int 
     return len(eq) >= 2 and (torsion is None or any((a[i] - a[eq[0]]) % torsion for i in eq))
 
 
-def _down_sums(seqs: list[tuple[int, ...]], index: dict, *weights: list) -> list[list[int]]:
+def _down_sums(lat: _Lattice, *weights: list) -> tuple[tuple[int, ...], ...]:
     """For each weight list, its sums over the down-sets {b <= c} of increasing tuples.
 
     One lexicographic sweep per axis j adds the sum at the largest increasing
     tuple below c - e_j (c_j lowered by one, earlier coordinates clamped).
     """
     tables = [[int(w) for w in ws] for ws in weights]
-    for j in range(len(seqs[0])):
-        steps = []
-        for s in seqs:
-            c = list(s)
-            c[j] -= 1
-            k = j
-            while k > 0 and c[k - 1] >= c[k]:
-                c[k - 1] = c[k] - 1
-                k -= 1
-            steps.append(index[tuple(c)] if c[0] >= 0 else -1)
+    for steps in lat.steps:
         for table in tables:
             for i, p in enumerate(steps):
                 if p >= 0:
                     table[i] += table[p]
-    return tables
+    return tuple(tuple(table) for table in tables)
 
 
 def _box(lo: Sequence[int], hi: Sequence[int]) -> list[tuple[int, ...]]:
@@ -632,25 +669,24 @@ def _refute_single(curve, t, plan, prune, cap) -> RefutationReport:
     (slot,) = plan.slots
     r, d = t.r, t.d
     pivot = plan.pivot
-    seqs = _all_seqs(r, d)
-    status_fn = _slot_status_fn(slot, t, not prune, seqs)
+    lat = _lattice(r, d)
+    status = _neighbour(*slot.key, r, d, prune).status
     key_pole = f"{RULE_ELLIPTIC_SINGLE_POLE}@{pivot.id}"
     key_nb = _slot_rule_key(slot)
     hits: dict[str, int] = {}
     survivors: list[Survivor] = []
     count = 0
-    for a in seqs:
-        if not _single_pole_ok(a, d):
+    for a, ok, st in zip(lat.seqs, lat.pole_ok, status):
+        if not ok:
             hits[key_pole] = hits.get(key_pole, 0) + 1
             continue
-        st = status_fn(a)
         if st == "fail":
             hits[key_nb] = hits.get(key_nb, 0) + 1
             continue
         count += 1
         if len(survivors) < cap:
             survivors.append(_survivor(pivot, ((slot, a, st),), d, r))
-    return _finish(curve, t, len(seqs), hits, survivors, count, prune)
+    return _finish(curve, t, len(lat.seqs), hits, survivors, count, prune)
 
 
 def _refute_floor(curve, t, plan, prune) -> RefutationReport:
@@ -664,7 +700,8 @@ def _refute_floor(curve, t, plan, prune) -> RefutationReport:
         if prune:
             admissible = [s for s in (_max_tail_seq(r, d),) if s is not None]
         else:
-            admissible = [s for s in _all_seqs(r, d) if _single_pole_ok(s, d)]
+            lat = _lattice(r, d)
+            admissible = [s for s, ok in zip(lat.seqs, lat.pole_ok) if ok]
         if not admissible:
             hits[f"{RULE_ELLIPTIC_SINGLE_POLE}@{slot.neighbor.id}"] = 1
             return _finish(curve, t, 1, hits, [], 0, prune)

@@ -75,14 +75,6 @@ class CohomologyClass:
     def support(self) -> list[Partition]:
         return sorted(self.terms)
 
-    def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
-        if self.rect != other.rect:
-            raise ValueError(f"rectangle mismatch: {self.rect} vs {other.rect}")
-        acc = dict(self.terms)
-        for p, c in other.terms.items():
-            acc[p] = acc.get(p, 0) + c
-        return CohomologyClass(self.rect, acc)
-
     def __mul__(self, other: "CohomologyClass") -> "CohomologyClass":
         return lr_product(self, other)
 

@@ -79,6 +79,10 @@ def test_limit_refute_expectations(capsys):
     code, out, _ = run(capsys, "limit", "refute", "chain-12torsion", "1", "12",
                        "--expect", "refuted")
     assert code == 1 and "verdict: survivors" in out
+    # a bundled curve is found by its id as well as by its file name
+    for ref in ("chain-9torsion-elliptic-tail", "chain_9torsion_elltail", "chain-9torsion-elltail"):
+        code, out, _ = run(capsys, "limit", "refute", ref, "1", "12", "--expect", "refuted")
+        assert code == 0 and "curve chain-9torsion-elliptic-tail" in out
 
 
 def test_limit_verify(capsys):
@@ -118,7 +122,7 @@ def test_curve_file_errors(tmp_path, capsys):
     code, _, err = run(capsys, "limit", "refute", str(p), "1", "12")
     assert code == 2 and "unknown keys" in err
     code, _, err = run(capsys, "limit", "refute", "no-such-fixture", "1", "12")
-    assert code == 2
+    assert code == 2 and "chain_9torsion_elltail (id chain-9torsion-elliptic-tail)" in err
 
 
 def test_bad_sizes_fail_fast(capsys):

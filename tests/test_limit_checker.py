@@ -4,12 +4,15 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pair_oracle import brute_force_pairs
 
 from bnlimits.curvefile import curve_from_json, curve_to_json, load_fixture
 from bnlimits.curves import CompactCurve, Component, Node, TorsionPair
 from bnlimits.limit_checker import (
     MAX_SEQUENCES,
     UnsupportedCurveError,
+    _lattice,
+    _neighbour,
     additivity_audit,
     min_complement,
     node_compatible,
@@ -122,6 +125,7 @@ def test_rule_hits_partition_candidates(fixtures):
     ("chain_12torsion", (1, 11)),
     ("chain_9torsion_elltail", (1, 12)),
     ("septic_star", (1, 12)),
+    ("chain_9torsion_elltail", (1, 13)),  # a genus-10 bridge and a genus-11 leaf, with survivors
 ])
 def test_pruned_matches_naive(fixtures, name, series):
     curve = fixtures[name].curve
@@ -139,6 +143,60 @@ def test_refute_deterministic(fixtures):
     a = refute(curve, t)
     b = refute(curve, t)
     assert a == b
+
+
+def _clear_caches():
+    _lattice.cache_clear()
+    _neighbour.cache_clear()
+
+
+def test_cached_tables_do_not_change_reports(fixtures):
+    cases = [("chain_9torsion", (2, 17), True), ("chain_12torsion", (2, 17), True),
+             ("chain_9torsion_elltail", (2, 17), True), ("septic_star", (1, 12), True),
+             ("chain_12torsion", (1, 12), False), ("chain_9torsion_elltail", (1, 12), False),
+             ("chain_9torsion", (1, 12), True), ("septic_star", (1, 12), False)]
+
+    def run(case):
+        name, series, prune = case
+        return refute(fixtures[name].curve, SeriesType(23, *series), prune=prune).to_json()
+
+    _clear_caches()
+    forward = [run(case) for case in cases]
+    backward = [run(case) for case in reversed(cases)][::-1]
+    cold = []
+    for case in cases:
+        _clear_caches()
+        cold.append(run(case))
+    assert forward == backward == cold
+
+
+def test_bridge_and_leaf_of_one_genus_get_different_tables(fixtures):
+    # the tail chain with its genus-11 leaf replaced by a genus-10 one
+    doc = curve_to_json(fixtures["chain_9torsion_elltail"])
+    doc["genus"] = 22
+    next(c for c in doc["components"] if c["id"] == "C2")["genus"] = 10
+    curve = curve_from_json(doc).curve
+    bridge = _neighbour("bridge", 10, None, 1, 12, True)
+    leaf = _neighbour("leaf-general", 10, None, 1, 12, True)
+    assert bridge.status != leaf.status
+    report = refute(curve, SeriesType(22, 1, 12))
+    assert report.survivor_count > 0
+    expected = brute_force_pairs(curve, 1, 12)
+    assert (report.rule_hits, report.survivors) == (expected["rule_hits"], expected["survivors"])
+
+
+def test_cached_tables_are_immutable():
+    d = 8
+    lat = _lattice(2, d)
+    table = _neighbour("leaf-general", 11, None, 2, d, True, True)
+    for part in (lat.seqs, lat.steps, *lat.steps, lat.comp, lat.caps, lat.pole_ok,
+                 table.status, table.good, table.sums, *table.sums):
+        assert isinstance(part, tuple)
+    with pytest.raises(TypeError):
+        lat.index[(0, 1, 2)] = 1
+    with pytest.raises(AttributeError):
+        table.status = ()
+    assert lat.comp == tuple(lat.index[min_complement(s, d)] for s in lat.seqs)
 
 
 def test_star_points_not_general_never_refutes(fixtures):
