@@ -41,7 +41,6 @@ from .modspace import (
     slope_of_class,
 )
 from .numerology import (
-    ExpectedDims,
     RamificationSeq,
     SeriesType,
     VanishingSeq,
@@ -49,7 +48,6 @@ from .numerology import (
     bn_divisor_pairs,
     bn_divisor_triples,
     cusp_pointed_exists,
-    expected_dims,
     pointed_exists,
     ramification_to_vanishing,
     residual,

@@ -20,20 +20,14 @@ from typing import Any
 
 from . import curvefile, limit_checker, modspace, schubert
 from .curvefile import CurveDescription
+from .curves import RULE_GENERAL_CUSP, RULE_GENERAL_POINTED, RULE_SCHUBERT, general_pointed_check
 from .limit_checker import series_name
-from .numerology import (
-    RamificationSeq,
-    SeriesType,
-    VanishingSeq,
-    bn_divisor_pairs,
-    bn_divisor_triples,
-    cusp_pointed_exists,
-    pointed_exists,
-    rho,
-    vanishing_to_ramification,
-)
+from .numerology import RamificationSeq, SeriesType, bn_divisor_pairs, bn_divisor_triples, rho
 
 REGENERATION_NOTE = "asserted per Regeneration Theorem, not verified"
+# the criterion `exist` names for each rule of general_pointed_check
+EXIST_CRITERIA = {RULE_GENERAL_POINTED: "clamp", RULE_GENERAL_CUSP: "cusp-clamp",
+                  RULE_SCHUBERT: "schubert-nonvanishing"}
 EXIT_BROKEN_PIPE = 128 + 13  # what a shell reports for a process ended by SIGPIPE
 
 
@@ -97,14 +91,8 @@ def cmd_triples(args) -> int:
 def cmd_exist(args) -> int:
     t = SeriesType(args.g, args.r, args.d)
     rams = [RamificationSeq(_parse_seq(s), args.r, args.d) for s in args.ram or []]
-    if len(rams) == 1 and args.cusps == 0:
-        exists, criterion = pointed_exists(t, rams[0]), "clamp"
-    elif len(rams) == 1 and args.cusps == 1:
-        exists, criterion = cusp_pointed_exists(t, rams[0]), "cusp-clamp"
-    else:
-        cusp = RamificationSeq((0,) + (1,) * args.r if args.r else (0,), args.r, args.d)
-        exists = schubert.bn_condition(t, rams + [cusp] * args.cusps)
-        criterion = "schubert-nonvanishing"
+    result = general_pointed_check(t, rams, extra_cusps=args.cusps)
+    exists, criterion = result.passed, EXIST_CRITERIA[result.rule]
     if args.json:
         _emit_json({
             "g": args.g, "r": args.r, "d": args.d,
@@ -229,35 +217,32 @@ def cmd_slope(args) -> int:
 # limit-series commands
 
 
+def _check(desc: CurveDescription, r: int, d: int, witness: str | None, **refute_options):
+    """Refute a limit g^r_d on the curve, or verify its witness of that name."""
+    t = SeriesType(desc.curve.genus, r, d)
+    if witness is None:
+        return limit_checker.refute(desc.curve, t, **refute_options)
+    found = desc.witness(witness)
+    if found.series != (r, d):
+        raise ValueError(
+            f"witness {witness!r} is for {series_name(*found.series)}, not {series_name(r, d)}"
+        )
+    return limit_checker.verify_witness(desc.curve, t, found.aspects_dict())
+
+
 def cmd_limit(args) -> int:
     desc = _resolve_curve(args.curve)
-    t = SeriesType(desc.curve.genus, args.r, args.d)
-    if args.action == "refute":
-        report = limit_checker.refute(desc.curve, t, prune=not args.naive,
-                                      survivor_cap=args.cap)
-        verdict = report.verdict
-        out = report.to_json()
-        text = report.render()
-    else:
-        if not args.witness:
-            raise ValueError("verify needs --witness NAME")
-        witness = desc.witness(args.witness)
-        if witness.series != (args.r, args.d):
-            raise ValueError(
-                f"witness {args.witness!r} is for {series_name(*witness.series)}, "
-                f"not {series_name(args.r, args.d)}"
-            )
-        report = limit_checker.verify_witness(desc.curve, t, witness.aspects_dict())
-        verdict = report.verdict
-        out = report.to_json()
-        text = report.render()
+    if args.action == "verify" and not args.witness:
+        raise ValueError("verify needs --witness NAME")
+    report = _check(desc, args.r, args.d, args.witness if args.action == "verify" else None,
+                    prune=not args.naive, survivor_cap=args.cap)
     if args.json:
-        _emit_json(out)
+        _emit_json(report.to_json())
     else:
-        print(text)
-    if args.expect is not None and args.expect != verdict:
+        print(report.render())
+    if args.expect is not None and args.expect != report.verdict:
         if not args.json:
-            print(f"expected verdict {args.expect!r}, got {verdict!r}")
+            print(f"expected verdict {args.expect!r}, got {report.verdict!r}")
         return 1
     return 0
 
@@ -277,10 +262,29 @@ def cmd_fixtures(args) -> int:
 # the genus-23 report
 
 
-def _verify(desc: CurveDescription, name: str):
-    witness = desc.witness(name)
-    t = SeriesType(desc.curve.genus, *witness.series)
-    return limit_checker.verify_witness(desc.curve, t, witness.aspects_dict())
+# The audit's limit-series computations, in report order: (bundled curve, r, d,
+# witness to verify or None to refute, expected verdict or None when survivors
+# are only a finding).
+G23_CHECKS = (
+    ("chain_9torsion", 3, 20, None, "refuted"),
+    ("chain_9torsion", 2, 17, "g2_17", "confirmed"),
+    ("chain_12torsion", 1, 12, "g1_12", "confirmed"),
+    ("chain_12torsion", 2, 17, None, None),  # refutation cited to the literature
+    ("chain_12torsion", 3, 20, None, "refuted"),
+    ("septic_star", 1, 12, None, "refuted"),
+    ("septic_star", 2, 15, "g2_15", "consistent"),
+    ("septic_star", 3, 20, "g3_20", "consistent"),
+)
+G23_TAIL_CHECKS = (
+    ("chain_9torsion_elltail", 3, 20, None, "refuted"),
+    ("chain_9torsion_elltail", 2, 17, "g2_17", "confirmed"),
+)
+# (curve, series it carries, series it lacks): the curve tells the two divisors apart
+G23_DISTINCT = (
+    ("chain-9torsion", (2, 17), (3, 20)),
+    ("chain-12torsion", (1, 12), (2, 17)),
+    ("chain-12torsion", (1, 12), (3, 20)),
+)
 
 
 def _report_g23(include_tail_variant: bool) -> tuple[dict, str, int]:
@@ -288,10 +292,9 @@ def _report_g23(include_tail_variant: bool) -> tuple[dict, str, int]:
     mismatches: list[str] = []
     findings: list[str] = []
 
-    def expect(label: str, ok: bool) -> bool:
+    def expect(label: str, ok: bool) -> None:
         if not ok:
             mismatches.append(label)
-        return ok
 
     # (i) triples and residual pairing
     triples = bn_divisor_triples(g)
@@ -314,88 +317,55 @@ def _report_g23(include_tail_variant: bool) -> tuple[dict, str, int]:
     expect("boundary part nonnegative", dec.boundary_nonnegative)
 
     # (iii) limit-series checks
-    chain9 = curvefile.load_fixture("chain_9torsion")
-    chain12 = curvefile.load_fixture("chain_12torsion")
-    star = curvefile.load_fixture("septic_star")
+    checks = G23_CHECKS + (G23_TAIL_CHECKS if include_tail_variant else ())
+    descs = {name: curvefile.load_fixture(name) for name in dict.fromkeys(row[0] for row in checks)}
+    refutes: dict = {}
+    verifies: dict = {}
+    tail_results: dict = {}
+    for row in checks:
+        name, r, d, witness, expected = row
+        cid, series = descs[name].curve.id, series_name(r, d)
+        rep = _check(descs[name], r, d, witness)
+        (verifies if witness else refutes)[(cid, (r, d))] = rep
+        if row in G23_TAIL_CHECKS:
+            tail_results[f"{'verify' if witness else 'refute'}_g{r}_{d}"] = rep.verdict
+        if expected is None:
+            if rep.verdict != "refuted":
+                findings.append(
+                    f"{cid} {series}: {rep.survivor_count} candidates survive the necessary rules; "
+                    "refutation is cited to the literature, survivors listed as findings"
+                )
+        elif witness is None:
+            expect(f"{cid} has no limit {series}", rep.verdict == expected)
+        else:
+            expect(f"{cid} limit {series} witness {expected}", rep.verdict == expected)
 
-    refutes = {}
-    verifies = {}
-
-    def run_refute(desc: CurveDescription, r: int, d: int):
-        t = SeriesType(desc.curve.genus, r, d)
-        rep = limit_checker.refute(desc.curve, t)
-        refutes[(desc.curve.id, (r, d))] = rep
-        return rep
-
-    rep_9_320 = run_refute(chain9, 3, 20)
-    expect("chain-9torsion has no limit g^3_20", rep_9_320.verdict == "refuted")
-
-    ver_9_217 = _verify(chain9, "g2_17")
-    verifies[(chain9.curve.id, (2, 17))] = ver_9_217
-    expect("chain-9torsion limit g^2_17 witness confirmed", ver_9_217.verdict == "confirmed")
+    net = verifies[("chain-9torsion", (2, 17))]
     expect("chain-9torsion g^2_17 witness refined with additivity equality",
-           ver_9_217.refined and ver_9_217.additivity.equality)
-
-    ver_12_112 = _verify(chain12, "g1_12")
-    verifies[(chain12.curve.id, (1, 12))] = ver_12_112
-    expect("chain-12torsion limit g^1_12 witness confirmed", ver_12_112.verdict == "confirmed")
-
-    rep_12_217 = run_refute(chain12, 2, 17)
-    if rep_12_217.verdict != "refuted":
-        findings.append(
-            f"chain-12torsion g^2_17: {rep_12_217.survivor_count} candidates survive the "
-            "necessary rules; refutation is cited to the literature, survivors listed as findings"
-        )
-    rep_12_320 = run_refute(chain12, 3, 20)
-    expect("chain-12torsion has no limit g^3_20", rep_12_320.verdict == "refuted")
-
-    rep_star_112 = run_refute(star, 1, 12)
-    expect("septic-star has no limit g^1_12", rep_star_112.verdict == "refuted")
+           net.refined and net.additivity.equality)
+    star_pencil = refutes[("septic-star", (1, 12))]
     expect("septic-star g^1_12 refuted by the counting rule",
-           any(k.startswith("factsheet-ramification-count") for k, _ in rep_star_112.rule_hits))
-
-    ver_star_215 = _verify(star, "g2_15")
-    verifies[(star.curve.id, (2, 15))] = ver_star_215
-    expect("septic-star limit g^2_15 witness consistent", ver_star_215.verdict == "consistent")
-    expect("septic-star g^2_15 additivity -15 + 8 = -7 with equality",
-           dict(ver_star_215.aspect_rhos)["G"] == -15 and ver_star_215.additivity.equality
-           and ver_star_215.additivity.lhs == -7)
-
-    ver_star_320 = _verify(star, "g3_20")
-    verifies[(star.curve.id, (3, 20))] = ver_star_320
-    expect("septic-star limit g^3_20 witness consistent", ver_star_320.verdict == "consistent")
-    expect("septic-star g^3_20 additivity -9 + 8 = -1 with equality",
-           dict(ver_star_320.aspect_rhos)["G"] == -9 and ver_star_320.additivity.equality
-           and ver_star_320.additivity.lhs == -1)
-
-    tail_results = {}
-    if include_tail_variant:
-        tail = curvefile.load_fixture("chain_9torsion_elltail")
-        rep_tail_320 = run_refute(tail, 3, 20)
-        expect("chain-9torsion-elliptic-tail has no limit g^3_20", rep_tail_320.verdict == "refuted")
-        ver_tail_217 = _verify(tail, "g2_17")
-        verifies[(tail.curve.id, (2, 17))] = ver_tail_217
-        expect("chain-9torsion-elliptic-tail limit g^2_17 witness confirmed",
-               ver_tail_217.verdict == "confirmed")
-        tail_results = {"refute_g3_20": rep_tail_320.verdict, "verify_g2_17": ver_tail_217.verdict}
+           any(k.startswith("factsheet-ramification-count") for k, _ in star_pencil.rule_hits))
+    for (r, d), aspect_rho, total in (((2, 15), -15, -7), ((3, 20), -9, -1)):
+        ver = verifies[("septic-star", (r, d))]
+        expect(f"septic-star {series_name(r, d)} additivity {aspect_rho} + 8 = {total} with equality",
+               dict(ver.aspect_rhos)["G"] == aspect_rho and ver.additivity.equality
+               and ver.additivity.lhs == total)
 
     # (iv) the membership audit
     distinctness = [
-        ("g^2_17 vs g^3_20", "chain-9torsion",
-         "carries a limit g^2_17 (confirmed) but no limit g^3_20 (refuted)",
-         ver_9_217.verdict == "confirmed" and rep_9_320.verdict == "refuted"),
-        ("g^1_12 vs g^2_17", "chain-12torsion",
-         "carries a limit g^1_12 (confirmed) but no limit g^2_17 (refuted)",
-         ver_12_112.verdict == "confirmed" and rep_12_217.verdict == "refuted"),
-        ("g^1_12 vs g^3_20", "chain-12torsion",
-         "carries a limit g^1_12 (confirmed) but no limit g^3_20 (refuted)",
-         ver_12_112.verdict == "confirmed" and rep_12_320.verdict == "refuted"),
+        {"pair": f"{series_name(*has)} vs {series_name(*lacks)}", "curve": cid,
+         "reason": f"carries a limit {series_name(*has)} (confirmed) "
+                   f"but no limit {series_name(*lacks)} (refuted)",
+         "holds": (verifies[(cid, has)].verdict == "confirmed"
+                   and refutes[(cid, lacks)].verdict == "refuted")}
+        for cid, has, lacks in G23_DISTINCT
     ]
-    for label, curve, why, ok in distinctness:
-        expect(f"distinctness {label}", ok)
-    beta_ok = (rep_star_112.verdict == "refuted"
-               and ver_star_215.verdict in ("confirmed", "consistent")
-               and ver_star_320.verdict in ("confirmed", "consistent"))
+    for claim in distinctness:
+        expect(f"distinctness {claim['pair']}", claim["holds"])
+    beta_ok = (star_pencil.verdict == "refuted"
+               and all(verifies[("septic-star", s)].verdict in ("confirmed", "consistent")
+                       for s in ((2, 15), (3, 20))))
     expect("septic-star lies in exactly two of the three divisors", beta_ok)
 
     audit_pass = not mismatches
@@ -431,10 +401,7 @@ def _report_g23(include_tail_variant: bool) -> tuple[dict, str, int]:
         },
         "tail_variant": tail_results,
         "membership_audit": {
-            "distinctness": [
-                {"pair": label, "curve": curve, "reason": why, "holds": ok}
-                for label, curve, why, ok in distinctness
-            ],
+            "distinctness": distinctness,
             "two_divisor_curve": {
                 "curve": "septic-star",
                 "in": ["g^2_17 (via the g^2_15 witness plus two base points)", "g^3_20"],

@@ -399,7 +399,7 @@ def _single_pole_ok(a: tuple[int, ...], d: int) -> bool:
 
 def _max_tail_seq(r: int, d: int) -> tuple[int, ...] | None:
     """Pointwise largest vanishing sequence passing the single-pole rule."""
-    if d < r + 1:
+    if 0 < r == d:
         return None  # the only candidate (0..d) has both d-1 and d
     return tuple(d - 1 - (r - i) for i in range(r)) + (d,)
 

@@ -169,26 +169,3 @@ def cusp_pointed_exists(t: SeriesType, alpha: RamificationSeq) -> bool:
     shift = t.g + 1 - t.d + t.r
     return sum(max(x + shift, 0) for x in alpha.entries) <= t.g + 1
 
-
-@dataclass(frozen=True)
-class ExpectedDims:
-    """Expected dimensions attached to a series type.
-
-    dim_g applies always; the other fields only for the indicated r and are
-    None otherwise.
-    """
-
-    dim_g: int
-    gonal: int | None  # r = 1: dimension of the universal pencil space, 2g+2d-5
-    severi: int | None  # r = 2: dimension of the plane Severi variety, 3d+g-1
-    two_pencil: int | None  # r = 1: closure of curves with two pencils, g+4d-7
-
-
-def expected_dims(t: SeriesType) -> ExpectedDims:
-    """Standard expected-dimension counts for a series type."""
-    return ExpectedDims(
-        dim_g=3 * t.g - 3 + rho(t),
-        gonal=2 * t.g + 2 * t.d - 5 if t.r == 1 else None,
-        severi=3 * t.d + t.g - 1 if t.r == 2 else None,
-        two_pencil=t.g + 4 * t.d - 7 if t.r == 1 else None,
-    )

@@ -1,15 +1,20 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bnlimits import curvefile
+from bnlimits import curvefile, limit_checker, schubert
 from bnlimits.cli import main
 from bnlimits.curves import CompactCurve, Component, FactSheet, Node, SeriesDimFact, TorsionPair
+from bnlimits.numerology import SeriesType
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *args):
@@ -40,6 +45,18 @@ def test_exist(capsys):
     assert code == 0 and "exists: yes" in out
     code, out, _ = run(capsys, "exist", "10", "2", "17", "--ram", "4,8,11", "--cusps", "1")
     assert code == 0 and "exists: yes" in out and "cusp-clamp" in out
+
+
+def test_exist_without_conditions_uses_clamp(capsys):
+    # no marked point and no cusp: the clamp at zero ramification, which agrees
+    # with Schubert nonvanishing of the empty product
+    for g, r, d in ((11, 2, 17), (11, 2, 10), (4, 1, 2), (4, 1, 3)):
+        code, out, _ = run(capsys, "exist", str(g), str(r), str(d), "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["criterion"] == "clamp"
+        assert payload["exists"] == schubert.bn_condition(SeriesType(g, r, d), [])
+    code, out, _ = run(capsys, "exist", "4", "1", "2")
+    assert out == "exists: no (criterion: clamp)\n"
 
 
 def test_schubert_cmd(capsys):
@@ -201,6 +218,67 @@ def test_report_json(capsys):
         "chain-12torsion g^3_20": "refuted",
         "septic-star g^1_12": "refuted",
     }
+
+
+@pytest.mark.parametrize("golden,args", [
+    ("report_g23.txt", ()),
+    ("report_g23.json", ("--json",)),
+    ("report_g23_tail.txt", ("--include-tail-variant",)),
+    ("report_g23_tail.json", ("--include-tail-variant", "--json")),
+])
+def test_report_matches_golden(capsys, golden, args):
+    code, out, _ = run(capsys, "report", "g23", *args)
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
+def _force_refutation(monkeypatch, curve_id, series, **changes):
+    """Make limit_checker.refute report `changes` for one curve and series."""
+    real = limit_checker.refute
+
+    def refute(curve, t, **kwargs):
+        report = real(curve, t, **kwargs)
+        if (curve.id, (t.r, t.d)) == (curve_id, series):
+            report = dataclasses.replace(report, **changes)
+        return report
+
+    monkeypatch.setattr(limit_checker, "refute", refute)
+
+
+def test_report_fails_when_web_is_not_refuted(monkeypatch, capsys):
+    _force_refutation(monkeypatch, "chain-9torsion", (3, 20), verdict="survivors",
+                      survivor_count=1)
+    code, out, _ = run(capsys, "report", "g23", "--json")
+    payload = json.loads(out)
+    assert code == 1 and payload["pass"] is False
+    assert payload["mismatches"] == ["chain-9torsion has no limit g^3_20",
+                                     "distinctness g^2_17 vs g^3_20"]
+    holds = {row["pair"]: row["holds"] for row in payload["membership_audit"]["distinctness"]}
+    assert holds == {"g^2_17 vs g^3_20": False, "g^1_12 vs g^2_17": True,
+                     "g^1_12 vs g^3_20": True}
+    code, out, _ = run(capsys, "report", "g23")
+    assert code == 1
+    assert "  FAILED: g^2_17 vs g^3_20 distinct -- chain-9torsion carries" in out
+    assert "\nmismatches:\n  - chain-9torsion has no limit g^3_20\n" in out
+    assert "\nkappa(M_23) >= 2 audit: FAIL\n" in out
+
+
+def test_report_lists_surviving_chain12_nets_as_a_finding(monkeypatch, capsys):
+    # the g^2_17 refutation on the 12-torsion chain is cited to the literature:
+    # its survivors are a finding, not a mismatch of their own, and only the
+    # distinctness row resting on it fails
+    _force_refutation(monkeypatch, "chain-12torsion", (2, 17), verdict="survivors",
+                      survivor_count=3)
+    code, out, _ = run(capsys, "report", "g23", "--json")
+    payload = json.loads(out)
+    assert payload["findings"] == [
+        "chain-12torsion g^2_17: 3 candidates survive the necessary rules; refutation is "
+        "cited to the literature, survivors listed as findings"
+    ]
+    assert payload["mismatches"] == ["distinctness g^1_12 vs g^2_17"]
+    assert code == 1 and payload["pass"] is False
+    code, out, _ = run(capsys, "report", "g23")
+    assert code == 1 and "\nfindings:\n  - chain-12torsion g^2_17: 3 candidates" in out
 
 
 @given(st.data())

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from pair_oracle import brute_force_pairs
 
 from bnlimits.curvefile import curve_from_json, curve_to_json, load_fixture
-from bnlimits.curves import CompactCurve, Component, Node, TorsionPair
+from bnlimits.curves import CompactCurve, Component, FactSheet, Node, SeriesDimFact, TorsionPair
 from bnlimits.limit_checker import (
     MAX_SEQUENCES,
     UnsupportedCurveError,
@@ -19,7 +19,7 @@ from bnlimits.limit_checker import (
     refute,
     verify_witness,
 )
-from bnlimits.numerology import SeriesType, VanishingSeq
+from bnlimits.numerology import SeriesType, VanishingSeq, rho
 
 
 def _v(entries, d):
@@ -456,3 +456,70 @@ def test_elliptic_single_slot_pivot():
     assert naive.survivors == report.survivors
     report4 = refute(curve, SeriesType(12, 1, 4))
     assert report4.verdict == "refuted"  # the genus-11 side admits no degree-4 pencil
+
+
+def _shape(kind: str, genus: int, torsion: int | None) -> CompactCurve:
+    """A small curve of each shape the engine supports, named by kind.
+
+    pair-X-Y: an elliptic pivot E between X and Y, each a general leaf (g),
+    a fact-sheet leaf (f) or a general bridge ending in an elliptic tail (b);
+    single-X: E on one leaf; star-X-n: n elliptic tails on a hub.
+    """
+    facts = FactSheet((SeriesDimFact(1, 2, 0), SeriesDimFact(0, 1, 0)))
+
+    def leaf(name: str, code: str, points: tuple[str, ...]) -> Component:
+        if code == "f":
+            return Component(name, genus, "factsheet", points, facts=facts)
+        return Component(name, genus, "general", points)
+
+    shape, *rest = kind.split("-")
+    comps, nodes = [], []
+    if shape == "star":
+        code, tails = rest[0], int(rest[1])
+        points = tuple(f"p{i}" for i in range(tails))
+        comps.append(leaf("H", code, points))
+        for p in points:
+            comps.append(Component(f"T{p}", 1, "elliptic", (p,)))
+            nodes.append(Node((("H", p), (f"T{p}", p))))
+    else:
+        pivot_points = ("p", "q")[:len(rest)]
+        tor = (TorsionPair(("p", "q"), torsion),) if torsion and len(rest) == 2 else ()
+        comps.append(Component("E", 1, "elliptic", pivot_points, torsion=tor))
+        for point, code, name in zip(pivot_points, rest, ("A", "B")):
+            if code == "b":
+                comps.append(Component(name, genus, "general", ("x", "y")))
+                comps.append(Component(f"{name}T", 1, "elliptic", ("y",)))
+                nodes.append(Node(((name, "y"), (f"{name}T", "y"))))
+            else:
+                comps.append(leaf(name, code, ("x",)))
+            nodes.append(Node((("E", point), (name, "x"))))
+    return CompactCurve(kind, sum(c.genus for c in comps), tuple(comps), tuple(nodes))
+
+
+SHAPES = ("pair-g-g", "pair-g-b", "pair-b-b", "pair-f-g", "pair-f-b", "single-g", "single-f",
+          "star-g-1", "star-g-3", "star-f-2")
+
+
+@pytest.mark.parametrize("kind", SHAPES)
+def test_low_degree_series_on_every_shape(kind):
+    # d in {r, r+1}: the tails' largest admissible sequence is (0,) at r = d = 0
+    # and does not exist at r = d > 0
+    for genus in (0, 1, 2):
+        for torsion in (None, 2):
+            curve = _shape(kind, genus, torsion)
+            has_facts = any(c.kind == "factsheet" for c in curve.components)
+            for r in range(3):
+                for d in (r, r + 1):
+                    t = SeriesType(curve.genus, r, d)
+                    pruned = refute(curve, t, survivor_cap=10)
+                    naive = refute(curve, t, prune=False, survivor_cap=10)
+                    case = (kind, genus, torsion, r, d)
+                    assert pruned.to_json() | {"pruned": None} == \
+                        naive.to_json() | {"pruned": None}, case
+                    assert sum(v for _, v in pruned.rule_hits) + pruned.survivor_count == \
+                        pruned.candidates_examined, case
+                    if not has_facts and rho(t) >= 0:
+                        assert pruned.verdict == "survivors", case
+                    for survivor in pruned.survivors:
+                        check = verify_witness(curve, t, survivor.assignment_dict())
+                        assert check.verdict != "rejected", (case, survivor)

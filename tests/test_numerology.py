@@ -10,7 +10,6 @@ from bnlimits.numerology import (
     bn_divisor_pairs,
     bn_divisor_triples,
     cusp_pointed_exists,
-    expected_dims,
     pointed_exists,
     ramification_to_vanishing,
     residual,
@@ -170,10 +169,3 @@ def test_pointed_exists_monotone_small():
                         if all(x <= y for x, y in zip(smaller, alpha)):
                             assert pointed_exists(t, RamificationSeq(smaller, r, d))
 
-
-def test_expected_dims():
-    e = expected_dims(SeriesType(15, 1, 6))
-    assert (e.gonal, e.two_pencil) == (37, 32)
-    assert expected_dims(SeriesType(15, 2, 7)).severi == 35
-    assert expected_dims(SeriesType(23, 1, 12)).dim_g == 65
-    assert expected_dims(SeriesType(15, 2, 7)).gonal is None
