@@ -11,8 +11,8 @@ found, never confirmed (smoothability is not verified here).
 
 Enumeration pivots on the component with the most nodes.  For a two-noded
 elliptic pivot the engine accounts for all pairs of vanishing sequences at
-its two points, counting whole boxes of them from prefix sums and walking
-only where the torsion rule can bite or survivors are listed; adjacent
+its two points, counting whole boxes of them, torsion failures included,
+from prefix sums and walking a box only to list survivors; adjacent
 general components are tested only at the pointwise minimal sequence
 compatible with the pivot side, which is sound because the clamp criteria
 are downward closed in the ramification.  For a star around a fact-sheet or
@@ -437,30 +437,27 @@ class _Lattice(NamedTuple):
     seqs: tuple[tuple[int, ...], ...]
     index: Mapping[tuple[int, ...], int]
     steps: tuple[tuple[int, ...], ...]  # per axis j: largest sequence below s - e_j, or -1
-    comp: tuple[int, ...]  # min_complement(s)
-    caps: tuple[int, ...]  # the pairwise bound's caps b <= (d - s[r], ..., d - s[0])
+    caps: tuple[int, ...]  # the pairwise bound's caps (d - s[r], ..., d - s[0]) = min_complement(s)
     pole_ok: tuple[bool, ...]
 
 
 @lru_cache(maxsize=4)
 def _lattice(r: int, d: int) -> _Lattice:
     seqs = tuple(_all_seqs(r, d))
-    index = {s: i for i, s in enumerate(seqs)}
+    ids = tuple(range(len(seqs)))  # one int object per position, shared by every table
+    index = dict(zip(seqs, ids))
+    cols = tuple(zip(*seqs))
     steps = []
-    for j in range(r + 1):  # lower s_j by one, clamping earlier coordinates
-        row = []
-        for s in seqs:
-            c = list(s)
-            c[j] -= 1
-            k = j
-            while k > 0 and c[k - 1] >= c[k]:
-                c[k - 1] = c[k] - 1
-                k -= 1
-            row.append(index[tuple(c)] if c[0] >= 0 else -1)
-        steps.append(tuple(row))
-    caps = tuple(index[tuple(d - x for x in reversed(s))] for s in seqs)
-    comp = tuple(index[tuple(map(max, seqs[c], range(r + 1)))] for c in caps)  # min_complement
-    return _Lattice(seqs, MappingProxyType(index), tuple(steps), comp, caps,
+    row = (-1,) * len(seqs)  # axis -1: every s_0 is above s_{-1} = -1, with no step
+    for j, (above, col) in enumerate(zip((row,) + cols, cols)):
+        # lowering s_j by one lowers the lex rank by C(d - s_j, r - j); if s_{j-1} = s_j - 1
+        # that clamps s_{j-1}, so the step starts from the one on axis j - 1
+        drop = [comb(d - v, r - j) for v in range(d + 1)]
+        start = [i if u < v - 1 else p for i, u, v, p in zip(ids, above, col, row)]
+        row = tuple(-1 if k < 0 else ids[k - drop[v]] for k, v in zip(start, col))
+        steps.append(row)
+    caps = tuple(map(index.__getitem__, zip(*[map(d.__sub__, col) for col in reversed(cols)])))
+    return _Lattice(seqs, MappingProxyType(index), tuple(steps), caps,
                     tuple(_single_pole_ok(s, d) for s in seqs))
 
 
@@ -496,11 +493,11 @@ def _neighbour(kind: str, genus: int, facts: FactSheet | None, r: int, d: int, p
         t = SeriesType(genus, r, d)
         return _Neighbour(tuple(
             factsheet_check(facts, t, [vanishing_to_ramification(VanishingSeq(lat.seqs[c], d))]).status
-            for c in lat.comp))
+            for c in lat.caps))
     cusps = 1 if kind == "bridge" else 0
     feasible = [_clamp_feasible(s, genus, d, r, cusps) for s in lat.seqs]
     if prune:
-        ok = [feasible[c] for c in lat.comp]
+        ok = [feasible[c] for c in lat.caps]
     else:
         listed = [s for s, f in zip(lat.seqs, feasible) if f]
         ok = [any(all(x >= y for x, y in zip(s, lat.seqs[c])) for s in listed) for c in lat.caps]
@@ -571,9 +568,8 @@ def _finish(curve, t, candidates, hits, survivors, count, prune, extra_notes=())
 def _refute_pair(curve, t, plan, prune, cap) -> RefutationReport:
     """Two-noded elliptic pivot: count the pairs (a, b) box by box.
 
-    The rules on b alone are counted from down-set sums over the box
-    b <= caps(a) that the pairwise bound leaves; the torsion rule, the only
-    one coupling a and b, needs two coordinates of b at their cap.
+    Every rule on b in the box b <= caps(a) that the pairwise bound leaves,
+    the torsion rule too, is counted from down-set sums; survivors are walked.
     """
     slot_u, slot_v = plan.slots
     r, d = t.r, t.d
@@ -595,27 +591,20 @@ def _refute_pair(curve, t, plan, prune, cap) -> RefutationReport:
     survivors: list[Survivor] = []
     count = 0
     for a, ok, su, ic in zip(seqs, lat.pole_ok, status_u, lat.caps):
-        if not ok:
-            hits[key_pole] += n
+        if not ok or su == "fail":
+            hits[key_u if ok else key_pole] += n
             continue
-        if su == "fail":
-            hits[key_u] += n
-            continue
-        caps = seqs[ic]
         live = good_in[ic]
-        hits[key_pair] += n - pole_in[ic] - fail_v_in[ic] - live
-        for key, by in ((key_pole, pole_in[ic]), (key_v, fail_v_in[ic])):
+        tor = _torsion_hits(a, ic, lat.steps, good_in, torsion) if live else 0
+        for key, by in ((key_pair, n - pole_in[ic] - fail_v_in[ic] - live), (key_pole, pole_in[ic]),
+                        (key_v, fail_v_in[ic]), (key_tor, tor)):
             if by:
                 hits[key] += by
-        if live:
-            tor = sum(1 for b in _boundary(caps) if good[index[b]] and _torsion_fails(a, b, d, torsion))
-            if tor:
-                hits[key_tor] += tor
-                live -= tor
-            count += live
+        live -= tor
+        count += live
         if not live or len(survivors) >= cap:
             continue
-        for b in _box([0] * (r + 1), caps):
+        for b in _box(seqs[ic]):
             ib = index[b]
             if not good[ib] or _torsion_fails(a, b, d, torsion):
                 continue
@@ -629,6 +618,30 @@ def _torsion_fails(a: tuple[int, ...], b: tuple[int, ...], d: int, torsion: int 
     """Torsion-divisibility rule for a pair inside the pairwise bound."""
     eq = [i for i, x in enumerate(a) if x + b[-1 - i] == d]
     return len(eq) >= 2 and (torsion is None or any((a[i] - a[eq[0]]) % torsion for i in eq))
+
+
+def _torsion_hits(a: tuple[int, ...], ic: int, steps: tuple[tuple[int, ...], ...],
+                  good_in: tuple[int, ...], torsion: int | None) -> int:
+    """How many good b in the box b <= c = caps(a) the torsion rule eliminates.
+
+    With T(b) the axes j where b_j = c_j, the rule passes b iff T(b) lies in
+    one class of axes with congruent a[r-j] (one axis per class without torsion).
+    The good b with T(b) in K lie below c lowered on each axis outside K, in order.
+    """
+    r = len(a) - 1
+
+    def within(axes) -> int:
+        i = ic
+        for j in range(r + 1):
+            if j not in axes and i >= 0:
+                i = steps[j][i]
+        return good_in[i] if i >= 0 else 0
+
+    classes: dict[int, list[int]] = {}
+    for j in range(r + 1):
+        classes.setdefault(j if torsion is None else a[r - j] % torsion, []).append(j)
+    empty = within(())
+    return good_in[ic] - empty - sum(within(k) - empty for k in classes.values())
 
 
 def _down_sums(lat: _Lattice, *weights: list) -> tuple[tuple[int, ...], ...]:
@@ -646,23 +659,12 @@ def _down_sums(lat: _Lattice, *weights: list) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(table) for table in tables)
 
 
-def _box(lo: Sequence[int], hi: Sequence[int]) -> list[tuple[int, ...]]:
-    """Strictly increasing tuples b with lo[j] <= b[j] <= hi[j], in lexicographic order."""
-    level = [(v,) for v in range(lo[0], hi[0] + 1)]
-    for j in range(1, len(hi)):
-        low, top = lo[j], hi[j] + 1
-        level = [b + (v,) for b in level for v in range(max(low, b[-1] + 1), top)]
+def _box(hi: Sequence[int]) -> list[tuple[int, ...]]:
+    """Strictly increasing tuples b <= hi, in lexicographic order."""
+    level = [(v,) for v in range(hi[0] + 1)]
+    for top in hi[1:]:
+        level = [b + (v,) for b in level for v in range(b[-1] + 1, top + 1)]
     return level
-
-
-def _boundary(caps: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """Tuples b <= caps with at least two coordinates at their cap."""
-    out: set[tuple[int, ...]] = set()
-    for j1, j2 in combinations(range(len(caps)), 2):
-        lo = [0] * len(caps)
-        lo[j1], lo[j2] = caps[j1], caps[j2]
-        out.update(_box(lo, caps))
-    return out
 
 
 def _refute_single(curve, t, plan, prune, cap) -> RefutationReport:
@@ -673,15 +675,12 @@ def _refute_single(curve, t, plan, prune, cap) -> RefutationReport:
     status = _neighbour(*slot.key, r, d, prune).status
     key_pole = f"{RULE_ELLIPTIC_SINGLE_POLE}@{pivot.id}"
     key_nb = _slot_rule_key(slot)
-    hits: dict[str, int] = {}
+    hits: Counter[str] = Counter()
     survivors: list[Survivor] = []
     count = 0
     for a, ok, st in zip(lat.seqs, lat.pole_ok, status):
-        if not ok:
-            hits[key_pole] = hits.get(key_pole, 0) + 1
-            continue
-        if st == "fail":
-            hits[key_nb] = hits.get(key_nb, 0) + 1
+        if not ok or st == "fail":
+            hits[key_nb if ok else key_pole] += 1
             continue
         count += 1
         if len(survivors) < cap:

@@ -102,7 +102,9 @@ def decompose_canonical(g: int, r: int, d: int) -> Decomposition:
     bn = bn_class(g, r, d)
     a = kan.delta[0] / bn.delta[0]  # c_0 = 0 pinned
     b = kan.lam - a * bn.lam
-    c = tuple(kan.delta[i] - a * bn.delta[i] for i in range(len(kan.delta)))
+    p, q = a.numerator, a.denominator  # c_i = k - a * n as one Fraction over the denominators
+    c = tuple(Fraction(k.numerator * n.denominator * q - p * n.numerator * k.denominator,
+                       k.denominator * n.denominator * q) for k, n in zip(kan.delta, bn.delta))
     assert c[0] == 0
     return Decomposition(g, a, b, c)
 

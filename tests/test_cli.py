@@ -102,6 +102,25 @@ def test_limit_refute_expectations(capsys):
         assert code == 0 and "curve chain-9torsion-elliptic-tail" in out
 
 
+def test_limit_refute_lists_only_rules_that_fire(capsys):
+    # at r = d = 0 the pairwise bound eliminates no pair, so it has no line
+    for mode in ((), ("--naive",)):
+        code, out, _ = run(capsys, "limit", "refute", "chain-9torsion", "0", "0", *mode)
+        assert code == 0 and "rule hits:\n  (none)\n" in out and "pair-bound" not in out
+        code, out, _ = run(capsys, "limit", "refute", "chain-9torsion", "0", "0", "--json", *mode)
+        assert code == 0 and json.loads(out)["rule_hits"] == {}
+
+
+@pytest.mark.parametrize("series", [(0, 0), (1, 12), (2, 17), (3, 20)])
+@pytest.mark.parametrize("curve", [
+    "chain-9torsion", "chain-12torsion", "chain-9torsion-elliptic-tail", "septic-star"])
+def test_limit_refute_matches_golden(capsys, curve, series):
+    r, d = series
+    code, out, _ = run(capsys, "limit", "refute", curve, str(r), str(d))
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / f"refute_{curve}_{r}_{d}.txt").read_bytes()
+
+
 def test_limit_verify(capsys):
     code, out, _ = run(capsys, "limit", "verify", "chain-9torsion", "2", "17",
                        "--witness", "g2_17", "--expect", "confirmed")

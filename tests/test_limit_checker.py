@@ -11,8 +11,12 @@ from bnlimits.curves import CompactCurve, Component, FactSheet, Node, SeriesDimF
 from bnlimits.limit_checker import (
     MAX_SEQUENCES,
     UnsupportedCurveError,
+    _box,
+    _down_sums,
     _lattice,
     _neighbour,
+    _torsion_fails,
+    _torsion_hits,
     additivity_audit,
     min_complement,
     node_compatible,
@@ -189,14 +193,57 @@ def test_cached_tables_are_immutable():
     d = 8
     lat = _lattice(2, d)
     table = _neighbour("leaf-general", 11, None, 2, d, True, True)
-    for part in (lat.seqs, lat.steps, *lat.steps, lat.comp, lat.caps, lat.pole_ok,
+    for part in (lat.seqs, lat.steps, *lat.steps, lat.caps, lat.pole_ok,
                  table.status, table.good, table.sums, *table.sums):
         assert isinstance(part, tuple)
     with pytest.raises(TypeError):
         lat.index[(0, 1, 2)] = 1
     with pytest.raises(AttributeError):
         table.status = ()
-    assert lat.comp == tuple(lat.index[min_complement(s, d)] for s in lat.seqs)
+
+
+def _clamped_steps(lat, r):
+    """Per axis j: the index of s - e_j with earlier coordinates clamped below it, or -1."""
+    steps = []
+    for j in range(r + 1):
+        row = []
+        for s in lat.seqs:
+            c = list(s)
+            c[j] -= 1
+            k = j
+            while k > 0 and c[k - 1] >= c[k]:
+                c[k - 1] = c[k] - 1
+                k -= 1
+            row.append(lat.index[tuple(c)] if c[0] >= 0 else -1)
+        steps.append(tuple(row))
+    return tuple(steps)
+
+
+def test_lattice_steps_and_caps_match_clamping():
+    # every lattice of degree up to 2g - 2 = 44 at genus 23 with at most 2,000 sequences
+    checked = 0
+    for r in range(45):
+        for d in range(r, 45):
+            if comb(d + 1, r + 1) > 2000:
+                break
+            lat = _lattice.__wrapped__(r, d)
+            assert lat.steps == _clamped_steps(lat, r), (r, d)
+            assert lat.caps == tuple(lat.index[min_complement(s, d)] for s in lat.seqs), (r, d)
+            checked += 1
+    assert checked == 277
+
+
+@pytest.mark.parametrize("r,d", [(1, 9), (2, 9), (3, 10), (4, 9), (5, 9)])
+def test_torsion_hits_match_the_walked_box(r, d):
+    # a pseudo-random set of good b; each count must equal a walk over the box b <= caps(a)
+    lat = _lattice(r, d)
+    good = [(i * 7919) % 5 != 0 for i in range(len(lat.seqs))]
+    (good_in,) = _down_sums(lat, good)
+    for torsion in (None, 2, 3, 5):
+        for a, ic in zip(lat.seqs, lat.caps):
+            walked = sum(1 for b in _box(lat.seqs[ic])
+                         if good[lat.index[b]] and _torsion_fails(a, b, d, torsion))
+            assert _torsion_hits(a, ic, lat.steps, good_in, torsion) == walked, (a, torsion)
 
 
 def test_star_points_not_general_never_refutes(fixtures):

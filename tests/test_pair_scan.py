@@ -43,7 +43,7 @@ def test_fixture_series_match_brute_force(name, series, cap):
 def pair_curves(draw):
     """An elliptic pivot E with two nodes; behind each a general leaf, a
     fact-sheet leaf, or a general bridge ending in an elliptic tail."""
-    r = draw(st.integers(1, 3))
+    r = draw(st.integers(1, 5))
     top = max(d for d in range(r + 1, 30) if comb(d + 1, r + 1) <= ORACLE_SEQ_CAP)
     d = draw(st.integers(r + 1, top))
     order = draw(st.one_of(st.none(), st.integers(2, 13)))
