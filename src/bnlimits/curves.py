@@ -280,9 +280,12 @@ def general_pointed_check(t: SeriesType, rams: list[RamificationSeq] | tuple[Ram
 
     One ramification condition goes through the clamp criterion, one
     condition plus one cusp through the cusp clamp criterion, and anything
-    else through the Schubert nonvanishing criterion.  All three are
-    if-and-only-if statements, so both pass and fail are exact.
+    else through the Schubert nonvanishing criterion, where each extra cusp
+    is one more power of the cusp class, as on a curve of genus one higher.
+    All three are if-and-only-if statements, so both pass and fail are exact.
     """
+    if extra_cusps < 0:
+        raise ValueError(f"number of extra cusps must be nonnegative, got {extra_cusps}")
     rams = list(rams)
     if len(rams) == 1 and extra_cusps == 0:
         ok = pointed_exists(t, rams[0])
@@ -294,8 +297,7 @@ def general_pointed_check(t: SeriesType, rams: list[RamificationSeq] | tuple[Ram
         zero = RamificationSeq((0,) * (t.r + 1), t.r, t.d)
         ok = pointed_exists(t, zero)
         return CheckResult("pass" if ok else "fail", RULE_GENERAL_POINTED, exact=True)
-    cusp = RamificationSeq((0,) + (1,) * t.r if t.r else (0,), t.r, t.d)
-    ok = schubert.bn_condition(t, rams + [cusp] * extra_cusps)
+    ok = schubert.bn_condition(SeriesType(t.g + extra_cusps, t.r, t.d), rams)
     return CheckResult("pass" if ok else "fail", RULE_SCHUBERT, exact=True)
 
 

@@ -480,8 +480,10 @@ def _neighbour(kind: str, genus: int, facts: FactSheet | None, r: int, d: int, p
     """Status table of the component behind a slot; far adds the second-node columns.
 
     Pruned mode evaluates the exact clamp criterion on the pointwise minimal
-    compatible sequence.  Naive mode scans every compatible clamp-feasible
-    sequence instead, which avoids the monotonicity lemma.
+    compatible sequence.  Naive mode asks whether any compatible sequence is
+    clamp-feasible instead, which avoids the monotonicity lemma: caps is an
+    order-reversing involution, so the feasible s >= caps(a) are counted by
+    the down-set sum at a of the weights feasible(caps(x)).
     """
     lat = _lattice(r, d)
     if far:
@@ -496,11 +498,9 @@ def _neighbour(kind: str, genus: int, facts: FactSheet | None, r: int, d: int, p
             for c in lat.caps))
     cusps = 1 if kind == "bridge" else 0
     feasible = [_clamp_feasible(s, genus, d, r, cusps) for s in lat.seqs]
-    if prune:
-        ok = [feasible[c] for c in lat.caps]
-    else:
-        listed = [s for s, f in zip(lat.seqs, feasible) if f]
-        ok = [any(all(x >= y for x, y in zip(s, lat.seqs[c])) for s in listed) for c in lat.caps]
+    ok = [feasible[c] for c in lat.caps]
+    if not prune:
+        ok = [n > 0 for n in _down_sums(lat, ok)[0]]
     return _Neighbour(tuple("pass" if f else "fail" for f in ok))
 
 

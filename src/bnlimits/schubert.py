@@ -4,9 +4,14 @@ Classes live in the quotient ring spanned by partitions inside the
 (r+1) x (d-r) rectangle.  Products are computed by the Littlewood-Richardson
 rule (enumeration of lattice skew tableaux, organized as chains of
 horizontal strips); powers of the cusp class, a single column 1^r, go
-through the vertical-strip Pieri rule instead since they are taken to high
-exponents.  Truncation to the rectangle happens inside every single
-multiplication, so intermediate classes never leave the ring.
+through the vertical-strip Pieri rule instead.  Truncation to the rectangle
+happens inside every single multiplication, so intermediate classes never
+leave the ring.
+
+The existence criterion bn_condition never forms the g-th cusp power: all
+Littlewood-Richardson and Pieri coefficients are nonnegative, so the
+product is nonzero iff one Schubert class in the support of the marked
+points' product survives the power, which is the one-point clamp.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .numerology import RamificationSeq, SeriesType
+from .numerology import RamificationSeq, SeriesType, adjusted_rho
 
 Partition = tuple[int, ...]
 Rect = tuple[int, int]  # (rows, cols)
@@ -208,18 +213,25 @@ def bn_condition(t: SeriesType, rams: list[RamificationSeq] | tuple[Ramification
     with ramification at least alpha^i at the i-th point iff the product of
     the classes of the alpha^i times the g-th power of the cusp class is
     nonzero in the rectangle ring.
+
+    A product of degree sum_i |alpha^i| + g*r above (r+1)(d-r), the
+    dimension of G(r+1, d+1), is zero: that is adjusted rho < 0.  Otherwise
+    the marked classes are multiplied out, and since no coefficient is
+    negative, the power of the cusp class kills the product iff it kills
+    every sigma_lambda in its support.  sigma_lambda times the g-th cusp
+    power is nonzero iff lambda passes the one-point clamp
+    sum_i max(lambda_i + g - d + r, 0) <= g over all r+1 rows
+    (Eisenbud-Harris), so the cost does not grow with g.
     """
+    if adjusted_rho(t, rams) < 0:  # checks every bound first
+        return False
     rect = rect_for(t.r, t.d)
     acc = identity_class(rect)
     for alpha in rams:
-        if (alpha.r, alpha.d) != (t.r, t.d):
-            raise ValueError(f"ramification bound ({alpha.r}, {alpha.d}) does not match series {t}")
         acc = lr_product(acc, schubert_class(index_to_partition(alpha), rect))
         if acc.is_zero():
             return False
-    k, _ = rect
-    for _ in range(t.g):
-        acc = multiply_by_column(acc, k - 1)
-        if acc.is_zero():
-            return False
-    return not acc.is_zero()
+    # empty rows add max(shift, 0); when shift > 0 the padded clamp is |lambda| <= rho,
+    # which every lambda here meets since adjusted rho >= 0, so they can be left out
+    shift = t.g - t.d + t.r
+    return any(sum(max(x + shift, 0) for x in lam) <= t.g for lam in acc.terms)

@@ -47,6 +47,50 @@ def test_exist(capsys):
     assert code == 0 and "exists: yes" in out and "cusp-clamp" in out
 
 
+@pytest.mark.parametrize("golden,args", [
+    ("exist_11_2_17.txt", ("exist", "11", "2", "17", "--ram", "4,8,11")),
+    ("schubert_1_12_cusp_power_23.txt", ("schubert", "1", "12", "--cusp-power", "23")),
+    ("exist_2_2_7_cusps_2.json",
+     ("exist", "2", "2", "7", "--ram", "0,0,4", "--ram", "0,0,3", "--cusps", "2", "--json")),
+])
+def test_schubert_commands_match_golden(capsys, golden, args):
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
+def test_exist_cusps_on_a_rectangle_without_columns(capsys):
+    # d = r leaves no room for a cusp index; the cusp class is zero there
+    code, out, err = run(capsys, "exist", "3", "1", "1", "--ram", "0,0", "--ram", "0,0")
+    assert (code, out, err) == (0, "exists: no (criterion: schubert-nonvanishing)\n", "")
+    code, out, _ = run(capsys, "exist", "0", "1", "1", "--ram", "0,0", "--ram", "0,0")
+    assert (code, out) == (0, "exists: yes (criterion: schubert-nonvanishing)\n")
+
+
+def test_exist_rejects_negative_cusps(capsys):
+    code, out, err = run(capsys, "exist", "5", "1", "4", "--cusps", "-3")
+    assert code == 2 and out == "" and "cusps" in err and "-3" in err
+
+
+def test_exist_cost_does_not_grow_with_cusps(capsys, monkeypatch):
+    # each extra cusp is one more power of the cusp class, not one more factor
+    calls = []
+    real = schubert.lr_product
+
+    def counted(x, y):
+        calls.append(1)
+        if len(calls) > 10:
+            raise AssertionError("one product per cusp")
+        return real(x, y)
+
+    monkeypatch.setattr(schubert, "lr_product", counted)
+    code, out, _ = run(capsys, "exist", "5", "0", "4", "--ram", "1", "--ram", "2", "--cusps", "1000000")
+    assert (code, out) == (0, "exists: yes (criterion: schubert-nonvanishing)\n")
+    assert len(calls) <= 2
+    code, out, _ = run(capsys, "exist", "5", "1", "4", "--cusps", "100000000")
+    assert (code, out) == (0, "exists: no (criterion: schubert-nonvanishing)\n")
+
+
 def test_exist_without_conditions_uses_clamp(capsys):
     # no marked point and no cusp: the clamp at zero ramification, which agrees
     # with Schubert nonvanishing of the empty product
@@ -117,6 +161,17 @@ def test_limit_refute_lists_only_rules_that_fire(capsys):
 def test_limit_refute_matches_golden(capsys, curve, series):
     r, d = series
     code, out, _ = run(capsys, "limit", "refute", curve, str(r), str(d))
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / f"refute_{curve}_{r}_{d}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("series", [(0, 0), (1, 12), (2, 17), (3, 20)])
+@pytest.mark.parametrize("curve", [
+    "chain-9torsion", "chain-12torsion", "chain-9torsion-elliptic-tail", "septic-star"])
+def test_limit_refute_naive_matches_golden(capsys, curve, series):
+    # the full scan must reproduce the pruned output byte for byte
+    r, d = series
+    code, out, _ = run(capsys, "limit", "refute", curve, str(r), str(d), "--naive")
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / f"refute_{curve}_{r}_{d}.txt").read_bytes()
 

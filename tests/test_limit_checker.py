@@ -12,6 +12,7 @@ from bnlimits.limit_checker import (
     MAX_SEQUENCES,
     UnsupportedCurveError,
     _box,
+    _clamp_feasible,
     _down_sums,
     _lattice,
     _neighbour,
@@ -231,6 +232,29 @@ def test_lattice_steps_and_caps_match_clamping():
             assert lat.caps == tuple(lat.index[min_complement(s, d)] for s in lat.seqs), (r, d)
             checked += 1
     assert checked == 277
+
+
+def _scanned_status(lat, feasible):
+    """Naive status by a scan: does any clamp-feasible s lie above caps(a)?"""
+    listed = [s for s, f in zip(lat.seqs, feasible) if f]
+    return tuple("pass" if any(all(x >= y for x, y in zip(s, lat.seqs[c])) for s in listed)
+                 else "fail" for c in lat.caps)
+
+
+@pytest.mark.parametrize("r,d,genera", [
+    (0, 12, (5,)), (1, 12, (4, 11)), (2, 9, (3, 8)), (2, 17, (11,)), (3, 12, (5, 9)),
+    (4, 11, (4, 7)), (5, 11, (4, 6)),
+])
+def test_naive_table_matches_the_scan(r, d, genera):
+    # the naive table reads one down-set sum; the scan is its oracle (C(d+1, r+1) <= 2,000)
+    lat = _lattice(r, d)
+    assert len(lat.seqs) <= 2000
+    for kind, cusps in (("leaf-general", 0), ("bridge", 1)):
+        for genus in genera:
+            feasible = [_clamp_feasible(s, genus, d, r, cusps) for s in lat.seqs]
+            status = _neighbour.__wrapped__(kind, genus, None, r, d, False).status
+            assert status == _scanned_status(lat, feasible), (kind, genus)
+            assert "pass" in status and ("fail" in status or r == 0), (kind, genus)
 
 
 @pytest.mark.parametrize("r,d", [(1, 9), (2, 9), (3, 10), (4, 9), (5, 9)])

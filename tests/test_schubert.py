@@ -1,3 +1,4 @@
+import random
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bnlimits import schubert
 from bnlimits.numerology import RamificationSeq, SeriesType, pointed_exists
 from bnlimits.schubert import (
     CohomologyClass,
@@ -138,6 +140,68 @@ def test_bn_condition_matches_clamp_small_grid():
                 for alpha in combinations_with_replacement(range(d - r + 1), r + 1):
                     ram = RamificationSeq(alpha, r, d)
                     assert bn_condition(t, [ram]) == pointed_exists(t, ram)
+
+
+def _pieri_oracle(rams, g, rect, powers):
+    """Nonvanishing of the marked classes times the g-th cusp power, multiplied out."""
+    acc = identity_class(rect)
+    for alpha in rams:
+        acc = lr_product(acc, schubert_class(index_to_partition(alpha), rect))
+    return not lr_product(acc, powers[g]).is_zero()
+
+
+def test_bn_condition_matches_the_cusp_power():
+    # every rectangle with at most 4 rows and 7 columns; all one-point conditions,
+    # and a seeded draw of two and three points, each at every genus up to 12
+    rng = random.Random(20231)
+    checked = 0
+    for k in range(1, 5):
+        for m in range(0, 8):
+            rect = (k, m)
+            r, d = k - 1, m + k - 1
+            powers = [cusp_class_power(g, rect) for g in range(13)]
+            seqs = [RamificationSeq(a, r, d) for a in combinations_with_replacement(range(m + 1), k)]
+            draws = [[]] + [[a] for a in seqs]
+            draws += [[rng.choice(seqs) for _ in range(n)] for n in (2, 3) for _ in range(12)]
+            for rams in draws:
+                for g in range(13):
+                    expected = _pieri_oracle(rams, g, rect, powers)
+                    assert bn_condition(SeriesType(g, r, d), rams) == expected, (rect, rams, g)
+                    checked += 1
+    assert checked == 27014
+
+
+def test_one_point_clamp_is_the_cusp_power():
+    # sigma_lambda * sigma_{1^r}^g != 0 iff lambda passes the clamp, on every partition
+    for k in range(1, 4):
+        for m in range(0, 6):
+            r, d = k - 1, m + k - 1
+            rect = (k, m)
+            for alpha in combinations_with_replacement(range(m + 1), k):
+                ram = RamificationSeq(alpha, r, d)
+                lam = schubert_class(index_to_partition(ram), rect)
+                for g in range(11):
+                    nonzero = not lr_product(lam, cusp_class_power(g, rect)).is_zero()
+                    assert nonzero == pointed_exists(SeriesType(g, r, d), ram), (alpha, g)
+
+
+def test_bn_condition_cost_does_not_grow_with_genus(monkeypatch):
+    # with r = 0 the cusp class is the identity, so g Pieri steps would never stop early
+    def refuse(*args):
+        raise AssertionError("bn_condition multiplied by the cusp class")
+
+    monkeypatch.setattr(schubert, "multiply_by_column", refuse)
+    monkeypatch.setattr(schubert, "cusp_class_power", refuse)
+    t = SeriesType(10**6, 0, 5)
+    assert bn_condition(t, [RamificationSeq((1,), 0, 5), RamificationSeq((2,), 0, 5)])
+    assert not bn_condition(t, [RamificationSeq((3,), 0, 5), RamificationSeq((3,), 0, 5)])
+
+
+def test_bn_condition_checks_every_bound_before_answering():
+    # a mismatched condition raises even where the degree alone already answers no
+    t = SeriesType(23, 1, 12)
+    with pytest.raises(ValueError, match="does not match"):
+        bn_condition(t, [RamificationSeq((0, 1), 1, 12), RamificationSeq((0, 1), 1, 13)])
 
 
 def test_class_str():
