@@ -2,16 +2,17 @@
 
 A curve file carries the marked components, the nodes of the dual tree, and
 optionally named witness aspect assignments keyed by the series they are
-meant for.  Parsing is strict: unknown keys are rejected everywhere, and
-the decoded curve re-validates all structural invariants.
+meant for.  Parsing is strict: unknown keys are rejected everywhere, every
+integer field must be a JSON integer (not a boolean, float or string),
+points_general must be a JSON boolean, and the decoded curve re-validates
+all structural invariants.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .curves import (
     CompactCurve,
@@ -25,8 +26,7 @@ from .curves import (
 SCHEMA = "compact-curve/1"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Named aspect assignment for one series type on a curve."""
 
     name: str
@@ -38,8 +38,7 @@ class Witness:
         return {comp: {pt: seq for pt, seq in pts} for comp, pts in self.aspects}
 
 
-@dataclass(frozen=True)
-class CurveDescription:
+class CurveDescription(NamedTuple):
     curve: CompactCurve
     witnesses: tuple[Witness, ...]
     description: str = ""
@@ -60,6 +59,17 @@ def _require_keys(doc: Mapping[str, Any], allowed: set[str], required: set[str],
         raise ValueError(f"missing keys {sorted(missing)} in {where}")
 
 
+def _int(value: Any, where: str) -> int:
+    # bool is a subclass of int, so test the exact type
+    if type(value) is not int:
+        raise ValueError(f"{where} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _ints(values: Any, where: str) -> tuple[int, ...]:
+    return tuple(_int(x, where) for x in values)
+
+
 def _parse_point_ref(ref: str) -> tuple[str, str]:
     if ref.count(".") != 1:
         raise ValueError(f"point reference {ref!r} must look like component.point")
@@ -74,7 +84,7 @@ def _parse_component(doc: Mapping[str, Any]) -> Component:
     for item in doc.get("torsion", []):
         _require_keys(item, {"points", "order"}, {"points", "order"}, "torsion entry")
         p, q = item["points"]
-        torsion.append(TorsionPair((p, q), int(item["order"])))
+        torsion.append(TorsionPair((p, q), _int(item["order"], "torsion order")))
     facts = None
     if "facts" in doc:
         fdoc = doc["facts"]
@@ -82,11 +92,18 @@ def _parse_component(doc: Mapping[str, Any]) -> Component:
         dims = []
         for item in fdoc.get("series_dims", []):
             _require_keys(item, {"r", "d", "dim"}, {"r", "d", "dim"}, "series dimension fact")
-            dims.append(SeriesDimFact(int(item["r"]), int(item["d"]), int(item["dim"])))
-        facts = FactSheet(tuple(dims), fdoc.get("gonality"), fdoc.get("points_general", True))
+            dims.append(SeriesDimFact(*(_int(item[k], f"{k} of series dimension fact")
+                                        for k in ("r", "d", "dim"))))
+        gonality = fdoc.get("gonality")
+        if gonality is not None:
+            _int(gonality, "gonality")
+        points_general = fdoc.get("points_general", True)
+        if type(points_general) is not bool:
+            raise ValueError(f"points_general must be true or false, got {json.dumps(points_general)}")
+        facts = FactSheet(tuple(dims), gonality, points_general)
     return Component(
         id=str(doc["id"]),
-        genus=int(doc["genus"]),
+        genus=_int(doc["genus"], f"genus of component {doc['id']}"),
         kind=str(doc["kind"]),
         points=tuple(str(p) for p in doc["points"]),
         torsion=tuple(torsion),
@@ -107,7 +124,7 @@ def curve_from_json(doc: Mapping[str, Any]) -> CurveDescription:
         nodes.append(Node((_parse_point_ref(pair[0]), _parse_point_ref(pair[1]))))
     curve = CompactCurve(
         id=str(doc["id"]),
-        genus=int(doc["genus"]),
+        genus=_int(doc["genus"], "curve genus"),
         components=components,
         nodes=tuple(nodes),
     )
@@ -115,9 +132,10 @@ def curve_from_json(doc: Mapping[str, Any]) -> CurveDescription:
     for name, wdoc in doc.get("witnesses", {}).items():
         _require_keys(wdoc, {"series", "aspects", "description"}, {"series", "aspects"},
                       f"witness {name}")
-        r, d = (int(x) for x in wdoc["series"])
+        r, d = _ints(wdoc["series"], f"series of witness {name}")
         aspects = tuple(
-            (comp, tuple(sorted((pt, tuple(int(x) for x in seq)) for pt, seq in pts.items())))
+            (comp, tuple(sorted((pt, _ints(seq, f"aspect of witness {name} at {comp}.{pt}"))
+                                for pt, seq in pts.items())))
             for comp, pts in sorted(wdoc["aspects"].items())
         )
         witnesses.append(Witness(name, (r, d), aspects, wdoc.get("description", "")))

@@ -10,7 +10,7 @@ marked points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import schubert
 from .numerology import (
@@ -37,8 +37,7 @@ RULE_SCHUBERT = "schubert-nonvanishing"
 RULE_FACTSHEET_COUNT = "factsheet-ramification-count"
 
 
-@dataclass(frozen=True)
-class SeriesDimFact:
+class SeriesDimFact(NamedTuple):
     """Asserted dimension of the space of g^r_d's on a fact-sheet curve."""
 
     r: int
@@ -46,8 +45,7 @@ class SeriesDimFact:
     dim: int
 
 
-@dataclass(frozen=True)
-class FactSheet:
+class FactSheet(NamedTuple):
     series_dims: tuple[SeriesDimFact, ...] = ()
     gonality: int | None = None
     points_general: bool = True
@@ -59,50 +57,47 @@ class FactSheet:
         return None
 
 
-@dataclass(frozen=True)
-class TorsionPair:
+class TorsionPair(NamedTuple("TorsionPair", [("points", tuple[str, str]), ("order", int)])):
     """The difference of two marked points is primitive torsion of this order."""
 
-    points: tuple[str, str]
-    order: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        p, q = self.points
+    def __new__(cls, points: tuple[str, str], order: int) -> "TorsionPair":
+        p, q = points
         if p == q:
             raise ValueError("torsion pair needs two distinct points")
-        if self.order < 2:
-            raise ValueError(f"torsion order must be >= 2, got {self.order}")
-        object.__setattr__(self, "points", tuple(sorted(self.points)))
+        if order < 2:
+            raise ValueError(f"torsion order must be >= 2, got {order}")
+        return tuple.__new__(cls, (tuple(sorted(points)), order))
 
 
-@dataclass(frozen=True)
-class Component:
-    id: str
-    genus: int
-    kind: str
-    points: tuple[str, ...]
-    torsion: tuple[TorsionPair, ...] = ()
-    facts: FactSheet | None = None
+class Component(NamedTuple("Component", [
+    ("id", str), ("genus", int), ("kind", str), ("points", tuple[str, ...]),
+    ("torsion", tuple[TorsionPair, ...]), ("facts", FactSheet | None),
+])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "torsion", tuple(self.torsion))
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown component kind {self.kind!r}")
-        if self.genus < 0:
+    def __new__(cls, id: str, genus: int, kind: str, points: tuple[str, ...],
+                torsion: tuple[TorsionPair, ...] = (), facts: FactSheet | None = None) -> "Component":
+        points = tuple(points)
+        torsion = tuple(torsion)
+        if kind not in KINDS:
+            raise ValueError(f"unknown component kind {kind!r}")
+        if genus < 0:
             raise ValueError("genus must be nonnegative")
-        if len(set(self.points)) != len(self.points):
-            raise ValueError(f"duplicate marked points on {self.id}")
-        if self.kind == KIND_ELLIPTIC and self.genus != 1:
-            raise ValueError(f"elliptic component {self.id} must have genus 1")
-        if self.kind != KIND_ELLIPTIC and self.torsion:
-            raise ValueError(f"torsion data only allowed on elliptic components ({self.id})")
-        if self.kind != KIND_FACTSHEET and self.facts is not None:
-            raise ValueError(f"fact sheet only allowed on factsheet components ({self.id})")
-        for pair in self.torsion:
+        if len(set(points)) != len(points):
+            raise ValueError(f"duplicate marked points on {id}")
+        if kind == KIND_ELLIPTIC and genus != 1:
+            raise ValueError(f"elliptic component {id} must have genus 1")
+        if kind != KIND_ELLIPTIC and torsion:
+            raise ValueError(f"torsion data only allowed on elliptic components ({id})")
+        if kind != KIND_FACTSHEET and facts is not None:
+            raise ValueError(f"fact sheet only allowed on factsheet components ({id})")
+        for pair in torsion:
             for p in pair.points:
-                if p not in self.points:
-                    raise ValueError(f"torsion point {p} is not marked on {self.id}")
+                if p not in points:
+                    raise ValueError(f"torsion point {p} is not marked on {id}")
+        return tuple.__new__(cls, (id, genus, kind, points, torsion, facts))
 
     def torsion_between(self, p: str, q: str) -> int | None:
         key = tuple(sorted((p, q)))
@@ -112,39 +107,39 @@ class Component:
         return None
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple("Node", [
+    ("ends", tuple[tuple[str, str], tuple[str, str]]),  # ((comp, point), (comp, point))
+])):
     """Unordered pair of marked points, one on each of two components."""
 
-    ends: tuple[tuple[str, str], tuple[str, str]]  # ((comp, point), (comp, point))
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        a, b = self.ends
+    def __new__(cls, ends: tuple[tuple[str, str], tuple[str, str]]) -> "Node":
+        a, b = ends
         if a[0] == b[0]:
             raise ValueError(f"node joins component {a[0]} to itself")
-        object.__setattr__(self, "ends", tuple(sorted((tuple(a), tuple(b)))))
+        return tuple.__new__(cls, (tuple(sorted((tuple(a), tuple(b)))),))
 
     def __str__(self) -> str:
         (c1, p1), (c2, p2) = self.ends
         return f"{c1}.{p1}~{c2}.{p2}"
 
 
-@dataclass(frozen=True)
-class CompactCurve:
-    id: str
-    genus: int
-    components: tuple[Component, ...]
-    nodes: tuple[Node, ...]
+class CompactCurve(NamedTuple("CompactCurve", [
+    ("id", str), ("genus", int), ("components", tuple[Component, ...]), ("nodes", tuple[Node, ...]),
+])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        ids = [c.id for c in self.components]
+    def __new__(cls, id: str, genus: int, components: tuple[Component, ...],
+                nodes: tuple[Node, ...]) -> "CompactCurve":
+        components = tuple(components)
+        nodes = tuple(nodes)
+        ids = [c.id for c in components]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate component ids")
-        by_id = {c.id: c for c in self.components}
+        by_id = {c.id: c for c in components}
         used: set[tuple[str, str]] = set()
-        for node in self.nodes:
+        for node in nodes:
             for comp_id, point in node.ends:
                 if comp_id not in by_id:
                     raise ValueError(f"node references unknown component {comp_id}")
@@ -154,26 +149,27 @@ class CompactCurve:
                     raise ValueError(f"marked point {comp_id}.{point} appears in two nodes")
                 used.add((comp_id, point))
         # dual graph must be a tree
-        if len(self.nodes) != len(self.components) - 1:
+        if len(nodes) != len(components) - 1:
             raise ValueError("dual graph is not a tree (wrong node count)")
-        if self.components:
-            adj: dict[str, set[str]] = {c.id: set() for c in self.components}
-            for node in self.nodes:
+        if components:
+            adj: dict[str, set[str]] = {c.id: set() for c in components}
+            for node in nodes:
                 (c1, _), (c2, _) = node.ends
                 adj[c1].add(c2)
                 adj[c2].add(c1)
-            seen = {self.components[0].id}
-            stack = [self.components[0].id]
+            seen = {components[0].id}
+            stack = [components[0].id]
             while stack:
                 for nb in adj[stack.pop()]:
                     if nb not in seen:
                         seen.add(nb)
                         stack.append(nb)
-            if len(seen) != len(self.components):
+            if len(seen) != len(components):
                 raise ValueError("dual graph is not a tree (disconnected)")
-        total = sum(c.genus for c in self.components)
-        if total != self.genus:
-            raise ValueError(f"component genera sum to {total}, declared genus is {self.genus}")
+        total = sum(c.genus for c in components)
+        if total != genus:
+            raise ValueError(f"component genera sum to {total}, declared genus is {genus}")
+        return tuple.__new__(cls, (id, genus, components, nodes))
 
     def component(self, comp_id: str) -> Component:
         for c in self.components:
@@ -187,8 +183,7 @@ class CompactCurve:
         return [p for p in self.component(comp_id).points if p in in_nodes]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of a per-component feasibility oracle.
 
     status is one of "pass", "fail", "unknown".  exact means the rule is an

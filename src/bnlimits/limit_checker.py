@@ -35,7 +35,6 @@ MAX_SEQUENCES vanishing sequences per point is refused.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -103,8 +102,7 @@ def min_complement(a: tuple[int, ...], d: int) -> tuple[int, ...]:
     return tuple(max(d - a[r - i], i) for i in range(r + 1))
 
 
-@dataclass(frozen=True)
-class AdditivityAudit:
+class AdditivityAudit(NamedTuple):
     """Both sides of the additivity inequality for the adjusted rho."""
 
     lhs: int  # rho(g, r, d) of the whole curve
@@ -123,8 +121,7 @@ def additivity_audit(t: SeriesType, aspect_rhos: Sequence[int]) -> AdditivityAud
 Assignment = dict[str, dict[str, tuple[int, ...]]]
 
 
-@dataclass(frozen=True)
-class Survivor:
+class Survivor(NamedTuple):
     """A candidate aspect assignment that no necessary rule eliminated."""
 
     assignment: tuple[tuple[str, tuple[tuple[str, tuple[int, ...]], ...]], ...]
@@ -148,8 +145,7 @@ class Survivor:
         return out
 
 
-@dataclass(frozen=True)
-class RefutationReport:
+class RefutationReport(NamedTuple):
     curve: str
     series: tuple[int, int]
     verdict: str  # "refuted" | "survivors"
@@ -197,15 +193,13 @@ class RefutationReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class NodeAudit:
+class NodeAudit(NamedTuple):
     node: str
     sums: tuple[int, ...]
     classification: str
 
 
-@dataclass(frozen=True)
-class ComponentAudit:
+class ComponentAudit(NamedTuple):
     component: str
     status: str
     exact: bool
@@ -214,8 +208,7 @@ class ComponentAudit:
     detail: str
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     curve: str
     series: tuple[int, int]
     verdict: str  # "confirmed" | "consistent" | "rejected"
@@ -292,8 +285,7 @@ class WitnessReport:
 # topology analysis
 
 
-@dataclass(frozen=True)
-class _Slot:
+class _Slot(NamedTuple):
     """One node of the pivot: its point and what hangs off the other side."""
 
     point: str
@@ -310,8 +302,7 @@ class _Slot:
         return self.kind, self.neighbor.genus, self.neighbor.facts
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     mode: str  # "pair" | "single" | "floor"
     pivot: Component
     slots: tuple[_Slot, ...]

@@ -12,34 +12,33 @@ No floating point anywhere; all values are fractions.Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .numerology import SeriesType, bn_divisor_triples, rho
 
 SLOPE_THRESHOLD = Fraction(13, 2)  # canonical slope at genus 23
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(NamedTuple("DivisorClass", [
+    ("g", int), ("lam", Fraction), ("delta", tuple[Fraction, ...]), ("normalized_up_to_scale", bool),
+])):
     """q * lambda + sum_i q_i * delta_i on the moduli space of genus-g curves."""
 
-    g: int
-    lam: Fraction
-    delta: tuple[Fraction, ...]
-    normalized_up_to_scale: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.lam, Fraction):
-            object.__setattr__(self, "lam", Fraction(self.lam))
-        object.__setattr__(self, "delta", tuple(
-            x if isinstance(x, Fraction) else Fraction(x) for x in self.delta))
-        if len(self.delta) != self.g // 2 + 1:
+    def __new__(cls, g: int, lam: Fraction, delta: tuple[Fraction, ...],
+                normalized_up_to_scale: bool = False) -> "DivisorClass":
+        if not isinstance(lam, Fraction):
+            lam = Fraction(lam)
+        delta = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in delta)
+        if len(delta) != g // 2 + 1:
             raise ValueError(
-                f"need {self.g // 2 + 1} delta coefficients for genus {self.g}, got {len(self.delta)}"
+                f"need {g // 2 + 1} delta coefficients for genus {g}, got {len(delta)}"
             )
+        return tuple.__new__(cls, (g, lam, delta, normalized_up_to_scale))
 
     def __str__(self) -> str:
         bits = [f"{self.lam}λ"]
@@ -49,18 +48,17 @@ class DivisorClass:
         return " ".join(bits)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple("Decomposition", [
+    ("g", int), ("a", Fraction), ("b", Fraction), ("c", tuple[Fraction, ...]),
+])):
     """Canonical class written as a * (divisorial class) + b * lambda + sum c_i delta_i."""
 
-    g: int
-    a: Fraction
-    b: Fraction
-    c: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a < 0:
+    def __new__(cls, g: int, a: Fraction, b: Fraction, c: tuple[Fraction, ...]) -> "Decomposition":
+        if a < 0:
             raise ValueError("leading coefficient must be nonnegative")
+        return tuple.__new__(cls, (g, a, b, c))
 
     @property
     def boundary_nonnegative(self) -> bool:
@@ -140,8 +138,7 @@ def gonal_family_slope(g: int, k: int) -> Fraction:
     raise ValueError(f"gonal family slope known for k in (2, 3, 4), got {k}")
 
 
-@dataclass(frozen=True)
-class PlanePencil:
+class PlanePencil(NamedTuple):
     """Pencil of plane curves of degree dd with assigned nodes, genus 23 fibres."""
 
     dd: int
@@ -168,8 +165,7 @@ def plane_pencil_slope(dd: int) -> PlanePencil:
     return PlanePencil(dd, f, b, 23, delta, slope, slope > SLOPE_THRESHOLD)
 
 
-@dataclass(frozen=True)
-class BoundaryRow:
+class BoundaryRow(NamedTuple):
     i: int
     decomposition_coeff: Fraction  # coefficient of delta_i in the pinned decomposition
     multiplicity: Fraction  # converted to the boundary divisor (factor 2 at i = 1)

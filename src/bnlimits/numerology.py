@@ -10,66 +10,61 @@ Everything here is exact integer arithmetic on immutable values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SeriesType:
+class SeriesType(NamedTuple("SeriesType", [("g", int), ("r", int), ("d", int)])):
     """A linear series type g^r_d on a curve of genus g."""
 
-    g: int
-    r: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.g < 0 or self.r < 0 or self.d < 0:
+    def __new__(cls, g: int, r: int, d: int) -> "SeriesType":
+        self = tuple.__new__(cls, (g, r, d))
+        if g < 0 or r < 0 or d < 0:
             raise ValueError(f"series type needs nonnegative g, r, d; got {self}")
-        if self.r > self.d:
-            raise ValueError(f"series dimension r={self.r} exceeds degree d={self.d}")
+        if r > d:
+            raise ValueError(f"series dimension r={r} exceeds degree d={d}")
+        return self
 
     def __str__(self) -> str:
         return f"g^{self.r}_{self.d} (genus {self.g})"
 
 
-@dataclass(frozen=True)
-class VanishingSeq:
+class VanishingSeq(NamedTuple("VanishingSeq", [("entries", tuple[int, ...]), ("d", int)])):
     """Strictly increasing vanishing orders 0 <= a_0 < ... < a_r <= d."""
 
-    entries: tuple[int, ...]
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        a = self.entries
+    def __new__(cls, entries: tuple[int, ...], d: int) -> "VanishingSeq":
+        a = tuple(entries)
         if not a:
             raise ValueError("vanishing sequence must be nonempty")
-        if a[0] < 0 or a[-1] > self.d:
-            raise ValueError(f"vanishing sequence {a} out of range [0, {self.d}]")
+        if a[0] < 0 or a[-1] > d:
+            raise ValueError(f"vanishing sequence {a} out of range [0, {d}]")
         if any(x >= y for x, y in zip(a, a[1:])):
             raise ValueError(f"vanishing sequence {a} is not strictly increasing")
+        return tuple.__new__(cls, (a, d))
 
     @property
     def r(self) -> int:
         return len(self.entries) - 1
 
 
-@dataclass(frozen=True)
-class RamificationSeq:
+class RamificationSeq(NamedTuple("RamificationSeq",
+                                 [("entries", tuple[int, ...]), ("r", int), ("d", int)])):
     """Weakly increasing ramification indices 0 <= b_0 <= ... <= b_r <= d-r."""
 
-    entries: tuple[int, ...]
-    r: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        b = self.entries
-        if len(b) != self.r + 1:
-            raise ValueError(f"expected {self.r + 1} entries, got {b}")
-        if b[0] < 0 or b[-1] > self.d - self.r:
-            raise ValueError(f"ramification sequence {b} out of range [0, {self.d - self.r}]")
+    def __new__(cls, entries: tuple[int, ...], r: int, d: int) -> "RamificationSeq":
+        b = tuple(entries)
+        if len(b) != r + 1:
+            raise ValueError(f"expected {r + 1} entries, got {b}")
+        if b[0] < 0 or b[-1] > d - r:
+            raise ValueError(f"ramification sequence {b} out of range [0, {d - r}]")
         if any(x > y for x, y in zip(b, b[1:])):
             raise ValueError(f"ramification sequence {b} is not weakly increasing")
+        return tuple.__new__(cls, (b, r, d))
 
 
 def rho(t: SeriesType) -> int:

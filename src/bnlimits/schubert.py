@@ -16,10 +16,9 @@ points' product survives the power, which is the one-point clamp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .numerology import RamificationSeq, SeriesType, adjusted_rho
 
@@ -57,19 +56,19 @@ def index_to_partition(alpha: RamificationSeq) -> Partition:
     return _trim(reversed(alpha.entries))
 
 
-@dataclass(frozen=True)
-class CohomologyClass:
+class CohomologyClass(NamedTuple("CohomologyClass", [
+    ("rect", Rect), ("terms", Mapping[Partition, int]),
+])):
     """Integer combination of Schubert classes inside a fixed rectangle."""
 
-    rect: Rect
-    terms: Mapping[Partition, int] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, rect: Rect, terms: Mapping[Partition, int] | None = None) -> "CohomologyClass":
         cleaned = {}
-        for p, c in self.terms.items():
+        for p, c in (terms or {}).items():
             if c:
-                cleaned[validate_partition(p, self.rect)] = c
-        object.__setattr__(self, "terms", cleaned)
+                cleaned[validate_partition(p, rect)] = c
+        return tuple.__new__(cls, (rect, cleaned))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -199,6 +198,8 @@ def cusp_class_power(t: int, rect: Rect) -> CohomologyClass:
         raise ValueError("power must be nonnegative")
     k, _ = rect
     acc = identity_class(rect)
+    if k == 1:
+        return acc  # one row: the cusp class 1^0 is the identity
     for _ in range(t):
         if acc.is_zero():
             break

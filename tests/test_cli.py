@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -185,6 +184,34 @@ def test_limit_verify(capsys):
     assert code == 2 and "g^2_17" in err  # witness series mismatch
 
 
+WITNESSES = [
+    ("chain-12torsion", 1, 12, "g1_12"),
+    ("chain-9torsion", 2, 17, "g2_17"),
+    ("chain-9torsion-elliptic-tail", 2, 17, "g2_17"),
+    ("septic-star", 2, 15, "g2_15"),
+    ("septic-star", 3, 20, "g3_20"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+@pytest.mark.parametrize("curve,r,d,witness", WITNESSES)
+def test_limit_verify_matches_golden(capsys, curve, r, d, witness, fmt):
+    extra = ("--json",) if fmt == "json" else ()
+    code, out, _ = run(capsys, "limit", "verify", curve, str(r), str(d), "--witness", witness, *extra)
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / f"verify_{curve}_{r}_{d}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("golden,args", [
+    ("decompose_23_1_12.json", ("decompose", "23", "1", "12", "--json")),
+    ("slope_boundary_table.txt", ("slope", "boundary-table")),
+])
+def test_divisor_commands_match_golden(capsys, golden, args):
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
 def test_limit_json_deterministic(capsys):
     code, first, _ = run(capsys, "limit", "refute", "chain-12torsion", "1", "12", "--json")
     assert code == 0
@@ -214,6 +241,70 @@ def test_curve_file_errors(tmp_path, capsys):
     assert code == 2 and "unknown keys" in err
     code, _, err = run(capsys, "limit", "refute", "no-such-fixture", "1", "12")
     assert code == 2 and "chain_9torsion_elltail (id chain-9torsion-elliptic-tail)" in err
+
+
+def _edit(doc, path, value):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    doc[last] = value
+
+
+# (bundled curve, path to a field, a value the strict parser rejects, the error)
+STRICT_CASES = [
+    ("chain_12torsion", ("genus",), "23", 'curve genus must be an integer, got "23"'),
+    ("chain_12torsion", ("components", 0, "genus"), 11.0,
+     "genus of component C1 must be an integer, got 11.0"),
+    ("chain_12torsion", ("components", 1, "torsion", 0, "order"), 9.7,
+     "torsion order must be an integer, got 9.7"),
+    ("septic_star", ("components", 0, "facts", "series_dims", 0, "r"), True,
+     "r of series dimension fact must be an integer, got true"),
+    ("septic_star", ("components", 0, "facts", "series_dims", 0, "d"), "12",
+     'd of series dimension fact must be an integer, got "12"'),
+    ("septic_star", ("components", 0, "facts", "series_dims", 0, "dim"), 7.5,
+     "dim of series dimension fact must be an integer, got 7.5"),
+    ("septic_star", ("components", 0, "facts", "gonality"), 6.0,
+     "gonality must be an integer, got 6.0"),
+    ("septic_star", ("components", 0, "facts", "points_general"), "false",
+     'points_general must be true or false, got "false"'),
+    ("septic_star", ("components", 0, "facts", "points_general"), 1,
+     "points_general must be true or false, got 1"),
+    ("chain_12torsion", ("witnesses", "g1_12", "series", 1), 12.5,
+     "series of witness g1_12 must be an integer, got 12.5"),
+    ("chain_12torsion", ("witnesses", "g1_12", "aspects", "E", "p1", 1), 3.5,
+     "aspect of witness g1_12 at E.p1 must be an integer, got 3.5"),
+    ("chain_12torsion", ("witnesses", "g1_12", "aspects", "C1", "p1", 0), False,
+     "aspect of witness g1_12 at C1.p1 must be an integer, got false"),
+]
+
+
+@pytest.mark.parametrize("name,path,value,message", STRICT_CASES,
+                         ids=["-".join(map(str, c[1])) + f"={c[2]!r}" for c in STRICT_CASES])
+def test_curve_file_rejects_non_integers(tmp_path, capsys, name, path, value, message):
+    doc = curvefile.curve_to_json(curvefile.load_fixture(name))
+    _edit(doc, path, value)
+    with pytest.raises(ValueError) as err:
+        curvefile.curve_from_json(doc)
+    assert str(err.value) == message
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "limit", "refute", str(p), "1", "12")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_curve_file_accepts_null_gonality_and_false_points_general():
+    doc = curvefile.curve_to_json(curvefile.load_fixture("septic_star"))
+    doc["components"][0]["facts"].update(gonality=None, points_general=False)
+    facts = curvefile.curve_from_json(doc).curve.components[0].facts
+    assert (facts.gonality, facts.points_general) == (None, False)
+
+
+def test_schubert_cusp_power_in_one_row_is_the_identity(capsys):
+    # in a one-row rectangle the cusp column 1^0 is the identity, so no power reaches zero
+    code, out, _ = run(capsys, "schubert", "0", "5", "--cusp-power", str(10**9))
+    assert (code, out) == (0, "class in G(1,6): s[]\nnonzero: yes\n")
+    code, out, _ = run(capsys, "schubert", "0", "5", "--index", "2", "--cusp-power", str(10**9))
+    assert (code, out) == (0, "class in G(1,6): s[2]\nnonzero: yes\n")
 
 
 def test_bad_sizes_fail_fast(capsys):
@@ -313,7 +404,7 @@ def _force_refutation(monkeypatch, curve_id, series, **changes):
     def refute(curve, t, **kwargs):
         report = real(curve, t, **kwargs)
         if (curve.id, (t.r, t.d)) == (curve_id, series):
-            report = dataclasses.replace(report, **changes)
+            report = report._replace(**changes)
         return report
 
     monkeypatch.setattr(limit_checker, "refute", refute)

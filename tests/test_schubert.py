@@ -185,6 +185,14 @@ def test_one_point_clamp_is_the_cusp_power():
                     assert nonzero == pointed_exists(SeriesType(g, r, d), ram), (alpha, g)
 
 
+def test_cusp_class_power_in_one_row_is_the_identity():
+    # 1^0 is the identity, so the power never reaches zero and must not take a step per power
+    for d in (0, 1, 5):
+        rect = rect_for(0, d)
+        assert cusp_class_power(10**9, rect) == identity_class(rect)
+        assert cusp_class_power(3, rect) == multiply_by_column(identity_class(rect), 0)
+
+
 def test_bn_condition_cost_does_not_grow_with_genus(monkeypatch):
     # with r = 0 the cusp class is the identity, so g Pieri steps would never stop early
     def refuse(*args):
