@@ -269,7 +269,7 @@ G23_CHECKS = (
     ("chain_9torsion", 3, 20, None, "refuted"),
     ("chain_9torsion", 2, 17, "g2_17", "confirmed"),
     ("chain_12torsion", 1, 12, "g1_12", "confirmed"),
-    ("chain_12torsion", 2, 17, None, None),  # refutation cited to the literature
+    ("chain_12torsion", 2, 17, None, "refuted"),
     ("chain_12torsion", 3, 20, None, "refuted"),
     ("septic_star", 1, 12, None, "refuted"),
     ("septic_star", 2, 15, "g2_15", "consistent"),

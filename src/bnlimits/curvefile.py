@@ -2,8 +2,9 @@
 
 A curve file carries the marked components, the nodes of the dual tree, and
 optionally named witness aspect assignments keyed by the series they are
-meant for.  Parsing is strict: unknown keys are rejected everywhere, every
-integer field must be a JSON integer (not a boolean, float or string),
+meant for.  Parsing is strict: every object and array must have its
+documented JSON shape, unknown keys are rejected everywhere, every integer
+field must be a JSON integer (not a boolean, float or string),
 points_general must be a JSON boolean, and the decoded curve re-validates
 all structural invariants.
 """
@@ -50,13 +51,25 @@ class CurveDescription(NamedTuple):
         raise KeyError(f"no witness named {name!r}; have {[w.name for w in self.witnesses]}")
 
 
-def _require_keys(doc: Mapping[str, Any], allowed: set[str], required: set[str], where: str) -> None:
-    unknown = set(doc) - allowed
+def _object(value: Any, where: str, allowed: set[str] | None = None,
+            required: frozenset[str] | set[str] = frozenset()) -> Mapping[str, Any]:
+    """A JSON object with keys from allowed (any names when None), the required ones included."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{where} must be an object, got {json.dumps(value)}")
+    unknown = set(value) - allowed if allowed is not None else set()
     if unknown:
         raise ValueError(f"unknown keys {sorted(unknown)} in {where}")
-    missing = required - set(doc)
+    missing = required - set(value)
     if missing:
         raise ValueError(f"missing keys {sorted(missing)} in {where}")
+    return value
+
+
+def _array(value: Any, where: str, length: int | None = None) -> list | tuple:
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        shape = "an array" if length is None else f"an array of {length}"
+        raise ValueError(f"{where} must be {shape}, got {json.dumps(value)}")
+    return value
 
 
 def _int(value: Any, where: str) -> int:
@@ -66,32 +79,32 @@ def _int(value: Any, where: str) -> int:
     return value
 
 
-def _ints(values: Any, where: str) -> tuple[int, ...]:
-    return tuple(_int(x, where) for x in values)
+def _ints(values: Any, where: str, length: int | None = None) -> tuple[int, ...]:
+    return tuple(_int(x, where) for x in _array(values, where, length))
 
 
-def _parse_point_ref(ref: str) -> tuple[str, str]:
-    if ref.count(".") != 1:
+def _parse_point_ref(ref: Any) -> tuple[str, str]:
+    if type(ref) is not str or ref.count(".") != 1:
         raise ValueError(f"point reference {ref!r} must look like component.point")
     comp, pt = ref.split(".")
     return comp, pt
 
 
-def _parse_component(doc: Mapping[str, Any]) -> Component:
-    _require_keys(doc, {"id", "kind", "genus", "points", "torsion", "facts", "description"},
-                  {"id", "kind", "genus", "points"}, f"component {doc.get('id', '?')}")
+def _parse_component(doc: Any) -> Component:
+    where = f"component {doc.get('id', '?')}" if isinstance(doc, Mapping) else "component"
+    _object(doc, where, {"id", "kind", "genus", "points", "torsion", "facts", "description"},
+            {"id", "kind", "genus", "points"})
     torsion = []
-    for item in doc.get("torsion", []):
-        _require_keys(item, {"points", "order"}, {"points", "order"}, "torsion entry")
-        p, q = item["points"]
+    for item in _array(doc.get("torsion", []), f"torsion of {where}"):
+        _object(item, "torsion entry", {"points", "order"}, {"points", "order"})
+        p, q = _array(item["points"], "points of torsion entry", 2)
         torsion.append(TorsionPair((p, q), _int(item["order"], "torsion order")))
     facts = None
     if "facts" in doc:
-        fdoc = doc["facts"]
-        _require_keys(fdoc, {"series_dims", "gonality", "points_general"}, set(), "facts")
+        fdoc = _object(doc["facts"], "facts", {"series_dims", "gonality", "points_general"})
         dims = []
-        for item in fdoc.get("series_dims", []):
-            _require_keys(item, {"r", "d", "dim"}, {"r", "d", "dim"}, "series dimension fact")
+        for item in _array(fdoc.get("series_dims", []), "series_dims"):
+            _object(item, "series dimension fact", {"r", "d", "dim"}, {"r", "d", "dim"})
             dims.append(SeriesDimFact(*(_int(item[k], f"{k} of series dimension fact")
                                         for k in ("r", "d", "dim"))))
         gonality = fdoc.get("gonality")
@@ -105,23 +118,23 @@ def _parse_component(doc: Mapping[str, Any]) -> Component:
         id=str(doc["id"]),
         genus=_int(doc["genus"], f"genus of component {doc['id']}"),
         kind=str(doc["kind"]),
-        points=tuple(str(p) for p in doc["points"]),
+        points=tuple(str(p) for p in _array(doc["points"], f"points of {where}")),
         torsion=tuple(torsion),
         facts=facts,
     )
 
 
-def curve_from_json(doc: Mapping[str, Any]) -> CurveDescription:
-    _require_keys(doc, {"schema", "id", "description", "genus", "components", "nodes", "witnesses"},
-                  {"schema", "id", "genus", "components", "nodes"}, "curve document")
+def curve_from_json(doc: Any) -> CurveDescription:
+    _object(doc, "curve document",
+            {"schema", "id", "description", "genus", "components", "nodes", "witnesses"},
+            {"schema", "id", "genus", "components", "nodes"})
     if doc["schema"] != SCHEMA:
         raise ValueError(f"unsupported schema {doc['schema']!r}, expected {SCHEMA!r}")
-    components = tuple(_parse_component(c) for c in doc["components"])
+    components = tuple(_parse_component(c) for c in _array(doc["components"], "components"))
     nodes = []
-    for pair in doc["nodes"]:
-        if len(pair) != 2:
-            raise ValueError(f"node {pair} must join exactly two points")
-        nodes.append(Node((_parse_point_ref(pair[0]), _parse_point_ref(pair[1]))))
+    for pair in _array(doc["nodes"], "nodes"):
+        ends = _array(pair, "node", 2)
+        nodes.append(Node((_parse_point_ref(ends[0]), _parse_point_ref(ends[1]))))
     curve = CompactCurve(
         id=str(doc["id"]),
         genus=_int(doc["genus"], "curve genus"),
@@ -129,16 +142,17 @@ def curve_from_json(doc: Mapping[str, Any]) -> CurveDescription:
         nodes=tuple(nodes),
     )
     witnesses = []
-    for name, wdoc in doc.get("witnesses", {}).items():
-        _require_keys(wdoc, {"series", "aspects", "description"}, {"series", "aspects"},
-                      f"witness {name}")
-        r, d = _ints(wdoc["series"], f"series of witness {name}")
-        aspects = tuple(
-            (comp, tuple(sorted((pt, _ints(seq, f"aspect of witness {name} at {comp}.{pt}"))
-                                for pt, seq in pts.items())))
-            for comp, pts in sorted(wdoc["aspects"].items())
-        )
-        witnesses.append(Witness(name, (r, d), aspects, wdoc.get("description", "")))
+    for name, wdoc in _object(doc.get("witnesses", {}), "witnesses").items():
+        _object(wdoc, f"witness {name}", {"series", "aspects", "description"},
+                {"series", "aspects"})
+        r, d = _ints(wdoc["series"], f"series of witness {name}", 2)
+        aspects = []
+        for comp, pts in sorted(_object(wdoc["aspects"], f"aspects of witness {name}").items()):
+            pts = _object(pts, f"aspects of witness {name} at {comp}")
+            aspects.append((comp, tuple(sorted(
+                (pt, _ints(seq, f"aspect of witness {name} at {comp}.{pt}"))
+                for pt, seq in pts.items()))))
+        witnesses.append(Witness(name, (r, d), tuple(aspects), wdoc.get("description", "")))
     return CurveDescription(curve, tuple(witnesses), doc.get("description", ""))
 
 

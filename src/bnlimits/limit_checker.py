@@ -22,10 +22,11 @@ prune=False replaces the minimal-complement shortcut by a full scan (and
 the forced floors by per-sequence minima), which is the reference mode the
 pruning is validated against.
 
-The sequences of each (r, d) with their index tables, and the status table
-of the component behind a node (keyed by its kind, genus, fact sheet, r, d
-and prune mode), are built once per process in small LRU caches of
-immutable tuples and reused by later refutations.
+The sequences of each (r, d) with their index tables and down-set counts,
+and the status table of the component behind a node (keyed by its kind,
+genus, fact sheet, r, d and prune mode), are immutable tuples kept between
+refutations in one LRU cache, bounded by the number of sequences its tables
+index in all (MAX_CACHED_SEQUENCES).
 
 Reports are deterministic: candidates are ordered lexicographically and
 repeated runs produce identical output.  A series with more than
@@ -34,12 +35,12 @@ MAX_SEQUENCES vanishing sequences per point is refused.
 
 from __future__ import annotations
 
-from collections import Counter
-from functools import lru_cache
-from itertools import combinations
+from collections import Counter, OrderedDict
+from itertools import combinations, compress
 from math import comb
+from operator import add, and_, not_
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .curves import (
     KIND_ELLIPTIC,
@@ -71,6 +72,11 @@ SMOOTHABILITY_NOTE = "smoothability not verified"
 # Largest number C(d+1, r+1) of vanishing sequences per point that a scan
 # materialises.  The g23 audit needs 5,985; a g^5_24 would need 177,100.
 MAX_SEQUENCES = 100_000
+# Largest number of entries, one per sequence, that the lattices and status
+# tables kept between refutations hold in all: four lattices at MAX_SEQUENCES,
+# or the 190,000 entries of the 850 tables that 900 seeded curves of every
+# supported shape visit (perfbench refute-sweep).
+MAX_CACHED_SEQUENCES = 4 * MAX_SEQUENCES
 
 
 class UnsupportedCurveError(ValueError):
@@ -89,11 +95,17 @@ def node_compatible(a_y: VanishingSeq, a_z: VanishingSeq, d: int) -> str:
     """
     if a_y.d != d or a_z.d != d or a_y.r != a_z.r:
         raise ValueError("sequence bounds do not match the node degree")
-    r = a_y.r
-    sums = [a_y.entries[i] + a_z.entries[r - i] for i in range(r + 1)]
-    if any(s < d for s in sums):
+    return _node_class(_node_sums(a_y, a_z), d)
+
+
+def _node_sums(a_y: VanishingSeq, a_z: VanishingSeq) -> tuple[int, ...]:
+    return tuple(map(add, a_y.entries, reversed(a_z.entries)))
+
+
+def _node_class(sums: tuple[int, ...], d: int) -> str:
+    if min(sums) < d:
         return "incompatible"
-    return "refined" if all(s == d for s in sums) else "crude"
+    return "refined" if max(sums) == d else "crude"
 
 
 def min_complement(a: tuple[int, ...], d: int) -> tuple[int, ...]:
@@ -384,10 +396,6 @@ def _all_seqs(r: int, d: int) -> list[tuple[int, ...]]:
     return list(combinations(range(d + 1), r + 1))
 
 
-def _single_pole_ok(a: tuple[int, ...], d: int) -> bool:
-    return not (len(a) >= 2 and a[-1] == d and a[-2] == d - 1)
-
-
 def _max_tail_seq(r: int, d: int) -> tuple[int, ...] | None:
     """Pointwise largest vanishing sequence passing the single-pole rule."""
     if 0 < r == d:
@@ -396,7 +404,8 @@ def _max_tail_seq(r: int, d: int) -> tuple[int, ...] | None:
 
 
 def _clamp_feasible(c: tuple[int, ...], genus: int, d: int, r: int, cusps: int) -> bool:
-    # clamp criterion on the ramification of c, with `cusps` extra cusp powers
+    # clamp criterion on the ramification of c, with `cusps` extra cusp powers; the
+    # per-sequence reference that the tests hold _clamp_columns to
     shift = genus + cusps - d + r
     bound = genus + cusps
     total = 0
@@ -419,20 +428,59 @@ def _slot_rule_key(slot: _Slot) -> str:
     return f"{RULE_FACTSHEET_COUNT}@{slot.neighbor.id}"
 
 
+class _TableCache:
+    """LRU store of the tables that refutations share, least recently used first.
+
+    Each table is a tuple whose first field has one entry per sequence; the
+    store drops old tables while their entries exceed MAX_CACHED_SEQUENCES.
+    """
+
+    def __init__(self) -> None:
+        self.tables: OrderedDict = OrderedDict()
+        self.held = 0
+
+    def clear(self) -> None:
+        self.tables.clear()
+        self.held = 0
+
+    def __call__(self, build):
+        def lookup(*args):
+            key = build, args
+            table = self.tables.get(key)
+            if table is not None:
+                self.tables.move_to_end(key)
+                return table
+            table = self.tables[key] = build(*args)
+            self.held += len(table[0])
+            while self.held > MAX_CACHED_SEQUENCES:
+                self.held -= len(self.tables.popitem(last=False)[1][0])
+            return table
+
+        lookup.__wrapped__ = build
+        lookup.cache_clear = self.clear
+        return lookup
+
+
+_tables = _TableCache()
+
+
 class _Lattice(NamedTuple):
     """The vanishing sequences of a g^r_d at one point, in lexicographic order.
 
-    The tables are indexed by position in seqs and hold positions.
+    The tables are indexed by position in seqs and hold positions or counts.
     """
 
     seqs: tuple[tuple[int, ...], ...]
     index: Mapping[tuple[int, ...], int]
+    cols: tuple[tuple[int, ...], ...]  # cols[i][k] = seqs[k][i]
     steps: tuple[tuple[int, ...], ...]  # per axis j: largest sequence below s - e_j, or -1
     caps: tuple[int, ...]  # the pairwise bound's caps (d - s[r], ..., d - s[0]) = min_complement(s)
-    pole_ok: tuple[bool, ...]
+    pole_ok: tuple[bool, ...]  # passes the elliptic single-pole rule
+    box: tuple[int, ...]  # down-set sizes, #{b <= s}
+    pole_in: tuple[int, ...]  # #{b <= s failing the single-pole rule}
 
 
-@lru_cache(maxsize=4)
+@_tables
 def _lattice(r: int, d: int) -> _Lattice:
     seqs = tuple(_all_seqs(r, d))
     ids = tuple(range(len(seqs)))  # one int object per position, shared by every table
@@ -448,27 +496,27 @@ def _lattice(r: int, d: int) -> _Lattice:
         row = tuple(-1 if k < 0 else ids[k - drop[v]] for k, v in zip(start, col))
         steps.append(row)
     caps = tuple(map(index.__getitem__, zip(*[map(d.__sub__, col) for col in reversed(cols)])))
-    return _Lattice(seqs, MappingProxyType(index), tuple(steps), caps,
-                    tuple(_single_pole_ok(s, d) for s in seqs))
+    # the rule fails when the orders d - 1 and d both occur, that is when s_{r-1} = d - 1
+    pole_ok = tuple(map((d - 1).__ne__, cols[-2])) if r else (True,) * len(seqs)
+    box, pole_in = _down_sums(steps, (1,) * len(seqs), map(not_, pole_ok))
+    return _Lattice(seqs, MappingProxyType(index), cols, tuple(steps), caps, pole_ok, box, pole_in)
 
 
 class _Neighbour(NamedTuple):
     """Status ("pass"/"fail"/"unknown") by sequence index of the component behind a slot.
 
-    A second-node table also marks the good b (single pole and slot pass) and
-    holds the down-set sums of the single-pole failures, of the slot failures
-    among the rest, and of the good b.
+    A second-node table also holds the down-set counts of the good b, those
+    that pass the single-pole rule and whose slot does not fail.
     """
 
     status: tuple[str, ...]
-    good: tuple[bool, ...] = ()
-    sums: tuple[tuple[int, ...], ...] = ()
+    good_in: tuple[int, ...] = ()
 
 
-@lru_cache(maxsize=8)
+@_tables
 def _neighbour(kind: str, genus: int, facts: FactSheet | None, r: int, d: int, prune: bool,
                far: bool = False) -> _Neighbour:
-    """Status table of the component behind a slot; far adds the second-node columns.
+    """Status table of the component behind a slot; far adds the good b's down-set counts.
 
     Pruned mode evaluates the exact clamp criterion on the pointwise minimal
     compatible sequence.  Naive mode asks whether any compatible sequence is
@@ -479,20 +527,27 @@ def _neighbour(kind: str, genus: int, facts: FactSheet | None, r: int, d: int, p
     lat = _lattice(r, d)
     if far:
         status = _neighbour(kind, genus, facts, r, d, prune).status
-        good = tuple(ok and st != "fail" for ok, st in zip(lat.pole_ok, status))
-        return _Neighbour(status, good, _down_sums(
-            lat, [not ok for ok in lat.pole_ok], [ok and not g for ok, g in zip(lat.pole_ok, good)], good))
+        return _Neighbour(status, *_down_sums(lat.steps, map(and_, lat.pole_ok,
+                                                             map("fail".__ne__, status))))
     if kind == "leaf-factsheet":
         t = SeriesType(genus, r, d)
         return _Neighbour(tuple(
             factsheet_check(facts, t, [vanishing_to_ramification(VanishingSeq(lat.seqs[c], d))]).status
             for c in lat.caps))
-    cusps = 1 if kind == "bridge" else 0
-    feasible = [_clamp_feasible(s, genus, d, r, cusps) for s in lat.seqs]
-    ok = [feasible[c] for c in lat.caps]
+    feasible = _clamp_columns(lat.cols, genus, d, r, 1 if kind == "bridge" else 0)
+    ok = map(feasible.__getitem__, lat.caps)
     if not prune:
-        ok = [n > 0 for n in _down_sums(lat, ok)[0]]
-    return _Neighbour(tuple("pass" if f else "fail" for f in ok))
+        ok = map(bool, _down_sums(lat.steps, ok)[0])
+    return _Neighbour(tuple(map(("fail", "pass").__getitem__, ok)))
+
+
+def _clamp_columns(cols: Sequence[Sequence[int]], genus: int, d: int, r: int,
+                   cusps: int) -> list[bool]:
+    """_clamp_feasible of every sequence of a lattice, summed column by column."""
+    shift = genus + cusps - d + r
+    terms = [map([max(v - i + shift, 0) for v in range(d + 1)].__getitem__, col)
+             for i, col in enumerate(cols)]
+    return list(map((genus + cusps).__ge__, map(sum, zip(*terms))))
 
 
 def _survivor(pivot: Component, sides, d: int, r: int) -> Survivor:
@@ -559,50 +614,55 @@ def _finish(curve, t, candidates, hits, survivors, count, prune, extra_notes=())
 def _refute_pair(curve, t, plan, prune, cap) -> RefutationReport:
     """Two-noded elliptic pivot: count the pairs (a, b) box by box.
 
-    Every rule on b in the box b <= caps(a) that the pairwise bound leaves,
-    the torsion rule too, is counted from down-set sums; survivors are walked.
+    An a that fails the single-pole rule or its slot fails with every b.  Over
+    the other, open a, the rules on the b in the box b <= caps(a) that the
+    pairwise bound leaves are summed column-wise from down-set counts.  Only
+    an a with good b in its box has its torsion failures counted and its
+    survivors walked.
     """
     slot_u, slot_v = plan.slots
     r, d = t.r, t.d
     pivot = plan.pivot
     torsion = pivot.torsion_between(slot_u.point, slot_v.point)
     lat = _lattice(r, d)
-    seqs, index = lat.seqs, lat.index
+    seqs, index, pole_ok = lat.seqs, lat.index, lat.pole_ok
     n = len(seqs)
     status_u = _neighbour(*slot_u.key, r, d, prune).status
-    status_v, good, (pole_in, fail_v_in, good_in) = _neighbour(*slot_v.key, r, d, prune, True)
+    status_v, good_in = _neighbour(*slot_v.key, r, d, prune, True)
 
-    key_pole = f"{RULE_ELLIPTIC_SINGLE_POLE}@{pivot.id}"
-    key_u = _slot_rule_key(slot_u)
-    key_v = _slot_rule_key(slot_v)
-    key_pair = f"{RULE_ELLIPTIC_PAIR_BOUND}@{pivot.id}"
     key_tor = f"{RULE_ELLIPTIC_TORSION}@{pivot.id}"
-
+    opened = list(compress(range(n), map(and_, pole_ok, map("fail".__ne__, status_u))))
+    tops = list(map(lat.caps.__getitem__, opened))
+    in_box, pole, good = (sum(map(table.__getitem__, tops))
+                          for table in (lat.box, lat.pole_in, good_in))
+    pole_fails = n - sum(pole_ok)
     hits: Counter[str] = Counter()
+    for key, by in ((f"{RULE_ELLIPTIC_SINGLE_POLE}@{pivot.id}", n * pole_fails + pole),
+                    (_slot_rule_key(slot_u), n * (n - pole_fails - len(opened))),
+                    (f"{RULE_ELLIPTIC_PAIR_BOUND}@{pivot.id}", n * len(opened) - in_box),
+                    (_slot_rule_key(slot_v), in_box - pole - good)):
+        hits[key] += by
+
     survivors: list[Survivor] = []
-    count = 0
-    for a, ok, su, ic in zip(seqs, lat.pole_ok, status_u, lat.caps):
-        if not ok or su == "fail":
-            hits[key_u if ok else key_pole] += n
+    count = good
+    for i, ic in zip(opened, tops):
+        if not good_in[ic]:
             continue
-        live = good_in[ic]
-        tor = _torsion_hits(a, ic, lat.steps, good_in, torsion) if live else 0
-        for key, by in ((key_pair, n - pole_in[ic] - fail_v_in[ic] - live), (key_pole, pole_in[ic]),
-                        (key_v, fail_v_in[ic]), (key_tor, tor)):
-            if by:
-                hits[key] += by
-        live -= tor
-        count += live
-        if not live or len(survivors) >= cap:
+        a = seqs[i]
+        tor = _torsion_hits(a, ic, lat.steps, good_in, torsion)
+        hits[key_tor] += tor
+        count -= tor
+        if good_in[ic] == tor or len(survivors) >= cap:
             continue
         for b in _box(seqs[ic]):
             ib = index[b]
-            if not good[ib] or _torsion_fails(a, b, d, torsion):
+            if not pole_ok[ib] or status_v[ib] == "fail" or _torsion_fails(a, b, d, torsion):
                 continue
-            survivors.append(_survivor(pivot, ((slot_u, a, su), (slot_v, b, status_v[ib])), d, r))
+            sides = ((slot_u, a, status_u[i]), (slot_v, b, status_v[ib]))
+            survivors.append(_survivor(pivot, sides, d, r))
             if len(survivors) == cap:
                 break
-    return _finish(curve, t, n * n, hits, survivors, count, prune)
+    return _finish(curve, t, n * n, +hits, survivors, count, prune)
 
 
 def _torsion_fails(a: tuple[int, ...], b: tuple[int, ...], d: int, torsion: int | None) -> bool:
@@ -635,19 +695,19 @@ def _torsion_hits(a: tuple[int, ...], ic: int, steps: tuple[tuple[int, ...], ...
     return good_in[ic] - empty - sum(within(k) - empty for k in classes.values())
 
 
-def _down_sums(lat: _Lattice, *weights: list) -> tuple[tuple[int, ...], ...]:
+def _down_sums(steps: Sequence[Sequence[int]], *weights: Iterable) -> tuple[tuple[int, ...], ...]:
     """For each weight list, its sums over the down-sets {b <= c} of increasing tuples.
 
     One lexicographic sweep per axis j adds the sum at the largest increasing
-    tuple below c - e_j (c_j lowered by one, earlier coordinates clamped).
+    tuple below c - e_j (c_j lowered by one, earlier coordinates clamped), or
+    the 0 kept past the end of the table when there is none (index -1).
     """
-    tables = [[int(w) for w in ws] for ws in weights]
-    for steps in lat.steps:
+    tables = [[*map(int, ws), 0] for ws in weights]
+    for axis in steps:
         for table in tables:
-            for i, p in enumerate(steps):
-                if p >= 0:
-                    table[i] += table[p]
-    return tuple(tuple(table) for table in tables)
+            for i, p in enumerate(axis):
+                table[i] += table[p]
+    return tuple(tuple(table[:-1]) for table in tables)
 
 
 def _box(hi: Sequence[int]) -> list[tuple[int, ...]]:
@@ -737,9 +797,12 @@ def verify_witness(curve: CompactCurve, t: SeriesType,
         raise ValueError(f"series genus {t.g} does not match curve genus {curve.genus}")
     r, d = t.r, t.d
 
+    in_nodes = {end for node in curve.nodes for end in node.ends}
+    node_points = {comp.id: [p for p in comp.points if (comp.id, p) in in_nodes]
+                   for comp in curve.components}
     seqs: dict[tuple[str, str], VanishingSeq] = {}
     for comp in curve.components:
-        need = curve.node_points(comp.id)
+        need = node_points[comp.id]
         given = dict(assignment.get(comp.id, {}))
         missing = [p for p in need if p not in given]
         if missing:
@@ -760,16 +823,15 @@ def verify_witness(curve: CompactCurve, t: SeriesType,
     excess = []
     for node in curve.nodes:
         (c1, p1), (c2, p2) = node.ends
-        a_y, a_z = seqs[(c1, p1)], seqs[(c2, p2)]
-        cls = node_compatible(a_y, a_z, d)
-        sums = tuple(a_y.entries[i] + a_z.entries[r - i] for i in range(r + 1))
+        sums = _node_sums(seqs[(c1, p1)], seqs[(c2, p2)])
+        cls = _node_class(sums, d)
         node_audits.append(NodeAudit(str(node), sums, cls))
         excess.append((str(node), sum(sums) - (r + 1) * d if cls != "incompatible" else 0))
 
     comp_audits = []
     aspect_rhos = []
     for comp in curve.components:
-        pts = curve.node_points(comp.id)
+        pts = node_points[comp.id]
         vans = [seqs[(comp.id, p)] for p in pts]
         rams = [vanishing_to_ramification(v) for v in vans]
         result = _component_oracle(comp, t, pts, vans, rams)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bnlimits import curvefile, limit_checker, schubert
+from bnlimits import cli, curvefile, limit_checker, schubert
 from bnlimits.cli import main
 from bnlimits.curves import CompactCurve, Component, FactSheet, Node, SeriesDimFact, TorsionPair
 from bnlimits.numerology import SeriesType
@@ -292,6 +292,48 @@ def test_curve_file_rejects_non_integers(tmp_path, capsys, name, path, value, me
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+# (bundled curve, path to a field, a value of the wrong JSON shape, the error)
+SHAPE_CASES = [
+    ("chain_12torsion", ("nodes", 0), [1, "E.p1"],
+     "point reference 1 must look like component.point"),
+    ("chain_12torsion", ("witnesses", "g1_12", "series"), 12,
+     "series of witness g1_12 must be an array of 2, got 12"),
+    ("chain_12torsion", ("components",), "x", 'components must be an array, got "x"'),
+    ("chain_12torsion", ("components", 0, "points"), 5,
+     "points of component C1 must be an array, got 5"),
+    ("chain_12torsion", ("components", 0), 3, "component must be an object, got 3"),
+    ("chain_12torsion", ("components", 1, "torsion", 0, "points"), 7,
+     "points of torsion entry must be an array of 2, got 7"),
+    ("septic_star", ("components", 0, "facts", "series_dims"), 3,
+     "series_dims must be an array, got 3"),
+    ("chain_12torsion", ("witnesses", "g1_12", "aspects", "E"), 4,
+     "aspects of witness g1_12 at E must be an object, got 4"),
+    ("chain_12torsion", ("witnesses", "g1_12", "aspects", "E", "p1"), 4,
+     "aspect of witness g1_12 at E.p1 must be an array, got 4"),
+]
+
+
+@pytest.mark.parametrize("name,path,value,message", SHAPE_CASES,
+                         ids=["-".join(map(str, c[1])) + f"={c[2]!r}" for c in SHAPE_CASES])
+def test_curve_file_rejects_wrong_shapes(tmp_path, capsys, name, path, value, message):
+    doc = curvefile.curve_to_json(curvefile.load_fixture(name))
+    _edit(doc, path, value)
+    with pytest.raises(ValueError) as err:
+        curvefile.curve_from_json(doc)
+    assert str(err.value) == message
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "limit", "refute", str(p), "1", "12")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_curve_file_must_be_an_object(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text("5")
+    code, out, err = run(capsys, "limit", "refute", str(p), "1", "12")
+    assert (code, out, err) == (2, "", "error: curve document must be an object, got 5\n")
+
+
 def test_curve_file_accepts_null_gonality_and_false_points_general():
     doc = curvefile.curve_to_json(curvefile.load_fixture("septic_star"))
     doc["components"][0]["facts"].update(gonality=None, points_general=False)
@@ -428,10 +470,24 @@ def test_report_fails_when_web_is_not_refuted(monkeypatch, capsys):
     assert "\nkappa(M_23) >= 2 audit: FAIL\n" in out
 
 
-def test_report_lists_surviving_chain12_nets_as_a_finding(monkeypatch, capsys):
-    # the g^2_17 refutation on the 12-torsion chain is cited to the literature:
-    # its survivors are a finding, not a mismatch of their own, and only the
-    # distinctness row resting on it fails
+def test_report_fails_when_chain12_net_is_not_refuted(monkeypatch, capsys):
+    # the distinctness of g^1_12 and g^2_17 rests on this refutation, so survivors fail both
+    _force_refutation(monkeypatch, "chain-12torsion", (2, 17), verdict="survivors",
+                      survivor_count=3)
+    code, out, _ = run(capsys, "report", "g23", "--json")
+    payload = json.loads(out)
+    assert payload["findings"] == []
+    assert payload["mismatches"] == ["chain-12torsion has no limit g^2_17",
+                                     "distinctness g^1_12 vs g^2_17"]
+    assert code == 1 and payload["pass"] is False
+
+
+def test_rows_without_expectation_list_survivors_as_findings(monkeypatch, capsys):
+    # a row expecting no verdict reports survivors as a finding, not a mismatch of its own;
+    # only the distinctness row resting on it fails
+    rows = tuple(row[:4] + (None,) if row[:3] == ("chain_12torsion", 2, 17) else row
+                 for row in cli.G23_CHECKS)
+    monkeypatch.setattr(cli, "G23_CHECKS", rows)
     _force_refutation(monkeypatch, "chain-12torsion", (2, 17), verdict="survivors",
                       survivor_count=3)
     code, out, _ = run(capsys, "report", "g23", "--json")

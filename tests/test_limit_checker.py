@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pair_oracle import brute_force_pairs
 
+from bnlimits import limit_checker
 from bnlimits.curvefile import curve_from_json, curve_to_json, load_fixture
 from bnlimits.curves import CompactCurve, Component, FactSheet, Node, SeriesDimFact, TorsionPair
 from bnlimits.limit_checker import (
+    MAX_CACHED_SEQUENCES,
     MAX_SEQUENCES,
     UnsupportedCurveError,
     _box,
@@ -16,6 +18,7 @@ from bnlimits.limit_checker import (
     _down_sums,
     _lattice,
     _neighbour,
+    _tables,
     _torsion_fails,
     _torsion_hits,
     additivity_audit,
@@ -155,7 +158,12 @@ def _clear_caches():
     _neighbour.cache_clear()
 
 
-def test_cached_tables_do_not_change_reports(fixtures):
+def _held_within_bound():
+    held = sum(len(table[0]) for table in _tables.tables.values())
+    return held == _tables.held <= limit_checker.MAX_CACHED_SEQUENCES
+
+
+def test_cached_tables_do_not_change_reports(fixtures, monkeypatch):
     cases = [("chain_9torsion", (2, 17), True), ("chain_12torsion", (2, 17), True),
              ("chain_9torsion_elltail", (2, 17), True), ("septic_star", (1, 12), True),
              ("chain_12torsion", (1, 12), False), ("chain_9torsion_elltail", (1, 12), False),
@@ -163,16 +171,23 @@ def test_cached_tables_do_not_change_reports(fixtures):
 
     def run(case):
         name, series, prune = case
-        return refute(fixtures[name].curve, SeriesType(23, *series), prune=prune).to_json()
+        report = refute(fixtures[name].curve, SeriesType(23, *series), prune=prune).to_json()
+        assert _held_within_bound(), (case, _tables.held)
+        return report
 
-    _clear_caches()
-    forward = [run(case) for case in cases]
-    backward = [run(case) for case in reversed(cases)][::-1]
-    cold = []
-    for case in cases:
+    # a bound of 2,000 evicts tables within one g^2_17 refutation (816 sequences a table),
+    # one of 500 every g^2_17 table as soon as it is built
+    for bound in (MAX_CACHED_SEQUENCES, 2000, 500):
+        monkeypatch.setattr(limit_checker, "MAX_CACHED_SEQUENCES", bound)
         _clear_caches()
-        cold.append(run(case))
-    assert forward == backward == cold
+        forward = [run(case) for case in cases]
+        backward = [run(case) for case in reversed(cases)][::-1]
+        cold = []
+        for case in cases:
+            _clear_caches()
+            cold.append(run(case))
+        _clear_caches()
+        assert forward == backward == cold, bound
 
 
 def test_bridge_and_leaf_of_one_genus_get_different_tables(fixtures):
@@ -194,13 +209,15 @@ def test_cached_tables_are_immutable():
     d = 8
     lat = _lattice(2, d)
     table = _neighbour("leaf-general", 11, None, 2, d, True, True)
-    for part in (lat.seqs, lat.steps, *lat.steps, lat.caps, lat.pole_ok,
-                 table.status, table.good, table.sums, *table.sums):
+    for part in (lat.seqs, lat.cols, *lat.cols, lat.steps, *lat.steps, lat.caps, lat.pole_ok,
+                 lat.box, lat.pole_in, table.status, table.good_in):
         assert isinstance(part, tuple)
     with pytest.raises(TypeError):
         lat.index[(0, 1, 2)] = 1
     with pytest.raises(AttributeError):
         table.status = ()
+    with pytest.raises(AttributeError):
+        lat.box = ()
 
 
 def _clamped_steps(lat, r):
@@ -220,6 +237,25 @@ def _clamped_steps(lat, r):
     return tuple(steps)
 
 
+def _dominated(lat):
+    """Per sequence s, the bit set of the positions of the b <= s, by a test of every pair."""
+    below = []  # per axis j and value v: the positions k with seqs[k][j] <= v
+    for col in lat.cols:
+        masks = [0] * (max(col) + 1)
+        for k, x in enumerate(col):
+            masks[x] |= 1 << k
+        for v in range(1, len(masks)):
+            masks[v] |= masks[v - 1]
+        below.append(masks)
+    out = []
+    for s in lat.seqs:
+        mask = -1
+        for masks, x in zip(below, s):
+            mask &= masks[x]
+        out.append(mask)
+    return out
+
+
 def test_lattice_steps_and_caps_match_clamping():
     # every lattice of degree up to 2g - 2 = 44 at genus 23 with at most 2,000 sequences
     checked = 0
@@ -230,6 +266,18 @@ def test_lattice_steps_and_caps_match_clamping():
             lat = _lattice.__wrapped__(r, d)
             assert lat.steps == _clamped_steps(lat, r), (r, d)
             assert lat.caps == tuple(lat.index[min_complement(s, d)] for s in lat.seqs), (r, d)
+            assert lat.cols == tuple(zip(*lat.seqs)), (r, d)
+            pole_ok = tuple(s[-2:] != (d - 1, d) for s in lat.seqs)
+            assert lat.pole_ok == pole_ok, (r, d)
+            fails = sum(1 << k for k, ok in enumerate(pole_ok) if not ok)
+            below = _dominated(lat)
+            assert lat.box == tuple(m.bit_count() for m in below), (r, d)
+            assert lat.pole_in == tuple((m & fails).bit_count() for m in below), (r, d)
+            if len(lat.seqs) <= 300:  # walking every box of the larger lattices takes a minute
+                boxes = [_box(s) for s in lat.seqs]
+                assert lat.box == tuple(map(len, boxes)), (r, d)
+                assert lat.pole_in == tuple(sum(b[-2:] == (d - 1, d) for b in box)
+                                            for box in boxes), (r, d)
             checked += 1
     assert checked == 277
 
@@ -239,6 +287,25 @@ def _scanned_status(lat, feasible):
     listed = [s for s, f in zip(lat.seqs, feasible) if f]
     return tuple("pass" if any(all(x >= y for x, y in zip(s, lat.seqs[c])) for s in listed)
                  else "fail" for c in lat.caps)
+
+
+def test_pruned_status_tables_match_clamp_feasible():
+    # the tables are summed column by column; _clamp_feasible tests one sequence, caps(a)
+    # (test_naive_table_matches_the_scan checks the naive tables against it)
+    checked = 0
+    for r in range(5):
+        for d in range(r, 16):
+            lat = _lattice(r, d)
+            if len(lat.seqs) > 2000:
+                break
+            for kind, cusps in (("leaf-general", 0), ("bridge", 1)):
+                for genus in range(0, 13, 2):
+                    feasible = [_clamp_feasible(s, genus, d, r, cusps) for s in lat.seqs]
+                    status = _neighbour.__wrapped__(kind, genus, None, r, d, True).status
+                    assert status == tuple("pass" if feasible[c] else "fail" for c in lat.caps), \
+                        (kind, genus, r, d)
+                    checked += 1
+    assert checked == 938
 
 
 @pytest.mark.parametrize("r,d,genera", [
@@ -262,7 +329,7 @@ def test_torsion_hits_match_the_walked_box(r, d):
     # a pseudo-random set of good b; each count must equal a walk over the box b <= caps(a)
     lat = _lattice(r, d)
     good = [(i * 7919) % 5 != 0 for i in range(len(lat.seqs))]
-    (good_in,) = _down_sums(lat, good)
+    (good_in,) = _down_sums(lat.steps, good)
     for torsion in (None, 2, 3, 5):
         for a, ic in zip(lat.seqs, lat.caps):
             walked = sum(1 for b in _box(lat.seqs[ic])
