@@ -4,9 +4,10 @@ A curve file carries the marked components, the nodes of the dual tree, and
 optionally named witness aspect assignments keyed by the series they are
 meant for.  Parsing is strict: every object and array must have its
 documented JSON shape, unknown keys are rejected everywhere, every integer
-field must be a JSON integer (not a boolean, float or string),
-points_general must be a JSON boolean, and the decoded curve re-validates
-all structural invariants.
+field must be a JSON integer (not a boolean, float or string), every id,
+kind, point name and description must be a JSON string, points_general
+must be a JSON boolean, and the decoded curve re-validates all structural
+invariants.
 """
 
 from __future__ import annotations
@@ -79,6 +80,12 @@ def _int(value: Any, where: str) -> int:
     return value
 
 
+def _str(value: Any, where: str) -> str:
+    if type(value) is not str:
+        raise ValueError(f"{where} must be a string, got {json.dumps(value)}")
+    return value
+
+
 def _ints(values: Any, where: str, length: int | None = None) -> tuple[int, ...]:
     return tuple(_int(x, where) for x in _array(values, where, length))
 
@@ -91,13 +98,16 @@ def _parse_point_ref(ref: Any) -> tuple[str, str]:
 
 
 def _parse_component(doc: Any) -> Component:
-    where = f"component {doc.get('id', '?')}" if isinstance(doc, Mapping) else "component"
+    where = "component"
+    if isinstance(doc, Mapping) and type(doc.get("id")) is str:
+        where = f"component {doc['id']}"
     _object(doc, where, {"id", "kind", "genus", "points", "torsion", "facts", "description"},
             {"id", "kind", "genus", "points"})
     torsion = []
     for item in _array(doc.get("torsion", []), f"torsion of {where}"):
         _object(item, "torsion entry", {"points", "order"}, {"points", "order"})
-        p, q = _array(item["points"], "points of torsion entry", 2)
+        p, q = (_str(x, "point of torsion entry")
+                for x in _array(item["points"], "points of torsion entry", 2))
         torsion.append(TorsionPair((p, q), _int(item["order"], "torsion order")))
     facts = None
     if "facts" in doc:
@@ -115,10 +125,11 @@ def _parse_component(doc: Any) -> Component:
             raise ValueError(f"points_general must be true or false, got {json.dumps(points_general)}")
         facts = FactSheet(tuple(dims), gonality, points_general)
     return Component(
-        id=str(doc["id"]),
-        genus=_int(doc["genus"], f"genus of component {doc['id']}"),
-        kind=str(doc["kind"]),
-        points=tuple(str(p) for p in _array(doc["points"], f"points of {where}")),
+        id=_str(doc["id"], "component id"),
+        genus=_int(doc["genus"], f"genus of {where}"),
+        kind=_str(doc["kind"], f"kind of {where}"),
+        points=tuple(_str(p, f"point of {where}")
+                     for p in _array(doc["points"], f"points of {where}")),
         torsion=tuple(torsion),
         facts=facts,
     )
@@ -136,7 +147,7 @@ def curve_from_json(doc: Any) -> CurveDescription:
         ends = _array(pair, "node", 2)
         nodes.append(Node((_parse_point_ref(ends[0]), _parse_point_ref(ends[1]))))
     curve = CompactCurve(
-        id=str(doc["id"]),
+        id=_str(doc["id"], "curve id"),
         genus=_int(doc["genus"], "curve genus"),
         components=components,
         nodes=tuple(nodes),
@@ -152,8 +163,10 @@ def curve_from_json(doc: Any) -> CurveDescription:
             aspects.append((comp, tuple(sorted(
                 (pt, _ints(seq, f"aspect of witness {name} at {comp}.{pt}"))
                 for pt, seq in pts.items()))))
-        witnesses.append(Witness(name, (r, d), tuple(aspects), wdoc.get("description", "")))
-    return CurveDescription(curve, tuple(witnesses), doc.get("description", ""))
+        about = _str(wdoc.get("description", ""), f"description of witness {name}")
+        witnesses.append(Witness(name, (r, d), tuple(aspects), about))
+    about = _str(doc.get("description", ""), "curve description")
+    return CurveDescription(curve, tuple(witnesses), about)
 
 
 def curve_to_json(desc: CurveDescription) -> dict[str, Any]:

@@ -8,10 +8,13 @@ through the vertical-strip Pieri rule instead.  Truncation to the rectangle
 happens inside every single multiplication, so intermediate classes never
 leave the ring.
 
-The existence criterion bn_condition never forms the g-th cusp power: all
-Littlewood-Richardson and Pieri coefficients are nonnegative, so the
-product is nonzero iff one Schubert class in the support of the marked
-points' product survives the power, which is the one-point clamp.
+The existence criterion bn_condition never forms the g-th cusp power, nor
+the full product of the marked classes: all Littlewood-Richardson and Pieri
+coefficients are nonnegative, so the product is nonzero iff one Schubert
+class in the support of the marked points' product survives the power,
+which is the one-point clamp.  The clamp holds on a down-set of partitions
+and the support of s_lam * s_mu lies above lam, so the product's support is
+searched depth first, factor by factor, keeping only partitions that pass.
 """
 
 from __future__ import annotations
@@ -216,23 +219,43 @@ def bn_condition(t: SeriesType, rams: list[RamificationSeq] | tuple[Ramification
     nonzero in the rectangle ring.
 
     A product of degree sum_i |alpha^i| + g*r above (r+1)(d-r), the
-    dimension of G(r+1, d+1), is zero: that is adjusted rho < 0.  Otherwise
-    the marked classes are multiplied out, and since no coefficient is
-    negative, the power of the cusp class kills the product iff it kills
-    every sigma_lambda in its support.  sigma_lambda times the g-th cusp
-    power is nonzero iff lambda passes the one-point clamp
-    sum_i max(lambda_i + g - d + r, 0) <= g over all r+1 rows
-    (Eisenbud-Harris), so the cost does not grow with g.
+    dimension of G(r+1, d+1), is zero: that is adjusted rho < 0.  Otherwise,
+    since no coefficient is negative, the power of the cusp class kills the
+    product iff it kills every sigma_lambda in the support of the marked
+    classes' product.  sigma_lambda times the g-th cusp power is nonzero iff
+    lambda passes the one-point clamp sum_i max(lambda_i + g - d + r, 0) <= g
+    over all r+1 rows (Eisenbud-Harris), so the cost does not grow with g.
+
+    The support is searched depth first, one marked factor per level,
+    starting from the empty partition.  Every nu with c^nu_{lambda,mu} > 0
+    contains lambda, and the clamp over the nonzero rows holds on a down-set
+    (each row's term is nondecreasing in the row, and an empty row adds 0),
+    so a partition that fails the clamp has no descendant that passes: only
+    passing partitions are expanded, and the answer is yes at the first one
+    reached after the last factor.  The stack is explicit, so the number of
+    points is not bounded by the recursion limit.
     """
     if adjusted_rho(t, rams) < 0:  # checks every bound first
         return False
-    rect = rect_for(t.r, t.d)
-    acc = identity_class(rect)
-    for alpha in rams:
-        acc = lr_product(acc, schubert_class(index_to_partition(alpha), rect))
-        if acc.is_zero():
-            return False
+    k, m = rect_for(t.r, t.d)
+    factors = [index_to_partition(alpha) for alpha in rams]
+    if not factors:  # the empty product is sigma_(), which passes the clamp
+        return True
     # empty rows add max(shift, 0); when shift > 0 the padded clamp is |lambda| <= rho,
     # which every lambda here meets since adjusted rho >= 0, so they can be left out
-    shift = t.g - t.d + t.r
-    return any(sum(max(x + shift, 0) for x in lam) <= t.g for lam in acc.terms)
+    g, shift, last = t.g, t.g - t.d + t.r, len(factors) - 1
+    stack: list[tuple[int, Partition]] = [(0, ())]
+    seen: set[tuple[int, Partition]] = set()
+    while stack:
+        i, lam = stack.pop()
+        # pushed in reverse, so the child with the shortest first row, the likeliest
+        # to pass the clamp at the next level too, is expanded first
+        for nu, _ in reversed(lr_coefficients(lam, factors[i], k, m)):
+            if sum(max(x + shift, 0) for x in nu) > g:
+                continue
+            if i == last:
+                return True
+            if (i + 1, nu) not in seen:
+                seen.add((i + 1, nu))
+                stack.append((i + 1, nu))
+    return False

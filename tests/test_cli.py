@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from bnlimits import cli, curvefile, limit_checker, schubert
 from bnlimits.cli import main
 from bnlimits.curves import CompactCurve, Component, FactSheet, Node, SeriesDimFact, TorsionPair
-from bnlimits.numerology import SeriesType
+from bnlimits.numerology import RamificationSeq, SeriesType
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -51,6 +51,13 @@ def test_exist(capsys):
     ("schubert_1_12_cusp_power_23.txt", ("schubert", "1", "12", "--cusp-power", "23")),
     ("exist_2_2_7_cusps_2.json",
      ("exist", "2", "2", "7", "--ram", "0,0,4", "--ram", "0,0,3", "--cusps", "2", "--json")),
+    ("exist_5_3_15_4pts.txt",
+     ("exist", "5", "3", "15", "--ram", "0,1,2,3", "--ram", "0,1,3,3", "--ram", "0,1,2,3",
+      "--ram", "1,2,3,3", "--cusps", "1")),
+    # adjusted rho is 6 here, so the degree alone does not answer no: every branch is searched
+    ("exist_1_3_20_4pts.txt",
+     ("exist", "1", "3", "20", "--ram", "1,2,5,5", "--ram", "0,1,1,1", "--ram", "3,3,3,11",
+      "--ram", "0,1,5,14", "--cusps", "1")),
 ])
 def test_schubert_commands_match_golden(capsys, golden, args):
     code, out, _ = run(capsys, *args)
@@ -71,23 +78,24 @@ def test_exist_rejects_negative_cusps(capsys):
     assert code == 2 and out == "" and "cusps" in err and "-3" in err
 
 
-def test_exist_cost_does_not_grow_with_cusps(capsys, monkeypatch):
-    # each extra cusp is one more power of the cusp class, not one more factor
-    calls = []
-    real = schubert.lr_product
-
-    def counted(x, y):
-        calls.append(1)
-        if len(calls) > 10:
-            raise AssertionError("one product per cusp")
-        return real(x, y)
-
-    monkeypatch.setattr(schubert, "lr_product", counted)
+def test_exist_cost_does_not_grow_with_cusps(capsys):
+    # each extra cusp is one more power of the cusp class, not one more factor:
+    # two marked points expand two Littlewood-Richardson products at most
+    schubert.lr_coefficients.cache_clear()
     code, out, _ = run(capsys, "exist", "5", "0", "4", "--ram", "1", "--ram", "2", "--cusps", "1000000")
     assert (code, out) == (0, "exists: yes (criterion: schubert-nonvanishing)\n")
-    assert len(calls) <= 2
+    assert schubert.lr_coefficients.cache_info().misses <= 2
     code, out, _ = run(capsys, "exist", "5", "1", "4", "--cusps", "100000000")
     assert (code, out) == (0, "exists: no (criterion: schubert-nonvanishing)\n")
+    assert schubert.lr_coefficients.cache_info().misses <= 2
+
+
+def test_exist_with_many_points_needs_no_recursion(capsys):
+    # one level of the search per marked point: 1,500 levels exceed Python's recursion limit
+    t = SeriesType(3000, 1, 3000)
+    assert schubert.bn_condition(t, [RamificationSeq((0, 1), 1, 3000)] * 1500)
+    code, out, err = run(capsys, "exist", "3000", "1", "3000", *["--ram", "0,1"] * 1500)
+    assert (code, out, err) == (0, "exists: yes (criterion: schubert-nonvanishing)\n", "")
 
 
 def test_exist_without_conditions_uses_clamp(capsys):
@@ -228,6 +236,20 @@ def test_fixtures_cmd(capsys):
         assert name in out
 
 
+# (path to a field of the chain_12torsion curve, a value that is not a string, the error)
+STRING_CASES = [
+    (("id",), {"x": 1}, 'curve id must be a string, got {"x": 1}'),
+    (("description",), 5, "curve description must be a string, got 5"),
+    (("components", 0, "id"), 7, "component id must be a string, got 7"),
+    (("components", 0, "kind"), ["general"], 'kind of component C1 must be a string, got ["general"]'),
+    (("components", 0, "points", 0), 1, "point of component C1 must be a string, got 1"),
+    (("components", 1, "torsion", 0, "points", 1), None,
+     "point of torsion entry must be a string, got null"),
+    (("witnesses", "g1_12", "description"), False,
+     "description of witness g1_12 must be a string, got false"),
+]
+
+
 def test_curve_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -241,6 +263,14 @@ def test_curve_file_errors(tmp_path, capsys):
     assert code == 2 and "unknown keys" in err
     code, _, err = run(capsys, "limit", "refute", "no-such-fixture", "1", "12")
     assert code == 2 and "chain_9torsion_elltail (id chain-9torsion-elliptic-tail)" in err
+    # ids, kinds, point names and descriptions must be JSON strings, not any value
+    for path, value, message in STRING_CASES:
+        doc = curvefile.curve_to_json(curvefile.load_fixture("chain_12torsion"))
+        _edit(doc, path, value)
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "limit", "refute", str(p), "1", "12")
+        assert (code, out, err) == (2, "", f"error: {message}\n"), path
+
 
 
 def _edit(doc, path, value):

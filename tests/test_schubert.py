@@ -152,7 +152,8 @@ def _pieri_oracle(rams, g, rect, powers):
 
 def test_bn_condition_matches_the_cusp_power():
     # every rectangle with at most 4 rows and 7 columns; all one-point conditions,
-    # and a seeded draw of two and three points, each at every genus up to 12
+    # a seeded draw of two to five points, and draws with repeated identity
+    # factors among them, each at every genus up to 12
     rng = random.Random(20231)
     checked = 0
     for k in range(1, 5):
@@ -161,14 +162,42 @@ def test_bn_condition_matches_the_cusp_power():
             r, d = k - 1, m + k - 1
             powers = [cusp_class_power(g, rect) for g in range(13)]
             seqs = [RamificationSeq(a, r, d) for a in combinations_with_replacement(range(m + 1), k)]
+            one = RamificationSeq((0,) * k, r, d)
             draws = [[]] + [[a] for a in seqs]
             draws += [[rng.choice(seqs) for _ in range(n)] for n in (2, 3) for _ in range(12)]
+            draws += [[rng.choice(seqs) for _ in range(n)] for n in (4, 5) for _ in range(6)]
+            draws += [[one] * n for n in (2, 5)]
+            draws += [[rng.choice(seqs), one, rng.choice(seqs), one] for _ in range(4)]
             for rams in draws:
                 for g in range(13):
                     expected = _pieri_oracle(rams, g, rect, powers)
                     assert bn_condition(SeriesType(g, r, d), rams) == expected, (rect, rams, g)
                     checked += 1
-    assert checked == 27014
+    assert checked == 34502
+
+
+def test_unpadded_clamp_is_a_down_set():
+    # bn_condition prunes a partition that fails the clamp over its nonzero rows,
+    # which is exact only if no partition above it passes; removing any corner box
+    # from a passing partition must leave a passing one, in every rectangle and genus
+    def passes(lam, g, shift):
+        return sum(max(x + shift, 0) for x in lam) <= g
+
+    checked = 0
+    for k in range(1, 5):
+        for m in range(0, 8):
+            r, d = k - 1, m + k - 1
+            for lam in rect_partitions((k, m)):
+                lam = tuple(lam)
+                below = [lam[:i] + (lam[i] - 1,) + lam[i + 1:] for i in range(len(lam))
+                         if i + 1 == len(lam) or lam[i] > lam[i + 1]]
+                below = [tuple(x for x in mu if x) for mu in below]
+                for g in range(13):
+                    shift = g - d + r
+                    if passes(lam, g, shift):
+                        assert all(passes(mu, g, shift) for mu in below), (lam, g)
+                        checked += 1
+    assert checked == 6575  # of 16,614 (partition, genus) pairs
 
 
 def test_one_point_clamp_is_the_cusp_power():
