@@ -31,6 +31,8 @@ KINDS = (KIND_GENERAL, KIND_ELLIPTIC, KIND_FACTSHEET)
 RULE_ELLIPTIC_PAIR_BOUND = "elliptic-pair-bound"
 RULE_ELLIPTIC_TORSION = "elliptic-torsion-divisibility"
 RULE_ELLIPTIC_SINGLE_POLE = "elliptic-single-pole"
+# an elliptic link whose branch, beyond it from the pivot, matches none of its aspects
+RULE_ELLIPTIC_LINK = "elliptic-link-branch"
 RULE_GENERAL_POINTED = "general-pointed-clamp"
 RULE_GENERAL_CUSP = "general-pointed-cusp-clamp"
 RULE_SCHUBERT = "schubert-nonvanishing"

@@ -9,22 +9,34 @@ and the counting rule on fact-sheet components.  A verdict of "refuted"
 therefore certifies nonexistence; surviving candidates are reported as
 found, never confirmed (smoothability is not verified here).
 
-Enumeration pivots on the component with the most nodes.  For a two-noded
-elliptic pivot the engine accounts for all pairs of vanishing sequences at
-its two points, counting whole boxes of them, torsion failures included,
-from prefix sums and walking a box only to list survivors; adjacent
-general components are tested only at the pointwise minimal sequence
-compatible with the pivot side, which is sound because the clamp criteria
-are downward closed in the ramification.  For a star around a fact-sheet or
-general component, one-noded elliptic tails force a cusp on the hub side,
-and the hub rule is evaluated once on those forced floors.  Setting
-prune=False replaces the minimal-complement shortcut by a full scan (and
-the forced floors by per-sequence minima), which is the reference mode the
-pruning is validated against.
+The dual tree is rooted at a pivot, the component with the most nodes
+(elliptic first).  Behind each pivot node hangs a branch: a general or
+fact-sheet leaf, a one-noded elliptic tail, a general bridge ending in a
+tail, or an elliptic link with a further branch beyond it.  One recursive
+function, _branch_table, folds a branch into a status table over the
+sequences a across its node.  Every rule asks for vanishing at least, so the
+sequences that a branch's own component admits at that node form a
+down-set; the table reads them at the least sequence compatible with a,
+min_complement(a), and a link's own table at s is the pair scan's count of
+the b <= caps(s) that pass the single-pole rule, the table beyond and the
+torsion rule with s.
+"unknown" is kept apart from "pass" and never eliminates.
+
+The pivot enumerates: a two-noded elliptic pivot accounts for all pairs
+(a, b) at its nodes, counting whole boxes of them, torsion failures
+included, from down-set sums and walking a box only to list survivors; a
+one-noded one scans its sequences; a general or fact-sheet hub with
+one-noded elliptic tails is evaluated once, on the floors (cusps) read from
+the tails' tables.  Survivors list one witness per branch.  Refused shapes:
+a hub arm that is not a one-noded elliptic tail, a two-noded component off
+the pivot that is not a general bridge to a tail or an elliptic link, and an
+elliptic component with three nodes.  Setting prune=False asks whether any
+compatible sequence passes instead of the least one (down-set sums over the
+whole lattice), the reference mode the pruning is validated against.
 
 The sequences of each (r, d) with their index tables and down-set counts,
-and the status table of the component behind a node (keyed by its kind,
-genus, fact sheet, r, d and prune mode), are immutable tuples kept between
+and each branch table (keyed by the branch's shape, genera, fact sheets and
+torsion, r, d and prune mode), are immutable tuples kept between
 refutations in one LRU cache, bounded by the number of sequences its tables
 index in all (MAX_CACHED_SEQUENCES).
 
@@ -36,23 +48,26 @@ MAX_SEQUENCES vanishing sequences per point is refused.
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
-from itertools import combinations, compress
+from itertools import combinations, compress, islice
 from math import comb
 from operator import add, and_, not_
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .curves import (
     KIND_ELLIPTIC,
     KIND_FACTSHEET,
     KIND_GENERAL,
+    RULE_ELLIPTIC_LINK,
     RULE_ELLIPTIC_PAIR_BOUND,
     RULE_ELLIPTIC_SINGLE_POLE,
     RULE_ELLIPTIC_TORSION,
+    RULE_FACTSHEET_COUNT,
+    RULE_GENERAL_CUSP,
+    RULE_GENERAL_POINTED,
     CheckResult,
     CompactCurve,
     Component,
-    FactSheet,
     elliptic_single_point_check,
     elliptic_two_point_check,
     factsheet_check,
@@ -80,7 +95,7 @@ MAX_CACHED_SEQUENCES = 4 * MAX_SEQUENCES
 
 
 class UnsupportedCurveError(ValueError):
-    """The curve's dual tree is outside the engine's enumeration strategies."""
+    """The curve's dual tree has a shape that the branch fold does not cover."""
 
 
 def series_name(r: int, d: int) -> str:
@@ -297,91 +312,74 @@ class WitnessReport(NamedTuple):
 # topology analysis
 
 
-class _Slot(NamedTuple):
-    """One node of the pivot: its point and what hangs off the other side."""
+class _Branch(NamedTuple):
+    """The part of the curve behind one node of the pivot, or of a link further out.
 
-    point: str
-    neighbor: Component
-    neighbor_point: str
-    kind: str  # "leaf-general" | "leaf-factsheet" | "bridge"
-    far_point: str | None = None  # bridge: neighbor's point at the tail node
-    tail: Component | None = None
-    tail_point: str | None = None
+    kind is "general" or "factsheet" (a one-noded leaf), "tail" (a one-noded
+    elliptic curve), "bridge" (a two-noded general curve whose far node holds
+    a tail) or "link" (a two-noded elliptic curve with a branch beyond it).
+    """
+
+    kind: str
+    comp: Component
+    point: str  # comp's point at the node towards the pivot
+    far: str | None = None  # bridge or link: comp's other node point
+    beyond: "_Branch | None" = None
 
     @property
     def key(self) -> tuple:
-        """What the status of the component behind this slot depends on, besides (r, d)."""
-        return self.kind, self.neighbor.genus, self.neighbor.facts
+        """What the branch's table depends on besides (r, d): no component ids or points."""
+        torsion = self.comp.torsion_between(self.point, self.far) if self.kind == "link" else None
+        return self.kind, self.comp.genus, self.comp.facts, torsion, self.beyond and self.beyond.key
+
+    @property
+    def rule(self) -> str:
+        """The rule key credited with a candidate that no aspect of the branch matches."""
+        return f"{_BRANCH_RULES[self.kind]}@{self.comp.id}"
 
 
-class _Plan(NamedTuple):
-    mode: str  # "pair" | "single" | "floor"
-    pivot: Component
-    slots: tuple[_Slot, ...]
-
-
+_BRANCH_RULES = {KIND_GENERAL: RULE_GENERAL_POINTED, KIND_FACTSHEET: RULE_FACTSHEET_COUNT,
+                 "tail": RULE_ELLIPTIC_SINGLE_POLE, "bridge": RULE_GENERAL_CUSP,
+                 "link": RULE_ELLIPTIC_LINK}
 _KIND_PRIORITY = {KIND_ELLIPTIC: 0, KIND_FACTSHEET: 1, KIND_GENERAL: 2}
 
 
-def _analyze(curve: CompactCurve) -> _Plan:
+def _analyze(curve: CompactCurve) -> tuple[Component, tuple[_Branch, ...]]:
+    """The pivot, and the branch behind each of its nodes in marked-point order."""
     if len(curve.components) < 2:
         raise UnsupportedCurveError("need at least two components joined at a node")
-    node_count = {c.id: len(curve.node_points(c.id)) for c in curve.components}
+    node_points = {c.id: curve.node_points(c.id) for c in curve.components}
     order = {c.id: i for i, c in enumerate(curve.components)}
     pivot = max(
         curve.components,
-        key=lambda c: (node_count[c.id], -_KIND_PRIORITY[c.kind], -order[c.id]),
+        key=lambda c: (len(node_points[c.id]), -_KIND_PRIORITY[c.kind], -order[c.id]),
     )
+    across = {end: other for node in curve.nodes for end, other in (node.ends, node.ends[::-1])}
 
-    def node_at(comp_id: str, point: str):
-        for node in curve.nodes:
-            if (comp_id, point) in node.ends:
-                return node
-        raise KeyError((comp_id, point))
+    def branch(comp_id: str, point: str) -> _Branch:
+        comp = curve.component(comp_id)
+        far = [p for p in node_points[comp_id] if p != point]
+        if not far:
+            return _Branch("tail" if comp.kind == KIND_ELLIPTIC else comp.kind, comp, point)
+        if len(far) > 1:
+            raise UnsupportedCurveError(f"component {comp_id} off the pivot has more than two nodes")
+        beyond = branch(*across[comp_id, far[0]])
+        if comp.kind == KIND_ELLIPTIC:
+            return _Branch("link", comp, point, far[0], beyond)
+        if comp.kind != KIND_GENERAL or beyond.kind != "tail":
+            raise UnsupportedCurveError(
+                f"two-noded {comp.kind} component {comp_id} must be a general bridge"
+                " to a one-noded elliptic tail")
+        return _Branch("bridge", comp, point, far[0], beyond)
 
-    def other_end(node, comp_id: str) -> tuple[str, str]:
-        for end in node.ends:
-            if end[0] != comp_id:
-                return end
-        raise KeyError(comp_id)
-
-    slots = []
-    for point in curve.node_points(pivot.id):
-        nb_id, nb_point = other_end(node_at(pivot.id, point), pivot.id)
-        nb = curve.component(nb_id)
-        nb_nodes = curve.node_points(nb_id)
-        if pivot.kind == KIND_ELLIPTIC:
-            if nb.kind == KIND_GENERAL and len(nb_nodes) == 1:
-                slots.append(_Slot(point, nb, nb_point, "leaf-general"))
-            elif nb.kind == KIND_FACTSHEET and len(nb_nodes) == 1:
-                slots.append(_Slot(point, nb, nb_point, "leaf-factsheet"))
-            elif nb.kind == KIND_GENERAL and len(nb_nodes) == 2:
-                far = next(p for p in nb_nodes if p != nb_point)
-                tail_id, tail_point = other_end(node_at(nb_id, far), nb_id)
-                tail = curve.component(tail_id)
-                if tail.kind != KIND_ELLIPTIC or len(curve.node_points(tail_id)) != 1:
-                    raise UnsupportedCurveError(
-                        f"bridge {nb_id} must end in a one-noded elliptic tail"
-                    )
-                slots.append(_Slot(point, nb, nb_point, "bridge", far, tail, tail_point))
-            else:
-                raise UnsupportedCurveError(
-                    f"component {nb_id} next to the elliptic pivot is not a supported leaf or bridge"
-                )
-        else:
-            if nb.kind != KIND_ELLIPTIC or len(nb_nodes) != 1:
-                raise UnsupportedCurveError(
-                    f"star around {pivot.id} requires one-noded elliptic tails, got {nb_id}"
-                )
-            slots.append(_Slot(point, nb, nb_point, "tail"))
-
-    if pivot.kind == KIND_ELLIPTIC:
-        if len(slots) == 2:
-            return _Plan("pair", pivot, tuple(slots))
-        if len(slots) == 1:
-            return _Plan("single", pivot, tuple(slots))
-        raise UnsupportedCurveError("elliptic pivot supports at most two nodes")
-    return _Plan("floor", pivot, tuple(slots))
+    branches = tuple(branch(*across[pivot.id, p]) for p in node_points[pivot.id])
+    if pivot.kind == KIND_ELLIPTIC and len(branches) > 2:
+        raise UnsupportedCurveError(f"elliptic component {pivot.id} has more than two nodes")
+    for b in branches:
+        if pivot.kind != KIND_ELLIPTIC and b.kind != "tail":
+            raise UnsupportedCurveError(
+                f"star around {pivot.id} requires one-noded elliptic tails, got {b.comp.id}")
+    return pivot, branches
 
 
 # ---------------------------------------------------------------------------
@@ -394,38 +392,6 @@ def _all_seqs(r: int, d: int) -> list[tuple[int, ...]]:
         raise ValueError(f"{series_name(r, d)} has C({d + 1}, {r + 1}) = {size} vanishing sequences"
                          f" per point, above the engine's limit of {MAX_SEQUENCES}")
     return list(combinations(range(d + 1), r + 1))
-
-
-def _max_tail_seq(r: int, d: int) -> tuple[int, ...] | None:
-    """Pointwise largest vanishing sequence passing the single-pole rule."""
-    if 0 < r == d:
-        return None  # the only candidate (0..d) has both d-1 and d
-    return tuple(d - 1 - (r - i) for i in range(r)) + (d,)
-
-
-def _clamp_feasible(c: tuple[int, ...], genus: int, d: int, r: int, cusps: int) -> bool:
-    # clamp criterion on the ramification of c, with `cusps` extra cusp powers; the
-    # per-sequence reference that the tests hold _clamp_columns to
-    shift = genus + cusps - d + r
-    bound = genus + cusps
-    total = 0
-    for i, ci in enumerate(c):
-        v = ci - i + shift
-        if v > 0:
-            total += v
-            if total > bound:
-                return False
-    return True
-
-
-def _slot_rule_key(slot: _Slot) -> str:
-    from .curves import RULE_FACTSHEET_COUNT, RULE_GENERAL_CUSP, RULE_GENERAL_POINTED
-
-    if slot.kind == "leaf-general":
-        return f"{RULE_GENERAL_POINTED}@{slot.neighbor.id}"
-    if slot.kind == "bridge":
-        return f"{RULE_GENERAL_CUSP}@{slot.neighbor.id}"
-    return f"{RULE_FACTSHEET_COUNT}@{slot.neighbor.id}"
 
 
 class _TableCache:
@@ -502,64 +468,80 @@ def _lattice(r: int, d: int) -> _Lattice:
     return _Lattice(seqs, MappingProxyType(index), cols, tuple(steps), caps, pole_ok, box, pole_in)
 
 
-class _Neighbour(NamedTuple):
-    """Status ("pass"/"fail"/"unknown") by sequence index of the component behind a slot.
+class _BranchTable(NamedTuple):
+    """Status ("pass"/"fail"/"unknown") of a branch by the sequence across its node.
 
-    A second-node table also holds the down-set counts of the good b, those
-    that pass the single-pole rule and whose slot does not fail.
+    A table read as the far node of a two-noded elliptic curve also holds
+    the down-set counts of the good b, those that pass the single-pole rule
+    and that the branch does not fail; a tail's table keeps its floor, the
+    pointwise least sequence it does not fail (None if it fails them all).
     """
 
     status: tuple[str, ...]
     good_in: tuple[int, ...] = ()
+    floor: tuple[int, ...] | None = None
 
 
 @_tables
-def _neighbour(kind: str, genus: int, facts: FactSheet | None, r: int, d: int, prune: bool,
-               far: bool = False) -> _Neighbour:
-    """Status table of the component behind a slot; far adds the good b's down-set counts.
+def _branch_table(key: tuple, r: int, d: int, prune: bool, far: bool = False) -> _BranchTable:
+    """Status table of the branch named by key (see _Branch.key); far adds good_in.
 
-    Pruned mode evaluates the exact clamp criterion on the pointwise minimal
-    compatible sequence.  Naive mode asks whether any compatible sequence is
-    clamp-feasible instead, which avoids the monotonicity lemma: caps is an
-    order-reversing involution, so the feasible s >= caps(a) are counted by
-    the down-set sum at a of the weights feasible(caps(x)).
+    A branch's own table, by the sequence s at its node, is the clamp
+    criterion on a general leaf (a bridge adds the cusp its tail forces), the
+    single-pole rule on a tail, and on a link the pair scan's count of the
+    good b <= caps(s) that the torsion rule leaves, read from the table of the
+    branch beyond.  Every rule asks for vanishing at least, so each own table
+    passes a down-set, and pruned mode reads it at the least s compatible
+    with a, caps(a).  Naive mode asks whether any compatible s passes
+    instead: caps is an order-reversing involution, so the passing s >=
+    caps(a) are counted by the down-set sum at a of the weights own(caps(x)).
+    The counting rule of a fact-sheet leaf is read at caps(a) in both modes.
     """
     lat = _lattice(r, d)
     if far:
-        status = _neighbour(kind, genus, facts, r, d, prune).status
-        return _Neighbour(status, *_down_sums(lat.steps, map(and_, lat.pole_ok,
-                                                             map("fail".__ne__, status))))
-    if kind == "leaf-factsheet":
+        table = _branch_table(key, r, d, prune)
+        good = map(and_, lat.pole_ok, map("fail".__ne__, table.status))
+        return table._replace(good_in=_down_sums(lat.steps, good)[0])
+    kind, genus, facts, torsion, beyond = key
+    if kind == KIND_FACTSHEET:
         t = SeriesType(genus, r, d)
-        return _Neighbour(tuple(
+        return _BranchTable(tuple(
             factsheet_check(facts, t, [vanishing_to_ramification(VanishingSeq(lat.seqs[c], d))]).status
             for c in lat.caps))
-    feasible = _clamp_columns(lat.cols, genus, d, r, 1 if kind == "bridge" else 0)
-    ok = map(feasible.__getitem__, lat.caps)
+    passing = "pass"
+    if kind == "link":
+        below = _branch_table(beyond, r, d, prune, True)
+        good_in = below.good_in
+        if "unknown" in below.status:
+            passing = "unknown"  # only fact-sheet leaves abstain, and they never pass
+        own = [ok and good_in[c] > _torsion_hits(s, c, lat.steps, good_in, torsion)
+               for s, c, ok in zip(lat.seqs, lat.caps, lat.pole_ok)]
+    elif kind == "tail":
+        own = lat.pole_ok
+    else:
+        own = _clamp_columns(lat.cols, genus, d, r, 1 if kind == "bridge" else 0)
+    ok = map(own.__getitem__, lat.caps)
     if not prune:
         ok = map(bool, _down_sums(lat.steps, ok)[0])
-    return _Neighbour(tuple(map(("fail", "pass").__getitem__, ok)))
+    status = tuple(map(("fail", passing).__getitem__, ok))
+    if kind != "tail":
+        return _BranchTable(status)
+    live = list(map("fail".__ne__, status))
+    return _BranchTable(status, floor=tuple(map(min, (compress(col, live) for col in lat.cols)))
+                        if any(live) else None)
 
 
 def _clamp_columns(cols: Sequence[Sequence[int]], genus: int, d: int, r: int,
                    cusps: int) -> list[bool]:
-    """_clamp_feasible of every sequence of a lattice, summed column by column."""
+    """The clamp criterion, with `cusps` extra cusp powers, on every sequence of a lattice.
+
+    Summed column by column: a sequence c passes when the terms
+    max(c_i - i + genus + cusps - d + r, 0) sum to at most genus + cusps.
+    """
     shift = genus + cusps - d + r
     terms = [map([max(v - i + shift, 0) for v in range(d + 1)].__getitem__, col)
              for i, col in enumerate(cols)]
     return list(map((genus + cusps).__ge__, map(sum, zip(*terms))))
-
-
-def _survivor(pivot: Component, sides, d: int, r: int) -> Survivor:
-    """Survivor with pivot sequence a at each slot, sides being (slot, a, slot status)."""
-    out: Assignment = {pivot.id: {slot.point: a for slot, a, _ in sides}}
-    for slot, a, _ in sides:
-        out[slot.neighbor.id] = {slot.neighbor_point: min_complement(a, d)}
-        if slot.kind == "bridge":
-            # the floor forced across a node by any admissible elliptic tail
-            out[slot.neighbor.id][slot.far_point] = (0,) + tuple(range(2, r + 2))
-            out[slot.tail.id] = {slot.tail_point: _max_tail_seq(r, d)}
-    return Survivor.from_dict(out, [slot.neighbor.id for slot, _, st in sides if st == "unknown"])
 
 
 # ---------------------------------------------------------------------------
@@ -580,12 +562,99 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
         raise ValueError(f"series genus {t.g} does not match curve genus {curve.genus}")
     if survivor_cap < 0:
         raise ValueError(f"survivor cap must be nonnegative, got {survivor_cap}")
-    plan = _analyze(curve)
-    if plan.mode == "floor":
-        return _refute_floor(curve, t, plan, prune)
-    if plan.mode == "single":
-        return _refute_single(curve, t, plan, prune, survivor_cap)
-    return _refute_pair(curve, t, plan, prune, survivor_cap)
+    pivot, branches = _analyze(curve)
+    r, d = t.r, t.d
+    lat = _lattice(r, d)
+    seqs, index, pole_ok = lat.seqs, lat.index, lat.pole_ok
+    n = len(seqs)
+    points = curve.node_points(pivot.id)
+
+    def extend(branch: _Branch, a: tuple[int, ...], status: str, out: Assignment,
+               flagged: list[str]) -> None:
+        """Add one witness for the branch, against a across its node, to out."""
+        s = min_complement(a, d)
+        out[branch.comp.id] = {branch.point: s}
+        if branch.beyond is None:
+            if status == "unknown":
+                flagged.append(branch.comp.id)
+            return
+        beyond = _branch_table(branch.beyond.key, r, d, prune)
+        if branch.kind == "bridge":
+            ib = index[beyond.floor]  # the cusp that the tail forces
+        else:  # a link: its first partner b of s
+            torsion = branch.comp.torsion_between(branch.point, branch.far)
+            ib = next(_partners(s, d, lat, beyond.status, torsion))
+        out[branch.comp.id][branch.far] = seqs[ib]
+        extend(branch.beyond, seqs[ib], beyond.status[ib], out, flagged)
+
+    def witness(aspects, statuses, flagged: list[str]) -> Survivor:
+        out: Assignment = {pivot.id: dict(zip(points, aspects))}
+        for branch, a, status in zip(branches, aspects, statuses):
+            extend(branch, a, status, out, flagged)
+        return Survivor.from_dict(out, flagged)
+
+    if pivot.kind != KIND_ELLIPTIC:
+        # a star: the one candidate is the floors that the tails force on the hub
+        floors = [_branch_table(b.key, r, d, prune).floor for b in branches]
+        if None in floors:  # the first tail that admits no sequence at all
+            return _finish(curve, t, 1, {branches[floors.index(None)].rule: 1}, [], 0, prune)
+        t_hub = SeriesType(pivot.genus, r, d)
+        floor_rams = [vanishing_to_ramification(VanishingSeq(f, d)) for f in floors]
+        if pivot.kind == KIND_FACTSHEET:
+            result = factsheet_check(pivot.facts, t_hub, floor_rams)
+        else:
+            result = general_pointed_check(t_hub, floor_rams)
+        notes = ["hub evaluated on the ramification floors forced by the tails"]
+        if result.failed:
+            return _finish(curve, t, 1, {f"{result.rule}@{pivot.id}": 1}, [], 0, prune, notes)
+        survivor = witness(floors, ["pass"] * len(floors),
+                           [pivot.id] if result.status == "unknown" else [])
+        return _finish(curve, t, 1, {}, [survivor][:survivor_cap], 1, prune, notes + [
+            "survivor lists the floor assignment; larger ramification may also survive"])
+
+    # an elliptic pivot: a sequence a at its first node fails the single-pole rule or
+    # the branch behind that node, or is open
+    key_pole = f"{RULE_ELLIPTIC_SINGLE_POLE}@{pivot.id}"
+    status_u = _branch_table(branches[0].key, r, d, prune).status
+    opened = list(compress(range(n), map(and_, pole_ok, map("fail".__ne__, status_u))))
+    pole_fails = n - sum(pole_ok)
+    if len(branches) == 1:
+        hits = Counter({key_pole: pole_fails, branches[0].rule: n - pole_fails - len(opened)})
+        survivors = [witness((seqs[i],), (status_u[i],), []) for i in opened[:survivor_cap]]
+        return _finish(curve, t, n, +hits, survivors, len(opened), prune)
+
+    # two nodes: count the pairs (a, b) box by box.  Over the open a, the rules on the
+    # b in the box b <= caps(a) that the pairwise bound leaves are summed column-wise
+    # from down-set counts; only an a with good b in its box has its torsion failures
+    # counted and its survivors walked.
+    branch_v = branches[1]
+    torsion = pivot.torsion_between(*points)
+    status_v, good_in, _ = _branch_table(branch_v.key, r, d, prune, True)
+    tops = list(map(lat.caps.__getitem__, opened))
+    in_box, pole, good = (sum(map(table.__getitem__, tops))
+                          for table in (lat.box, lat.pole_in, good_in))
+    hits = Counter()
+    for key, by in ((key_pole, n * pole_fails + pole),
+                    (branches[0].rule, n * (n - pole_fails - len(opened))),
+                    (f"{RULE_ELLIPTIC_PAIR_BOUND}@{pivot.id}", n * len(opened) - in_box),
+                    (branch_v.rule, in_box - pole - good)):
+        hits[key] += by
+
+    key_tor = f"{RULE_ELLIPTIC_TORSION}@{pivot.id}"
+    survivors: list[Survivor] = []
+    count = good
+    for i, ic in zip(opened, tops):
+        if not good_in[ic]:
+            continue
+        a = seqs[i]
+        tor = _torsion_hits(a, ic, lat.steps, good_in, torsion)
+        hits[key_tor] += tor
+        count -= tor
+        if good_in[ic] == tor or len(survivors) >= survivor_cap:
+            continue
+        for ib in islice(_partners(a, d, lat, status_v, torsion), survivor_cap - len(survivors)):
+            survivors.append(witness((a, seqs[ib]), (status_u[i], status_v[ib]), []))
+    return _finish(curve, t, n * n, +hits, survivors, count, prune)
 
 
 def _finish(curve, t, candidates, hits, survivors, count, prune, extra_notes=()) -> RefutationReport:
@@ -611,58 +680,14 @@ def _finish(curve, t, candidates, hits, survivors, count, prune, extra_notes=())
     )
 
 
-def _refute_pair(curve, t, plan, prune, cap) -> RefutationReport:
-    """Two-noded elliptic pivot: count the pairs (a, b) box by box.
-
-    An a that fails the single-pole rule or its slot fails with every b.  Over
-    the other, open a, the rules on the b in the box b <= caps(a) that the
-    pairwise bound leaves are summed column-wise from down-set counts.  Only
-    an a with good b in its box has its torsion failures counted and its
-    survivors walked.
-    """
-    slot_u, slot_v = plan.slots
-    r, d = t.r, t.d
-    pivot = plan.pivot
-    torsion = pivot.torsion_between(slot_u.point, slot_v.point)
-    lat = _lattice(r, d)
-    seqs, index, pole_ok = lat.seqs, lat.index, lat.pole_ok
-    n = len(seqs)
-    status_u = _neighbour(*slot_u.key, r, d, prune).status
-    status_v, good_in = _neighbour(*slot_v.key, r, d, prune, True)
-
-    key_tor = f"{RULE_ELLIPTIC_TORSION}@{pivot.id}"
-    opened = list(compress(range(n), map(and_, pole_ok, map("fail".__ne__, status_u))))
-    tops = list(map(lat.caps.__getitem__, opened))
-    in_box, pole, good = (sum(map(table.__getitem__, tops))
-                          for table in (lat.box, lat.pole_in, good_in))
-    pole_fails = n - sum(pole_ok)
-    hits: Counter[str] = Counter()
-    for key, by in ((f"{RULE_ELLIPTIC_SINGLE_POLE}@{pivot.id}", n * pole_fails + pole),
-                    (_slot_rule_key(slot_u), n * (n - pole_fails - len(opened))),
-                    (f"{RULE_ELLIPTIC_PAIR_BOUND}@{pivot.id}", n * len(opened) - in_box),
-                    (_slot_rule_key(slot_v), in_box - pole - good)):
-        hits[key] += by
-
-    survivors: list[Survivor] = []
-    count = good
-    for i, ic in zip(opened, tops):
-        if not good_in[ic]:
-            continue
-        a = seqs[i]
-        tor = _torsion_hits(a, ic, lat.steps, good_in, torsion)
-        hits[key_tor] += tor
-        count -= tor
-        if good_in[ic] == tor or len(survivors) >= cap:
-            continue
-        for b in _box(seqs[ic]):
-            ib = index[b]
-            if not pole_ok[ib] or status_v[ib] == "fail" or _torsion_fails(a, b, d, torsion):
-                continue
-            sides = ((slot_u, a, status_u[i]), (slot_v, b, status_v[ib]))
-            survivors.append(_survivor(pivot, sides, d, r))
-            if len(survivors) == cap:
-                break
-    return _finish(curve, t, n * n, +hits, survivors, count, prune)
+def _partners(a: tuple[int, ...], d: int, lat: _Lattice, status: Sequence[str],
+              torsion: int | None) -> Iterator[int]:
+    """Positions of the b <= caps(a), in order, that pass the single-pole rule, the
+    table of the branch behind b and, with a, the torsion rule."""
+    for b in _box(min_complement(a, d)):
+        ib = lat.index[b]
+        if lat.pole_ok[ib] and status[ib] != "fail" and not _torsion_fails(a, b, d, torsion):
+            yield ib
 
 
 def _torsion_fails(a: tuple[int, ...], b: tuple[int, ...], d: int, torsion: int | None) -> bool:
@@ -716,67 +741,6 @@ def _box(hi: Sequence[int]) -> list[tuple[int, ...]]:
     for top in hi[1:]:
         level = [b + (v,) for b in level for v in range(b[-1] + 1, top + 1)]
     return level
-
-
-def _refute_single(curve, t, plan, prune, cap) -> RefutationReport:
-    (slot,) = plan.slots
-    r, d = t.r, t.d
-    pivot = plan.pivot
-    lat = _lattice(r, d)
-    status = _neighbour(*slot.key, r, d, prune).status
-    key_pole = f"{RULE_ELLIPTIC_SINGLE_POLE}@{pivot.id}"
-    key_nb = _slot_rule_key(slot)
-    hits: Counter[str] = Counter()
-    survivors: list[Survivor] = []
-    count = 0
-    for a, ok, st in zip(lat.seqs, lat.pole_ok, status):
-        if not ok or st == "fail":
-            hits[key_nb if ok else key_pole] += 1
-            continue
-        count += 1
-        if len(survivors) < cap:
-            survivors.append(_survivor(pivot, ((slot, a, st),), d, r))
-    return _finish(curve, t, len(lat.seqs), hits, survivors, count, prune)
-
-
-def _refute_floor(curve, t, plan, prune) -> RefutationReport:
-    """Star around a fact-sheet or general hub: evaluate the forced floors."""
-    r, d = t.r, t.d
-    pivot = plan.pivot
-    hits: dict[str, int] = {}
-
-    floors: list[tuple[int, ...]] = []
-    for slot in plan.slots:
-        if prune:
-            admissible = [s for s in (_max_tail_seq(r, d),) if s is not None]
-        else:
-            lat = _lattice(r, d)
-            admissible = [s for s, ok in zip(lat.seqs, lat.pole_ok) if ok]
-        if not admissible:
-            hits[f"{RULE_ELLIPTIC_SINGLE_POLE}@{slot.neighbor.id}"] = 1
-            return _finish(curve, t, 1, hits, [], 0, prune)
-        comps = [min_complement(s, d) for s in admissible]
-        floors.append(tuple(min(c[i] for c in comps) for i in range(r + 1)))
-
-    t_pivot = SeriesType(pivot.genus, r, d)
-    floor_rams = [vanishing_to_ramification(VanishingSeq(f, d)) for f in floors]
-    if pivot.kind == KIND_FACTSHEET:
-        result = factsheet_check(pivot.facts, t_pivot, floor_rams)
-    else:
-        result = general_pointed_check(t_pivot, floor_rams)
-    key = f"{result.rule}@{pivot.id}"
-    if result.failed:
-        hits[key] = 1
-        return _finish(curve, t, 1, hits, [], 0, prune,
-                       extra_notes=["hub evaluated on the ramification floors forced by the tails"])
-    assignment: Assignment = {pivot.id: {slot.point: floors[i] for i, slot in enumerate(plan.slots)}}
-    for slot in plan.slots:
-        assignment[slot.neighbor.id] = {slot.neighbor_point: _max_tail_seq(r, d)}
-    unconfirmed = [pivot.id] if result.status == "unknown" else []
-    survivor = Survivor.from_dict(assignment, unconfirmed)
-    return _finish(curve, t, 1, hits, [survivor], 1, prune,
-                   extra_notes=["hub evaluated on the ramification floors forced by the tails",
-                                "survivor lists the floor assignment; larger ramification may also survive"])
 
 
 # ---------------------------------------------------------------------------

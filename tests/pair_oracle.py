@@ -2,13 +2,18 @@
 
 For a curve whose pivot is an elliptic component with two nodes, walk all
 n^2 pairs (a, b) of vanishing sequences at its two node points and apply
-the engine's rules in the engine's order: single pole at a, the component
-behind a's node, the pairwise bound, single pole at b, the component behind
-b's node, torsion divisibility.  Every rule is asked of the public oracles
-in bnlimits.curves, and the component behind a node is judged at the
-pointwise smallest sequence compatible with the pivot side, found by
-scanning all sequences.  Nothing here touches the engine's box counting,
-its prefix sums or its clamp shortcut.
+the engine's rules in the engine's order: single pole at a, the branch
+behind a's node, the pairwise bound, single pole at b, the branch behind
+b's node, torsion divisibility.
+
+The branch behind a node (a leaf, an elliptic tail, a general bridge ending
+in a tail, or an elliptic link with a further branch beyond it) is judged
+by a scan: its status at a is the best status of its component over every
+sequence s that node_compatible accepts against a, and a link or bridge
+tries every sequence at its far node as well.  Every rule is asked of the
+public oracles in bnlimits.curves; a bridge asks the two-point Schubert
+criterion at its far node's least admissible sequence.  Nothing here
+touches the engine's box counting, its down-set sums or its clamp tables.
 """
 
 from __future__ import annotations
@@ -22,8 +27,14 @@ from bnlimits.curves import (
     factsheet_check,
     general_pointed_check,
 )
-from bnlimits.limit_checker import Survivor
+from bnlimits.limit_checker import Survivor, node_compatible
 from bnlimits.numerology import SeriesType, VanishingSeq, vanishing_to_ramification
+
+_RANK = {"fail": 0, "unknown": 1, "pass": 2}
+
+
+def _best(statuses) -> str:
+    return max(statuses, key=_RANK.__getitem__, default="fail")
 
 
 def _neighbor(curve: CompactCurve, comp_id: str, point: str) -> tuple[str, str]:
@@ -33,61 +44,104 @@ def _neighbor(curve: CompactCurve, comp_id: str, point: str) -> tuple[str, str]:
     raise KeyError((comp_id, point))
 
 
-def _smallest_compatible(seqs, a, d):
-    r = len(a) - 1
-    compatible = [s for s in seqs if all(s[i] + a[r - i] >= d for i in range(r + 1))]
-    return tuple(min(s[i] for s in compatible) for i in range(r + 1))
+def _least(seqs) -> tuple[int, ...]:
+    return tuple(map(min, zip(*seqs)))
 
 
-class _Side:
-    """What hangs off one node of the pivot: its rule key, status and aspects."""
+class Side:
+    """The branch behind one node: its rule key, status and witness aspects, by scans."""
 
-    def __init__(self, curve: CompactCurve, pivot_id: str, point: str, seqs, r: int, d: int):
-        nb_id, nb_point = _neighbor(curve, pivot_id, point)
-        nb = curve.component(nb_id)
-        self.seqs, self.r, self.d = seqs, r, d
-        self.nb, self.nb_point = nb, nb_point
-        self.t = SeriesType(nb.genus, r, d)
-        self.cusps = 0
-        self.tail = None
-        if nb.kind == "factsheet":
-            self.key = f"factsheet-ramification-count@{nb_id}"
-        elif len(curve.node_points(nb_id)) == 1:
-            self.key = f"general-pointed-clamp@{nb_id}"
-        else:  # a general bridge to a one-noded elliptic tail
-            self.key = f"general-pointed-cusp-clamp@{nb_id}"
-            self.cusps = 1
-            self.far = next(p for p in curve.node_points(nb_id) if p != nb_point)
-            self.tail = _neighbor(curve, nb_id, self.far)
-            admissible = [s for s in seqs
-                          if not elliptic_single_point_check(d, VanishingSeq(s, d)).failed]
-            self.tail_seq = tuple(max(s[i] for s in admissible) for i in range(r + 1))
-            self.floor = _smallest_compatible(seqs, self.tail_seq, d)
+    def __init__(self, curve: CompactCurve, comp_id: str, point: str, seqs, r: int, d: int):
+        comp = curve.component(comp_id)
+        self.comp, self.point, self.seqs, self.d = comp, point, seqs, d
+        self.vans = {s: VanishingSeq(s, d) for s in seqs}
+        self.t = SeriesType(comp.genus, r, d)
+        far = [p for p in curve.node_points(comp_id) if p != point]
+        self.far = far[0] if far else None
+        self.beyond = Side(curve, *_neighbor(curve, comp_id, self.far), seqs, r, d) if far else None
+        if comp.kind == "factsheet":
+            rule = "factsheet-ramification-count"
+        elif comp.kind == "elliptic":
+            rule = "elliptic-link-branch" if far else "elliptic-single-pole"
+        else:
+            rule = "general-pointed-cusp-clamp" if far else "general-pointed-clamp"
+        self.key = f"{rule}@{comp.id}"
+        self.memo: dict = {}
 
-    def status(self, a: tuple[int, ...]) -> str:
-        ram = vanishing_to_ramification(VanishingSeq(_smallest_compatible(self.seqs, a, self.d), self.d))
-        if self.nb.kind == "factsheet":
-            return factsheet_check(self.nb.facts, self.t, [ram]).status
-        return general_pointed_check(self.t, [ram], extra_cusps=self.cusps).status
+    def _pole_ok(self, s) -> bool:
+        return not elliptic_single_point_check(self.d, self.vans[s]).failed
 
-    def aspects(self, a: tuple[int, ...]) -> dict:
-        out = {self.nb.id: {self.nb_point: _smallest_compatible(self.seqs, a, self.d)}}
-        if self.tail is not None:
-            out[self.nb.id][self.far] = self.floor
-            out[self.tail[0]] = {self.tail[1]: self.tail_seq}
-        return out
+    def compatible(self, a) -> list:
+        """The sequences that node_compatible accepts against a across the node."""
+        return [s for s in self.seqs if node_compatible(self.vans[s], self.vans[a], self.d)
+                != "incompatible"]
+
+    def far_options(self, s) -> list:
+        """(b, status beyond b) for the b at the far node that the component allows with s."""
+        beyond = [(b, self.beyond.status(b)) for b in self.seqs]
+        if self.comp.kind == "general":  # a bridge: the tail's least admissible side
+            admissible = [b for b, st in beyond if st != "fail"]
+            if not admissible:
+                return []
+            least = _least(admissible)
+            rams = [vanishing_to_ramification(self.vans[x]) for x in (s, least)]
+            ok = general_pointed_check(self.t, rams).passed
+            return [(least, "pass")] if ok else []
+        if not self._pole_ok(s):
+            return []
+        torsion = self.comp.torsion_between(self.point, self.far)
+        return [(b, st) for b, st in beyond if st != "fail" and self._pole_ok(b)
+                and not elliptic_two_point_check(self.vans[s], self.vans[b], torsion).failed]
+
+    def own(self, s) -> str:
+        """Status of the component and everything beyond it with sequence s at its node."""
+        if ("own", s) not in self.memo:
+            ram = [vanishing_to_ramification(self.vans[s])]
+            if self.beyond is not None:
+                status = _best(st for _, st in self.far_options(s))
+            elif self.comp.kind == "factsheet":
+                status = factsheet_check(self.comp.facts, self.t, ram).status
+            elif self.comp.kind == "elliptic":
+                status = elliptic_single_point_check(self.d, self.vans[s]).status
+            else:
+                status = general_pointed_check(self.t, ram).status
+            self.memo["own", s] = status
+        return self.memo["own", s]
+
+    def status(self, a) -> str:
+        """Best status over every sequence compatible with a across the node."""
+        if a not in self.memo:
+            self.memo[a] = _best(map(self.own, self.compatible(a)))
+        return self.memo[a]
+
+    def aspects(self, a, out: dict, unconfirmed: list) -> None:
+        """Witness: the least compatible sequence here, the first allowed one beyond."""
+        s = _least(self.compatible(a))
+        out[self.comp.id] = {self.point: s}
+        if self.beyond is None:
+            if self.status(a) == "unknown":
+                unconfirmed.append(self.comp.id)
+            return
+        b = self.far_options(s)[0][0]
+        out[self.comp.id][self.far] = b
+        self.beyond.aspects(b, out, unconfirmed)
+
+
+def pivot_sides(curve: CompactCurve, r: int, d: int):
+    """The pivot, its two node points and the Side behind each."""
+    pivot = next(c for c in curve.components
+                 if c.kind == "elliptic" and len(curve.node_points(c.id)) == 2)
+    u, v = curve.node_points(pivot.id)
+    seqs = list(combinations(range(d + 1), r + 1))
+    return pivot, (u, v), tuple(Side(curve, *_neighbor(curve, pivot.id, p), seqs, r, d)
+                                for p in (u, v))
 
 
 def brute_force_pairs(curve: CompactCurve, r: int, d: int, cap: int = 100) -> dict:
     """Verdict, candidates, rule hits, survivor count, listing and truncation."""
-    pivot = next(c for c in curve.components
-                 if c.kind == "elliptic" and len(curve.node_points(c.id)) == 2)
-    u, v = curve.node_points(pivot.id)
+    pivot, (u, v), (side_u, side_v) = pivot_sides(curve, r, d)
     torsion = pivot.torsion_between(u, v)
-    seqs = list(combinations(range(d + 1), r + 1))
-    side_u = _Side(curve, pivot.id, u, seqs, r, d)
-    side_v = _Side(curve, pivot.id, v, seqs, r, d)
-    status_v = {b: side_v.status(b) for b in seqs}
+    seqs = side_u.seqs
     key_pole = f"elliptic-single-pole@{pivot.id}"
 
     def pole_fails(s):
@@ -110,7 +164,7 @@ def brute_force_pairs(curve: CompactCurve, r: int, d: int, cap: int = 100) -> di
                     key = f"{pair.rule}@{pivot.id}"
                 elif pole_fails(b):
                     key = key_pole
-                elif status_v[b] == "fail":
+                elif side_v.status(b) == "fail":
                     key = side_v.key
                 elif pair.failed:
                     key = f"{pair.rule}@{pivot.id}"
@@ -122,11 +176,9 @@ def brute_force_pairs(curve: CompactCurve, r: int, d: int, cap: int = 100) -> di
             count += 1
             if len(survivors) < cap:
                 assignment = {pivot.id: {u: a, v: b}}
-                for side, s in ((side_u, a), (side_v, b)):
-                    for comp, pts in side.aspects(s).items():
-                        assignment.setdefault(comp, {}).update(pts)
-                unconfirmed = [side.nb.id for side, st in ((side_u, su), (side_v, status_v[b]))
-                               if st == "unknown"]
+                unconfirmed: list = []
+                side_u.aspects(a, assignment, unconfirmed)
+                side_v.aspects(b, assignment, unconfirmed)
                 survivors.append(Survivor.from_dict(assignment, unconfirmed))
     return {
         "verdict": "refuted" if count == 0 else "survivors",

@@ -183,6 +183,23 @@ def test_limit_refute_naive_matches_golden(capsys, curve, series):
     assert out.encode("utf-8") == (GOLDEN / f"refute_{curve}_{r}_{d}.txt").read_bytes()
 
 
+CHAIN8 = Path(__file__).parent / "curves" / "elliptic_chain_8_3torsion.json"
+
+
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+@pytest.mark.parametrize("series", [(2, 5), (2, 6)])  # refuted; survivors at rho = -4
+def test_limit_refute_elliptic_chain_matches_golden(capsys, series, fmt):
+    # eight elliptic curves with 3-torsion links: a trigonal limit, so 2 g^1_3 survives
+    r, d = series
+    golden = (GOLDEN / f"refute_elliptic-chain-8-3torsion_{r}_{d}.{fmt}").read_bytes()
+    extra = ("--json",) if fmt == "json" else ()
+    code, out, _ = run(capsys, "limit", "refute", str(CHAIN8), str(r), str(d), *extra)
+    assert code == 0 and out.encode("utf-8") == golden
+    if fmt == "txt":  # the full scan prints the same report
+        code, out, _ = run(capsys, "limit", "refute", str(CHAIN8), str(r), str(d), "--naive")
+        assert code == 0 and out.encode("utf-8") == golden
+
+
 def test_limit_verify(capsys):
     code, out, _ = run(capsys, "limit", "verify", "chain-9torsion", "2", "17",
                        "--witness", "g2_17", "--expect", "confirmed")

@@ -1,0 +1,86 @@
+"""Chains of elliptic curves against the theorems that decide them.
+
+A chain of g elliptic curves, one-noded tails at both ends and two-noded
+links between, has genus g.  With general node points it carries a limit
+g^r_d iff rho(g, r, d) >= 0 (Eisenbud-Harris, Limit linear series: basic
+theory, Invent. Math. 85, 1986).  When the two node points of every link
+differ by k-torsion it carries one iff rho-bar_k(g, r, d) >= 0 (Pflueger,
+Brill-Noether varieties of k-gonal curves, Adv. Math. 312, 2017).  The
+engine knows neither theorem: it folds each link over the branch beyond it.
+"""
+
+from math import comb
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bnlimits.curves import CompactCurve, Component, Node, TorsionPair
+from bnlimits.limit_checker import refute, verify_witness
+from bnlimits.numerology import SeriesType, rho
+
+
+def elliptic_chain(g: int, k: int | None) -> CompactCurve:
+    """T1 - E2 - ... - E(g-1) - Tg; every link's node points differ by k-torsion if k."""
+    torsion = (TorsionPair(("p", "q"), k),) if k else ()
+    comps = [Component("T1", 1, "elliptic", ("q",))]
+    comps += [Component(f"E{i}", 1, "elliptic", ("p", "q"), torsion=torsion) for i in range(2, g)]
+    comps.append(Component(f"T{g}", 1, "elliptic", ("p",)))
+    nodes = [Node(((comps[i].id, "q"), (comps[i + 1].id, "p"))) for i in range(g - 1)]
+    return CompactCurve(f"elliptic-chain-{g}", g, tuple(comps), tuple(nodes))
+
+
+def rho_bar(g: int, r: int, d: int, k: int) -> int:
+    return max(rho(SeriesType(g, r - l, d)) - l * k
+               for l in range(max(0, min(r, g - d + r - 1)) + 1))
+
+
+# every series with r <= 3, r < d <= 2g - 2 + r and at most 3,000 sequences per point
+SERIES = [(g, r, d) for g in range(3, 13) for r in range(4) for d in range(r + 1, 2 * g - 1 + r)
+          if comb(d + 1, r + 1) <= 3000]
+
+
+def _check_engine(g: int, r: int, d: int, k: int | None) -> str:
+    """Refute both ways; check the report's invariants; return the verdict."""
+    curve = elliptic_chain(g, k)
+    t = SeriesType(g, r, d)
+    pruned = refute(curve, t, survivor_cap=5)
+    naive = refute(curve, t, prune=False, survivor_cap=5)
+    case = (g, r, d, k)
+    assert pruned.to_json() | {"pruned": None} == naive.to_json() | {"pruned": None}, case
+    assert sum(v for _, v in pruned.rule_hits) + pruned.survivor_count == \
+        pruned.candidates_examined, case
+    for survivor in pruned.survivors:
+        check = verify_witness(curve, t, survivor.assignment_dict())
+        assert check.verdict != "rejected", (case, survivor)
+    return pruned.verdict
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SERIES))
+def test_chains_without_torsion_follow_eisenbud_harris(series):
+    g, r, d = series
+    verdict = _check_engine(g, r, d, None)
+    assert (verdict == "refuted") == (rho(SeriesType(g, r, d)) < 0), series
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SERIES), st.integers(2, 6))
+def test_chains_with_torsion_follow_pflueger(series, k):
+    g, r, d = series
+    verdict = _check_engine(g, r, d, k)
+    assert (verdict == "refuted") == (rho_bar(g, r, d, k) < 0), (series, k)
+
+
+@pytest.mark.parametrize("k", [None, 2, 3, 4])
+def test_short_chains_every_series(k):
+    # every series on chains of genus 3 to 6, where both theorems have cases on each side
+    verdicts = set()
+    for g, r, d in SERIES:
+        if g > 6:
+            break
+        verdict = refute(elliptic_chain(g, k), SeriesType(g, r, d), survivor_cap=0).verdict
+        bound = rho(SeriesType(g, r, d)) if k is None else rho_bar(g, r, d, k)
+        assert (verdict == "refuted") == (bound < 0), (g, r, d, k)
+        verdicts.add(verdict)
+    assert verdicts == {"refuted", "survivors"}

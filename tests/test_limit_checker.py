@@ -14,10 +14,9 @@ from bnlimits.limit_checker import (
     MAX_SEQUENCES,
     UnsupportedCurveError,
     _box,
-    _clamp_feasible,
+    _branch_table,
     _down_sums,
     _lattice,
-    _neighbour,
     _tables,
     _torsion_fails,
     _torsion_hits,
@@ -32,6 +31,27 @@ from bnlimits.numerology import SeriesType, VanishingSeq, rho
 
 def _v(entries, d):
     return VanishingSeq(tuple(entries), d)
+
+
+TAIL_KEY = ("tail", 1, None, None, None)
+
+
+def _key(kind, genus):
+    """The table key of a general leaf or of a general bridge ending in a tail."""
+    return kind, genus, None, None, TAIL_KEY if kind == "bridge" else None
+
+
+def _clamp_feasible(c, genus, d, r, cusps):
+    """The clamp criterion on the ramification of c, with `cusps` extra cusp powers, by one loop."""
+    shift = genus + cusps - d + r
+    total = 0
+    for i, ci in enumerate(c):
+        v = ci - i + shift
+        if v > 0:
+            total += v
+            if total > genus + cusps:
+                return False
+    return True
 
 
 def test_node_compatible():
@@ -118,6 +138,9 @@ def test_refute_star_unknown_series_survives_unconfirmed(fixtures):
     aspects = report.survivors[0].assignment_dict()
     assert aspects["G"]["p1"] == (0, 2, 3)
     assert aspects["E1"]["p1"] == (12, 13, 15)
+    # a cap of 0 lists no survivor and marks the listing truncated, as on every other shape
+    capped = refute(fixtures["septic_star"].curve, SeriesType(23, 2, 15), survivor_cap=0)
+    assert (capped.survivor_count, capped.survivors, capped.truncated) == (1, (), True)
 
 
 def test_rule_hits_partition_candidates(fixtures):
@@ -155,7 +178,7 @@ def test_refute_deterministic(fixtures):
 
 def _clear_caches():
     _lattice.cache_clear()
-    _neighbour.cache_clear()
+    _branch_table.cache_clear()
 
 
 def _held_within_bound():
@@ -196,8 +219,8 @@ def test_bridge_and_leaf_of_one_genus_get_different_tables(fixtures):
     doc["genus"] = 22
     next(c for c in doc["components"] if c["id"] == "C2")["genus"] = 10
     curve = curve_from_json(doc).curve
-    bridge = _neighbour("bridge", 10, None, 1, 12, True)
-    leaf = _neighbour("leaf-general", 10, None, 1, 12, True)
+    bridge = _branch_table(_key("bridge", 10), 1, 12, True)
+    leaf = _branch_table(_key("general", 10), 1, 12, True)
     assert bridge.status != leaf.status
     report = refute(curve, SeriesType(22, 1, 12))
     assert report.survivor_count > 0
@@ -208,9 +231,10 @@ def test_bridge_and_leaf_of_one_genus_get_different_tables(fixtures):
 def test_cached_tables_are_immutable():
     d = 8
     lat = _lattice(2, d)
-    table = _neighbour("leaf-general", 11, None, 2, d, True, True)
+    table = _branch_table(_key("general", 11), 2, d, True, True)
+    tail = _branch_table(TAIL_KEY, 2, d, True)
     for part in (lat.seqs, lat.cols, *lat.cols, lat.steps, *lat.steps, lat.caps, lat.pole_ok,
-                 lat.box, lat.pole_in, table.status, table.good_in):
+                 lat.box, lat.pole_in, table.status, table.good_in, tail.status, tail.floor):
         assert isinstance(part, tuple)
     with pytest.raises(TypeError):
         lat.index[(0, 1, 2)] = 1
@@ -298,10 +322,10 @@ def test_pruned_status_tables_match_clamp_feasible():
             lat = _lattice(r, d)
             if len(lat.seqs) > 2000:
                 break
-            for kind, cusps in (("leaf-general", 0), ("bridge", 1)):
+            for kind, cusps in (("general", 0), ("bridge", 1)):
                 for genus in range(0, 13, 2):
                     feasible = [_clamp_feasible(s, genus, d, r, cusps) for s in lat.seqs]
-                    status = _neighbour.__wrapped__(kind, genus, None, r, d, True).status
+                    status = _branch_table.__wrapped__(_key(kind, genus), r, d, True).status
                     assert status == tuple("pass" if feasible[c] else "fail" for c in lat.caps), \
                         (kind, genus, r, d)
                     checked += 1
@@ -316,10 +340,10 @@ def test_naive_table_matches_the_scan(r, d, genera):
     # the naive table reads one down-set sum; the scan is its oracle (C(d+1, r+1) <= 2,000)
     lat = _lattice(r, d)
     assert len(lat.seqs) <= 2000
-    for kind, cusps in (("leaf-general", 0), ("bridge", 1)):
+    for kind, cusps in (("general", 0), ("bridge", 1)):
         for genus in genera:
             feasible = [_clamp_feasible(s, genus, d, r, cusps) for s in lat.seqs]
-            status = _neighbour.__wrapped__(kind, genus, None, r, d, False).status
+            status = _branch_table.__wrapped__(_key(kind, genus), r, d, False).status
             assert status == _scanned_status(lat, feasible), (kind, genus)
             assert "pass" in status and ("fail" in status or r == 0), (kind, genus)
 
@@ -561,7 +585,9 @@ def test_unknown_oracle_never_refutes():
     assert report.survivor_count == report.candidates_examined - 1
 
 
-def test_unsupported_topology():
+def test_two_elliptic_curves_at_one_node():
+    # genus 2 as two elliptic curves meeting at general points: by Eisenbud-Harris a limit
+    # g^r_d exists iff rho >= 0; the second curve is a tail of the one-noded pivot E1
     curve = CompactCurve(
         id="two-elliptic",
         genus=2,
@@ -571,8 +597,128 @@ def test_unsupported_topology():
         ),
         nodes=(Node((("E1", "p"), ("E2", "p"))),),
     )
-    with pytest.raises(UnsupportedCurveError):
-        refute(curve, SeriesType(2, 1, 3))
+    report = refute(curve, SeriesType(2, 1, 3))
+    assert report.verdict == "survivors" and rho(SeriesType(2, 1, 3)) == 2
+    checked = 0
+    for r in range(4):
+        for d in range(r + 1, 2 * 2 - 2 + r + 1):
+            t = SeriesType(2, r, d)
+            report = refute(curve, t)
+            assert (report.verdict == "refuted") == (rho(t) < 0), (r, d)
+            assert report.to_json() | {"pruned": None} == \
+                refute(curve, t, prune=False).to_json() | {"pruned": None}, (r, d)
+            assert set(dict(report.rule_hits)) <= {"elliptic-single-pole@E1",
+                                                   "elliptic-single-pole@E2"}, (r, d)
+            for survivor in report.survivors:
+                assert verify_witness(curve, t, survivor.assignment_dict()).verdict != "rejected"
+            checked += 1
+    assert checked == 8
+
+
+def _star_with_arm(arm: str) -> CompactCurve:
+    """A general hub H with two elliptic tails and one more arm of the given shape."""
+    comps = [Component("H", 3, "general", ("o", "p", "q"))]
+    nodes = []
+    for p in "op":
+        comps.append(Component(f"T{p}", 1, "elliptic", (p,)))
+        nodes.append(Node((("H", p), (f"T{p}", p))))
+    if arm == "general-leaf":
+        comps.append(Component("C", 2, "general", ("q",)))
+        nodes.append(Node((("H", "q"), ("C", "q"))))
+    else:  # an elliptic link ending in a tail
+        comps += [Component("L", 1, "elliptic", ("q", "x")), Component("U", 1, "elliptic", ("x",))]
+        nodes += [Node((("H", "q"), ("L", "q"))), Node((("L", "x"), ("U", "x")))]
+    return CompactCurve(f"star-{arm}", sum(c.genus for c in comps), tuple(comps), tuple(nodes))
+
+
+def _pivot_with(far_side: str) -> CompactCurve:
+    """An elliptic pivot E between a general leaf A and a two-noded component B of the
+    given kind whose far node holds a general leaf or an elliptic tail: "kind-leaf|tail"."""
+    kind, beyond = far_side.split("-")
+    comps = [Component("E", 1, "elliptic", ("p", "q")), Component("A", 2, "general", ("x",)),
+             Component("B", 2, kind, ("x", "y"),
+                       facts=FactSheet() if kind == "factsheet" else None)]
+    nodes = [Node((("E", "p"), ("A", "x"))), Node((("E", "q"), ("B", "x")))]
+    if beyond == "leaf":
+        comps.append(Component("C", 2, "general", ("y",)))
+        nodes.append(Node((("B", "y"), ("C", "y"))))
+    else:  # a tail
+        comps.append(Component("T", 1, "elliptic", ("y",)))
+        nodes.append(Node((("B", "y"), ("T", "y"))))
+    return CompactCurve(far_side, sum(c.genus for c in comps), tuple(comps), tuple(nodes))
+
+
+def _three_noded_elliptic() -> CompactCurve:
+    """An elliptic curve X with three nodes, each to an elliptic tail; X is the pivot."""
+    comps = [Component("X", 1, "elliptic", ("a", "b", "c"))]
+    nodes = []
+    for p in "abc":
+        comps.append(Component(f"T{p}", 1, "elliptic", (p,)))
+        nodes.append(Node((("X", p), (f"T{p}", p))))
+    return CompactCurve("three-noded", 4, tuple(comps), tuple(nodes))
+
+
+@pytest.mark.parametrize("curve,message", [
+    (_star_with_arm("general-leaf"), "star around H requires one-noded elliptic tails, got C"),
+    (_star_with_arm("link"), "star around H requires one-noded elliptic tails, got L"),
+    (_pivot_with("general-leaf"),
+     "two-noded general component B must be a general bridge to a one-noded elliptic tail"),
+    (_pivot_with("factsheet-tail"),
+     "two-noded factsheet component B must be a general bridge to a one-noded elliptic tail"),
+    (_three_noded_elliptic(), "elliptic component X has more than two nodes"),
+    (CompactCurve("one", 3, (Component("C", 3, "general", ("p",)),), ()),
+     "need at least two components joined at a node"),
+])
+def test_refused_shapes(curve, message):
+    # the shapes outside the fold: a hub arm that is not a one-noded elliptic tail, a
+    # two-noded component that is not a general bridge to a tail, three nodes on an
+    # elliptic curve, and a curve without nodes
+    with pytest.raises(UnsupportedCurveError) as err:
+        refute(curve, SeriesType(curve.genus, 1, 3))
+    assert str(err.value) == message
+
+
+def test_elliptic_tail_next_to_an_elliptic_pivot():
+    # E between a general leaf A and a one-noded elliptic tail T: a pair whose b the tail
+    # fails is credited to the tail's single-pole rule, and the brute force agrees
+    curve = CompactCurve(
+        "tail-pair", 4,
+        (Component("E", 1, "elliptic", ("p", "q")), Component("A", 2, "general", ("x",)),
+         Component("T", 1, "elliptic", ("y",))),
+        (Node((("E", "p"), ("A", "x"))), Node((("E", "q"), ("T", "y")))),
+    )
+    for r, d in ((1, 3), (1, 4), (2, 6), (2, 5)):
+        t = SeriesType(4, r, d)
+        report = refute(curve, t)
+        hits = dict(report.rule_hits)
+        assert hits.get("elliptic-single-pole@T", 0) > 0, (r, d)
+        assert (report.verdict == "refuted") == (rho(t) < 0), (r, d)
+        expected = brute_force_pairs(curve, r, d)
+        assert (report.rule_hits, report.survivor_count, report.survivors) == \
+            (expected["rule_hits"], expected["survivor_count"], expected["survivors"]), (r, d)
+
+
+def test_tail_floor_is_the_complement_of_the_largest_tail_sequence():
+    # the hub's floor is read from the tail's table; it must be the cusp that the pointwise
+    # largest sequence passing the single-pole rule forces, found here by a scan
+    checked = 0
+    for r in range(8):
+        for d in range(r, 30):
+            if comb(d + 1, r + 1) > 500:
+                break
+            lat = _lattice(r, d)
+            passing = [s for s in lat.seqs if s[-2:] != (d - 1, d) or r == 0]
+            for prune in (True, False):
+                floor = _branch_table(TAIL_KEY, r, d, prune).floor
+                if not passing:
+                    assert floor is None and 0 < r == d, (r, d)
+                    continue
+                top = tuple(max(s[i] for s in passing) for i in range(r + 1))
+                assert floor == min_complement(top, d), (r, d, prune)
+                if r:
+                    assert floor == (0,) + tuple(range(2, r + 2)), (r, d)  # a cusp
+            checked += 1
+    assert checked == 104
 
 
 def test_elliptic_single_slot_pivot():

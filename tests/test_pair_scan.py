@@ -3,11 +3,11 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from pair_oracle import brute_force_pairs
+from pair_oracle import brute_force_pairs, pivot_sides
 
 from bnlimits.curvefile import load_fixture
 from bnlimits.curves import CompactCurve, Component, FactSheet, Node, SeriesDimFact, TorsionPair
-from bnlimits.limit_checker import refute
+from bnlimits.limit_checker import _analyze, _branch_table, _lattice, refute
 from bnlimits.numerology import SeriesType
 
 ORACLE_SEQ_CAP = 120  # C(d+1, r+1) up to which the n^2 brute force stays quick
@@ -39,10 +39,40 @@ def test_fixture_series_match_brute_force(name, series, cap):
         assert _scan_fields(report) == expected
 
 
+def _branch(draw, r: int, d: int, name: str, near: tuple[str, str], comps: list,
+            nodes: list) -> None:
+    """Up to three components behind the node at `near`: zero to two elliptic links, each
+    with or without torsion, then a general or fact-sheet leaf, an elliptic tail, or a
+    general bridge ending in an elliptic tail."""
+    end = draw(st.sampled_from(["general", "factsheet", "tail", "bridge"]))
+    links = draw(st.integers(0, 1 if end == "bridge" else 2))
+    for k in range(links):
+        order = draw(st.one_of(st.none(), st.integers(2, 5)))
+        torsion = (TorsionPair(("x", "y"), order),) if order else ()
+        comps.append(Component(f"{name}{k}", 1, "elliptic", ("x", "y"), torsion=torsion))
+        nodes.append(Node((near, (f"{name}{k}", "x"))))
+        near = (f"{name}{k}", "y")
+    genus = draw(st.integers(0, 8))
+    if end == "general":
+        comps.append(Component(name, genus, "general", ("x",)))
+    elif end == "factsheet":
+        dims = draw(st.lists(st.integers(0, 2), max_size=1))
+        facts = FactSheet(tuple(SeriesDimFact(r, d, dim) for dim in dims),
+                          points_general=draw(st.booleans()))
+        comps.append(Component(name, genus, "factsheet", ("x",), facts=facts))
+    elif end == "tail":
+        comps.append(Component(name, 1, "elliptic", ("x",)))
+    else:
+        comps.append(Component(name, genus, "general", ("x", "y")))
+        comps.append(Component(f"{name}T", 1, "elliptic", ("y",)))
+        nodes.append(Node(((name, "y"), (f"{name}T", "y"))))
+    nodes.append(Node((near, (name, "x"))))
+
+
 @st.composite
 def pair_curves(draw):
-    """An elliptic pivot E with two nodes; behind each a general leaf, a
-    fact-sheet leaf, or a general bridge ending in an elliptic tail."""
+    """An elliptic pivot E with two nodes, listed first so that it is the pivot, and a
+    branch of up to three components behind each node (see _branch)."""
     r = draw(st.integers(1, 5))
     top = max(d for d in range(r + 1, 30) if comb(d + 1, r + 1) <= ORACLE_SEQ_CAP)
     d = draw(st.integers(r + 1, top))
@@ -51,20 +81,7 @@ def pair_curves(draw):
     comps = [Component("E", 1, "elliptic", ("p", "q"), torsion=torsion)]
     nodes = []
     for point, name in (("p", "A"), ("q", "B")):
-        kind = draw(st.sampled_from(["general", "factsheet", "bridge"]))
-        genus = draw(st.integers(0, 8))
-        if kind == "general":
-            comps.append(Component(name, genus, "general", ("x",)))
-        elif kind == "factsheet":
-            dims = draw(st.lists(st.integers(0, 2), max_size=1))
-            facts = FactSheet(tuple(SeriesDimFact(r, d, dim) for dim in dims),
-                              points_general=draw(st.booleans()))
-            comps.append(Component(name, genus, "factsheet", ("x",), facts=facts))
-        else:
-            comps.append(Component(name, genus, "general", ("x", "y")))
-            comps.append(Component(f"{name}T", 1, "elliptic", ("y",)))
-            nodes.append(Node(((name, "y"), (f"{name}T", "y"))))
-        nodes.append(Node((("E", point), (name, "x"))))
+        _branch(draw, r, d, name, ("E", point), comps, nodes)
     curve = CompactCurve("fuzz-pair", sum(c.genus for c in comps), tuple(comps), tuple(nodes))
     return curve, r, d
 
@@ -83,9 +100,18 @@ SHARED_BOX = (CompactCurve(
 def test_random_pair_curves_match_brute_force(drawn, cap):
     curve, r, d = drawn
     expected = brute_force_pairs(curve, r, d, cap)
+    _, _, sides = pivot_sides(curve, r, d)
+    _, branches = _analyze(curve)
+    lat = _lattice(r, d)
     for prune in (True, False):
         report = refute(curve, SeriesType(curve.genus, r, d), prune=prune, survivor_cap=cap)
         assert _scan_fields(report) == expected
+        for side, branch in zip(sides, branches):
+            while branch is not None:  # every branch on the path, against its scan
+                assert side.comp == branch.comp
+                status = _branch_table(branch.key, r, d, prune).status
+                assert status == tuple(map(side.status, lat.seqs)), (branch.comp.id, prune)
+                side, branch = side.beyond, branch.beyond
 
 
 @pytest.mark.parametrize("name,clamp_c1", [

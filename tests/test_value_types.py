@@ -28,8 +28,8 @@ from bnlimits.limit_checker import (
     RefutationReport,
     Survivor,
     WitnessReport,
-    _Plan,
-    _Slot,
+    _Branch,
+    _BranchTable,
 )
 from bnlimits.modspace import BoundaryRow, Decomposition, DivisorClass, PlanePencil
 from bnlimits.numerology import RamificationSeq, SeriesType, VanishingSeq
@@ -67,8 +67,8 @@ def _samples():
         NodeAudit("A.p~B.p", (12, 12), "refined"),
         ComponentAudit("E", "pass", True, False, "rule", ""),
         WitnessReport("c", (1, 12), "confirmed", (), (), (), (), audit, True, ()),
-        _Slot("p", comp, "p", "tail"),
-        _Plan("floor", comp, ()),
+        _Branch("tail", comp, "p"),
+        _BranchTable(("pass",)),
         DivisorClass(2, 1, (0, 0)),
         Decomposition(23, Fraction(1, 2), Fraction(0), ()),
         PlanePencil(11, 22, 33, 23, 146, Fraction(146, 23), False),
@@ -169,8 +169,9 @@ def test_keyword_construction_and_defaults():
     assert Witness("w", (1, 12), ()).description == ""
     assert not DivisorClass(g=2, lam=1, delta=(0, 0)).normalized_up_to_scale
     assert CohomologyClass(rect=(1, 1)).is_zero()
-    slot = _Slot("p", comp, "p", "leaf-general")
-    assert (slot.far_point, slot.tail, slot.tail_point) == (None, None, None)
+    branch = _Branch("general", comp, "p")
+    assert (branch.far, branch.beyond) == (None, None)
+    assert _BranchTable(("fail",)) == _BranchTable(status=("fail",), good_in=(), floor=None)
 
 
 def test_value_types_compare_by_field_values():
