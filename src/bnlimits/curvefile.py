@@ -212,6 +212,8 @@ def load_curve_file(path: str | Path) -> CurveDescription:
             doc = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ValueError(f"{path} is nested too deeply to be a curve file") from exc
     return curve_from_json(doc)
 
 

@@ -10,16 +10,17 @@ therefore certifies nonexistence; surviving candidates are reported as
 found, never confirmed (smoothability is not verified here).
 
 The dual tree is rooted at a pivot, the component with the most nodes
-(elliptic first).  Behind each pivot node hangs a branch: a general or
-fact-sheet leaf, a one-noded elliptic tail, a general bridge ending in a
-tail, or an elliptic link with a further branch beyond it.  One recursive
-function, _branch_table, folds a branch into a status table over the
-sequences a across its node.  Every rule asks for vanishing at least, so the
-sequences that a branch's own component admits at that node form a
-down-set; the table reads them at the least sequence compatible with a,
-min_complement(a), and a link's own table at s is the pair scan's count of
-the b <= caps(s) that pass the single-pole rule, the table beyond and the
-torsion rule with s.
+(elliptic first).  Behind each pivot node hangs a branch, a flat chain:
+elliptic links, then an end that is a general or fact-sheet leaf, a
+one-noded elliptic tail, or a general bridge ending in a tail.
+_branch_table folds a branch into a status table over the sequences a
+across its node in one loop: the end's table, then one link step per link
+from the far end inward, so the cost is linear in the chain's length.
+Every rule asks for vanishing at least, so the sequences that a branch's
+own component admits at that node form a down-set; the table reads them at
+the least sequence compatible with a, min_complement(a), and a link's own
+table at s is the pair scan's count of the b <= caps(s) that pass the
+single-pole rule, the table beyond and the torsion rule with s.
 "unknown" is kept apart from "pass" and never eliminates.
 
 The pivot enumerates: a two-noded elliptic pivot accounts for all pairs
@@ -35,8 +36,8 @@ compatible sequence passes instead of the least one (down-set sums over the
 whole lattice), the reference mode the pruning is validated against.
 
 The sequences of each (r, d) with their index tables and down-set counts,
-and each branch table (keyed by the branch's shape, genera, fact sheets and
-torsion, r, d and prune mode), are immutable tuples kept between
+and each branch table (keyed by the end's kind, genus and fact sheet, the
+links' torsion orders, r, d and prune mode), are immutable tuples kept between
 refutations in one LRU cache, bounded by the number of sequences its tables
 index in all (MAX_CACHED_SEQUENCES).
 
@@ -48,7 +49,8 @@ MAX_SEQUENCES vanishing sequences per point is refused.
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
-from itertools import combinations, compress, islice
+from functools import partial
+from itertools import accumulate, combinations, compress, islice
 from math import comb
 from operator import add, and_, not_
 from types import MappingProxyType
@@ -190,7 +192,7 @@ class RefutationReport(NamedTuple):
             "series": {"r": self.series[0], "d": self.series[1]},
             "verdict": self.verdict,
             "candidates_examined": self.candidates_examined,
-            "rule_hits": {k: v for k, v in self.rule_hits},
+            "rule_hits": dict(self.rule_hits),
             "survivor_count": self.survivor_count,
             "survivors": [s.to_json() for s in self.survivors],
             "survivors_truncated": self.truncated,
@@ -211,11 +213,8 @@ class RefutationReport(NamedTuple):
                      + (" (listing truncated)" if self.truncated else ""))
         for s in self.survivors:
             flag = f"  [unconfirmed: {', '.join(s.unconfirmed)}]" if s.unconfirmed else ""
-            parts = []
-            for comp, pts in s.assignment:
-                for pt, seq in pts:
-                    parts.append(f"{comp}.{pt}={tuple(seq)}")
-            lines.append("  - " + " ".join(parts) + flag)
+            lines.append("  - " + " ".join(f"{comp}.{pt}={tuple(seq)}" for comp, pts in s.assignment
+                                           for pt, seq in pts) + flag)
         lines += [f"note: {n}" for n in self.notes]
         return "\n".join(lines)
 
@@ -252,29 +251,11 @@ class WitnessReport(NamedTuple):
             "curve": self.curve,
             "series": {"r": self.series[0], "d": self.series[1]},
             "verdict": self.verdict,
-            "nodes": [
-                {"node": n.node, "sums": list(n.sums), "classification": n.classification}
-                for n in self.nodes
-            ],
-            "components": [
-                {
-                    "component": c.component,
-                    "status": c.status,
-                    "exact": c.exact,
-                    "witness_grade": c.witness_grade,
-                    "rule": c.rule,
-                    "detail": c.detail,
-                }
-                for c in self.components
-            ],
-            "aspect_rhos": {k: v for k, v in self.aspect_rhos},
-            "node_excess": {k: v for k, v in self.node_excess},
-            "additivity": {
-                "lhs": self.additivity.lhs,
-                "rhs": self.additivity.rhs,
-                "satisfied": self.additivity.satisfied,
-                "equality": self.additivity.equality,
-            },
+            "nodes": [n._asdict() | {"sums": list(n.sums)} for n in self.nodes],
+            "components": [c._asdict() for c in self.components],
+            "aspect_rhos": dict(self.aspect_rhos),
+            "node_excess": dict(self.node_excess),
+            "additivity": self.additivity._asdict(),
             "refined": self.refined,
             "notes": list(self.notes),
         }
@@ -282,21 +263,16 @@ class WitnessReport(NamedTuple):
     def render(self) -> str:
         r, d = self.series
         lines = [f"witness report: curve {self.curve}, series {series_name(r, d)}", "nodes:"]
-        for n in self.nodes:
-            lines.append(f"  {n.node}: sums {n.sums} -> {n.classification}")
+        lines += [f"  {n.node}: sums {n.sums} -> {n.classification}" for n in self.nodes]
         lines.append("components:")
         for c in self.components:
-            grade = []
-            if c.exact:
-                grade.append("exact")
-            if c.witness_grade:
-                grade.append("witness-grade")
-            extra = f" ({', '.join(grade)})" if grade else ""
+            grade = ", ".join(name for name, on in (("exact", c.exact),
+                                                    ("witness-grade", c.witness_grade)) if on)
+            extra = f" ({grade})" if grade else ""
             det = f" -- {c.detail}" if c.detail else ""
             lines.append(f"  {c.component}: {c.status}{extra} via {c.rule}{det}")
         lines.append("aspect rho:")
-        for comp, val in self.aspect_rhos:
-            lines.append(f"  {comp}: {val}")
+        lines += [f"  {comp}: {val}" for comp, val in self.aspect_rhos]
         a = self.additivity
         rel = "=" if a.equality else (">" if a.lhs > a.rhs else "<")
         lines.append(
@@ -313,29 +289,35 @@ class WitnessReport(NamedTuple):
 
 
 class _Branch(NamedTuple):
-    """The part of the curve behind one node of the pivot, or of a link further out.
+    """The part of the curve behind one node of the pivot, as a flat tuple.
 
-    kind is "general" or "factsheet" (a one-noded leaf), "tail" (a one-noded
-    elliptic curve), "bridge" (a two-noded general curve whose far node holds
-    a tail) or "link" (a two-noded elliptic curve with a branch beyond it).
+    parts holds (component, its point towards the pivot, its far node point or
+    None): first the elliptic links, from the pivot outward, then the end.
+    kind is the end's: "general" or "factsheet" (a one-noded leaf), "tail" (a
+    one-noded elliptic curve) or "bridge" (a two-noded general curve, followed
+    in parts by the tail at its far node).
     """
 
     kind: str
-    comp: Component
-    point: str  # comp's point at the node towards the pivot
-    far: str | None = None  # bridge or link: comp's other node point
-    beyond: "_Branch | None" = None
+    parts: tuple[tuple[Component, str, str | None], ...]
+
+    @property
+    def links(self) -> tuple[tuple[Component, str, str | None], ...]:
+        return self.parts[:len(self.parts) - 1 - (self.kind == "bridge")]
 
     @property
     def key(self) -> tuple:
-        """What the branch's table depends on besides (r, d): no component ids or points."""
-        torsion = self.comp.torsion_between(self.point, self.far) if self.kind == "link" else None
-        return self.kind, self.comp.genus, self.comp.facts, torsion, self.beyond and self.beyond.key
+        """What the branch's table depends on besides (r, d): the end's kind, genus and fact
+        sheet, and the links' torsion orders from the pivot outward; no ids or points."""
+        links = self.links
+        end = self.parts[len(links)][0]
+        return (self.kind, end.genus, end.facts,
+                tuple(comp.torsion_between(point, far) for comp, point, far in links))
 
     @property
     def rule(self) -> str:
         """The rule key credited with a candidate that no aspect of the branch matches."""
-        return f"{_BRANCH_RULES[self.kind]}@{self.comp.id}"
+        return f"{_BRANCH_RULES['link' if self.links else self.kind]}@{self.parts[0][0].id}"
 
 
 _BRANCH_RULES = {KIND_GENERAL: RULE_GENERAL_POINTED, KIND_FACTSHEET: RULE_FACTSHEET_COUNT,
@@ -344,41 +326,49 @@ _BRANCH_RULES = {KIND_GENERAL: RULE_GENERAL_POINTED, KIND_FACTSHEET: RULE_FACTSH
 _KIND_PRIORITY = {KIND_ELLIPTIC: 0, KIND_FACTSHEET: 1, KIND_GENERAL: 2}
 
 
+def _node_map(curve: CompactCurve) -> tuple[dict[str, list[str]], dict[tuple[str, str], tuple[str, str]]]:
+    """Each component's node points in marked-point order, and the end across each node end."""
+    across = {end: other for node in curve.nodes for end, other in (node.ends, node.ends[::-1])}
+    return {c.id: [p for p in c.points if (c.id, p) in across] for c in curve.components}, across
+
+
 def _analyze(curve: CompactCurve) -> tuple[Component, tuple[_Branch, ...]]:
     """The pivot, and the branch behind each of its nodes in marked-point order."""
     if len(curve.components) < 2:
         raise UnsupportedCurveError("need at least two components joined at a node")
-    node_points = {c.id: curve.node_points(c.id) for c in curve.components}
-    order = {c.id: i for i, c in enumerate(curve.components)}
-    pivot = max(
-        curve.components,
-        key=lambda c: (len(node_points[c.id]), -_KIND_PRIORITY[c.kind], -order[c.id]),
-    )
-    across = {end: other for node in curve.nodes for end, other in (node.ends, node.ends[::-1])}
+    node_points, across = _node_map(curve)
+    by_id = {c.id: c for c in curve.components}
+    # max keeps the first of equal keys, so ties go to the earliest component
+    pivot = max(curve.components, key=lambda c: (len(node_points[c.id]), -_KIND_PRIORITY[c.kind]))
 
     def branch(comp_id: str, point: str) -> _Branch:
-        comp = curve.component(comp_id)
-        far = [p for p in node_points[comp_id] if p != point]
-        if not far:
-            return _Branch("tail" if comp.kind == KIND_ELLIPTIC else comp.kind, comp, point)
-        if len(far) > 1:
-            raise UnsupportedCurveError(f"component {comp_id} off the pivot has more than two nodes")
-        beyond = branch(*across[comp_id, far[0]])
-        if comp.kind == KIND_ELLIPTIC:
-            return _Branch("link", comp, point, far[0], beyond)
-        if comp.kind != KIND_GENERAL or beyond.kind != "tail":
-            raise UnsupportedCurveError(
-                f"two-noded {comp.kind} component {comp_id} must be a general bridge"
-                " to a one-noded elliptic tail")
-        return _Branch("bridge", comp, point, far[0], beyond)
+        parts = []
+        while True:  # outward, to the first one-noded component
+            far = [p for p in node_points[comp_id] if p != point]
+            if len(far) > 1:
+                raise UnsupportedCurveError(f"component {comp_id} off the pivot has more than two nodes")
+            parts.append((by_id[comp_id], point, far[0] if far else None))
+            if not far:
+                break
+            comp_id, point = across[comp_id, far[0]]
+        *middle, (end, _, _) = parts
+        kind = "tail" if end.kind == KIND_ELLIPTIC else end.kind
+        if middle and middle[-1][0].kind == KIND_GENERAL and kind == "tail":
+            kind, middle = "bridge", middle[:-1]
+        for comp, _, _ in reversed(middle):  # the links; the farthest other curve is reported
+            if comp.kind != KIND_ELLIPTIC:
+                raise UnsupportedCurveError(
+                    f"two-noded {comp.kind} component {comp.id} must be a general bridge"
+                    " to a one-noded elliptic tail")
+        return _Branch(kind, tuple(parts))
 
     branches = tuple(branch(*across[pivot.id, p]) for p in node_points[pivot.id])
     if pivot.kind == KIND_ELLIPTIC and len(branches) > 2:
         raise UnsupportedCurveError(f"elliptic component {pivot.id} has more than two nodes")
     for b in branches:
-        if pivot.kind != KIND_ELLIPTIC and b.kind != "tail":
+        if pivot.kind != KIND_ELLIPTIC and (b.kind != "tail" or b.links):
             raise UnsupportedCurveError(
-                f"star around {pivot.id} requires one-noded elliptic tails, got {b.comp.id}")
+                f"star around {pivot.id} requires one-noded elliptic tails, got {b.parts[0][0].id}")
     return pivot, branches
 
 
@@ -486,49 +476,67 @@ class _BranchTable(NamedTuple):
 def _branch_table(key: tuple, r: int, d: int, prune: bool, far: bool = False) -> _BranchTable:
     """Status table of the branch named by key (see _Branch.key); far adds good_in.
 
-    A branch's own table, by the sequence s at its node, is the clamp
-    criterion on a general leaf (a bridge adds the cusp its tail forces), the
-    single-pole rule on a tail, and on a link the pair scan's count of the
-    good b <= caps(s) that the torsion rule leaves, read from the table of the
-    branch beyond.  Every rule asks for vanishing at least, so each own table
-    passes a down-set, and pruned mode reads it at the least s compatible
-    with a, caps(a).  Naive mode asks whether any compatible s passes
-    instead: caps is an order-reversing involution, so the passing s >=
-    caps(a) are counted by the down-set sum at a of the weights own(caps(x)).
-    The counting rule of a fact-sheet leaf is read at caps(a) in both modes.
+    The end's own table, by the sequence s at its node, is the clamp
+    criterion on a general leaf (a bridge adds the cusp its tail forces) and
+    the single-pole rule on a tail.  Then _link_table puts the links in front
+    of it one at a time, from the far end inward, each from the table before
+    it, which is held in a local variable rather than fetched from the cache.
+    Every rule asks for vanishing at least, so each own table passes a
+    down-set, and pruned mode reads it at the least s compatible with a,
+    caps(a).  Naive mode asks whether any compatible s passes instead: caps
+    is an order-reversing involution, so the passing s >= caps(a) are counted
+    by the down-set sum at a of the weights own(caps(x)).  The counting rule
+    of a fact-sheet leaf is read at caps(a) in both modes.
     """
     lat = _lattice(r, d)
+    kind, genus, facts, links = key
     if far:
         table = _branch_table(key, r, d, prune)
-        good = map(and_, lat.pole_ok, map("fail".__ne__, table.status))
-        return table._replace(good_in=_down_sums(lat.steps, good)[0])
-    kind, genus, facts, torsion, beyond = key
+        return table._replace(good_in=_good_in(table.status, lat))
+    if links:
+        table = _branch_table((kind, genus, facts, ()), r, d, prune)
+        for torsion in reversed(links):
+            table = _link_table(table, torsion, lat, prune)
+        return table
     if kind == KIND_FACTSHEET:
         t = SeriesType(genus, r, d)
         return _BranchTable(tuple(
             factsheet_check(facts, t, [vanishing_to_ramification(VanishingSeq(lat.seqs[c], d))]).status
             for c in lat.caps))
-    passing = "pass"
-    if kind == "link":
-        below = _branch_table(beyond, r, d, prune, True)
-        good_in = below.good_in
-        if "unknown" in below.status:
-            passing = "unknown"  # only fact-sheet leaves abstain, and they never pass
-        own = [ok and good_in[c] > _torsion_hits(s, c, lat.steps, good_in, torsion)
-               for s, c, ok in zip(lat.seqs, lat.caps, lat.pole_ok)]
-    elif kind == "tail":
-        own = lat.pole_ok
-    else:
+    if kind != "tail":
         own = _clamp_columns(lat.cols, genus, d, r, 1 if kind == "bridge" else 0)
+        return _status_table(own, "pass", lat, prune)
+    table = _status_table(lat.pole_ok, "pass", lat, prune)
+    live = list(map("fail".__ne__, table.status))
+    return table._replace(floor=tuple(map(min, (compress(col, live) for col in lat.cols)))
+                          if any(live) else None)
+
+
+def _link_table(beyond: _BranchTable, torsion: int | None, lat: _Lattice,
+                prune: bool) -> _BranchTable:
+    """The table of an elliptic link, torsion apart at its nodes, in front of a branch.
+
+    The link's own table at s is the pair scan's count of the good b <=
+    caps(s) that the torsion rule leaves, read from the branch's table.
+    """
+    good_in = _good_in(beyond.status, lat)
+    own = [ok and good_in[c] > _torsion_hits(s, c, lat.steps, good_in, torsion)
+           for s, c, ok in zip(lat.seqs, lat.caps, lat.pole_ok)]
+    # only fact-sheet leaves abstain, and they never pass
+    return _status_table(own, "unknown" if "unknown" in beyond.status else "pass", lat, prune)
+
+
+def _status_table(own: Sequence[bool], passing: str, lat: _Lattice, prune: bool) -> _BranchTable:
+    """The table of a branch whose own table is own, read at caps(a) or, naive, above it."""
     ok = map(own.__getitem__, lat.caps)
     if not prune:
         ok = map(bool, _down_sums(lat.steps, ok)[0])
-    status = tuple(map(("fail", passing).__getitem__, ok))
-    if kind != "tail":
-        return _BranchTable(status)
-    live = list(map("fail".__ne__, status))
-    return _BranchTable(status, floor=tuple(map(min, (compress(col, live) for col in lat.cols)))
-                        if any(live) else None)
+    return _BranchTable(tuple(map(("fail", passing).__getitem__, ok)))
+
+
+def _good_in(status: Sequence[str], lat: _Lattice) -> tuple[int, ...]:
+    """Down-set counts of the b that pass the single-pole rule and that status does not fail."""
+    return _down_sums(lat.steps, map(and_, lat.pole_ok, map("fail".__ne__, status)))[0]
 
 
 def _clamp_columns(cols: Sequence[Sequence[int]], genus: int, d: int, r: int,
@@ -568,29 +576,37 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
     seqs, index, pole_ok = lat.seqs, lat.index, lat.pole_ok
     n = len(seqs)
     points = curve.node_points(pivot.id)
+    walks: list[list[_BranchTable | None] | None] = [None] * len(branches)
 
-    def extend(branch: _Branch, a: tuple[int, ...], status: str, out: Assignment,
+    def extend(i: int, a: tuple[int, ...], status: str, out: Assignment,
                flagged: list[str]) -> None:
-        """Add one witness for the branch, against a across its node, to out."""
-        s = min_complement(a, d)
-        out[branch.comp.id] = {branch.point: s}
-        if branch.beyond is None:
-            if status == "unknown":
-                flagged.append(branch.comp.id)
-            return
-        beyond = _branch_table(branch.beyond.key, r, d, prune)
-        if branch.kind == "bridge":
-            ib = index[beyond.floor]  # the cusp that the tail forces
-        else:  # a link: its first partner b of s
-            torsion = branch.comp.torsion_between(branch.point, branch.far)
-            ib = next(_partners(s, d, lat, beyond.status, torsion))
-        out[branch.comp.id][branch.far] = seqs[ib]
-        extend(branch.beyond, seqs[ib], beyond.status[ib], out, flagged)
+        """Add one witness for branch i, against a across its node, to out."""
+        branch = branches[i]
+        if walks[i] is None:  # the table beyond each part, built at the branch's first witness
+            kind, genus, facts, links = branch.key
+            # the end's table, then one more per link inward, up to the whole branch's
+            tables = list(accumulate(reversed(links), partial(_link_table, lat=lat, prune=prune),
+                                     initial=_branch_table((kind, genus, facts, ()), r, d, prune)))
+            tail = [_branch_table(("tail", 1, None, ()), r, d, prune)] if kind == "bridge" else []
+            walks[i] = tables[::-1][1:] + tail + [None]
+        for (comp, point, far), beyond in zip(branch.parts, walks[i]):
+            s = min_complement(a, d)
+            out[comp.id] = {point: s}
+            if far is None:
+                break
+            if comp.kind == KIND_GENERAL:  # a bridge: the cusp that its tail forces
+                ib = index[beyond.floor]
+            else:  # a link: its first partner b of s
+                ib = next(_partners(s, d, lat, beyond.status, comp.torsion_between(point, far)))
+            a, status = seqs[ib], beyond.status[ib]
+            out[comp.id][far] = a
+        if status == "unknown":
+            flagged.append(comp.id)
 
     def witness(aspects, statuses, flagged: list[str]) -> Survivor:
         out: Assignment = {pivot.id: dict(zip(points, aspects))}
-        for branch, a, status in zip(branches, aspects, statuses):
-            extend(branch, a, status, out, flagged)
+        for i, (a, status) in enumerate(zip(aspects, statuses)):
+            extend(i, a, status, out, flagged)
         return Survivor.from_dict(out, flagged)
 
     if pivot.kind != KIND_ELLIPTIC:
@@ -658,26 +674,12 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
 
 
 def _finish(curve, t, candidates, hits, survivors, count, prune, extra_notes=()) -> RefutationReport:
-    verdict = "refuted" if count == 0 else "survivors"
-    notes = [
-        "crude node matchings included (sums >= d)",
-        "eliminations use necessary rules only",
-    ]
+    notes = ["crude node matchings included (sums >= d)", "eliminations use necessary rules only"]
     if count:
         notes.append(f"survivors satisfy the necessary rules; {SMOOTHABILITY_NOTE}")
-    notes.extend(extra_notes)
-    return RefutationReport(
-        curve=curve.id,
-        series=(t.r, t.d),
-        verdict=verdict,
-        candidates_examined=candidates,
-        rule_hits=tuple(sorted(hits.items())),
-        survivor_count=count,
-        survivors=tuple(survivors),
-        truncated=count > len(survivors),
-        pruned=prune,
-        notes=tuple(notes),
-    )
+    return RefutationReport(curve.id, (t.r, t.d), "survivors" if count else "refuted", candidates,
+                            tuple(sorted(hits.items())), count, tuple(survivors),
+                            count > len(survivors), prune, (*notes, *extra_notes))
 
 
 def _partners(a: tuple[int, ...], d: int, lat: _Lattice, status: Sequence[str],
@@ -761,9 +763,7 @@ def verify_witness(curve: CompactCurve, t: SeriesType,
         raise ValueError(f"series genus {t.g} does not match curve genus {curve.genus}")
     r, d = t.r, t.d
 
-    in_nodes = {end for node in curve.nodes for end in node.ends}
-    node_points = {comp.id: [p for p in comp.points if (comp.id, p) in in_nodes]
-                   for comp in curve.components}
+    node_points, _ = _node_map(curve)
     seqs: dict[tuple[str, str], VanishingSeq] = {}
     for comp in curve.components:
         need = node_points[comp.id]
@@ -781,7 +781,8 @@ def verify_witness(curve: CompactCurve, t: SeriesType,
                 raise ValueError(f"sequence at {comp.id}.{pt} has length {seq.r + 1}, need {r + 1}")
             seqs[(comp.id, pt)] = seq
     for comp_id in assignment:
-        curve.component(comp_id)  # KeyError on unknown id
+        if comp_id not in node_points:
+            raise KeyError(comp_id)
 
     node_audits = []
     excess = []
@@ -806,9 +807,8 @@ def verify_witness(curve: CompactCurve, t: SeriesType,
     audit = additivity_audit(t, [v for _, v in aspect_rhos])
     refined = all(n.classification == "refined" for n in node_audits)
 
-    if any(n.classification == "incompatible" for n in node_audits) or any(
-        c.status == "fail" for c in comp_audits
-    ):
+    if any(n.classification == "incompatible" for n in node_audits) or \
+            any(c.status == "fail" for c in comp_audits):
         verdict = "rejected"
     elif all(c.status == "pass" and c.exact for c in comp_audits):
         verdict = "confirmed"
@@ -821,35 +821,20 @@ def verify_witness(curve: CompactCurve, t: SeriesType,
         notes.append("component existence asserted, not proven: " + ", ".join(sorted(asserted)))
     if verdict in ("confirmed", "consistent"):
         notes.append(SMOOTHABILITY_NOTE)
-    return WitnessReport(
-        curve=curve.id,
-        series=(r, d),
-        verdict=verdict,
-        nodes=tuple(node_audits),
-        components=tuple(comp_audits),
-        aspect_rhos=tuple(aspect_rhos),
-        node_excess=tuple(excess),
-        additivity=audit,
-        refined=refined,
-        notes=tuple(notes),
-    )
+    return WitnessReport(curve.id, (r, d), verdict, tuple(node_audits), tuple(comp_audits),
+                         tuple(aspect_rhos), tuple(excess), audit, refined, tuple(notes))
 
 
 def _component_oracle(comp: Component, t: SeriesType, pts: list[str],
                       vans: list[VanishingSeq], rams: list[RamificationSeq]) -> CheckResult:
-    d = t.d
     if comp.kind == KIND_GENERAL:
         return general_pointed_check(SeriesType(comp.genus, t.r, t.d), rams)
     if comp.kind == KIND_FACTSHEET:
         return factsheet_check(comp.facts, SeriesType(comp.genus, t.r, t.d), rams)
-    # elliptic
-    if len(vans) == 1:
-        return elliptic_single_point_check(d, vans[0])
-    if len(vans) == 2:
-        for v in vans:
-            single = elliptic_single_point_check(d, v)
-            if single.failed:
-                return single
-        torsion = comp.torsion_between(pts[0], pts[1])
-        return elliptic_two_point_check(vans[0], vans[1], torsion)
-    raise UnsupportedCurveError(f"elliptic component {comp.id} has more than two nodes")
+    if not 0 < len(vans) < 3:
+        raise UnsupportedCurveError(f"elliptic component {comp.id} has more than two nodes")
+    for v in vans:  # the single-pole rule at each node point, then the pair's rules
+        single = elliptic_single_point_check(t.d, v)
+        if single.failed or len(vans) == 1:
+            return single
+    return elliptic_two_point_check(vans[0], vans[1], comp.torsion_between(*pts))

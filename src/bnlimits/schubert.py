@@ -20,8 +20,9 @@ searched depth first, factor by factor, keeping only partitions that pass.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterable, Mapping, NamedTuple
+from itertools import accumulate, combinations
+from operator import add
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .numerology import RamificationSeq, SeriesType, adjusted_rho
 
@@ -115,44 +116,57 @@ def lr_coefficients(lam: Partition, mu: Partition, k: int, m: int) -> tuple[tupl
     Counts lattice skew tableaux of content mu on lam: shapes are grown by
     one horizontal strip per letter, with the ballot condition checked row
     by row as the strip is placed.  Shapes leaving the rectangle are pruned
-    immediately, which is exactly the ring truncation.
+    immediately, which is exactly the ring truncation.  The strips are
+    enumerated from an explicit stack, so neither the letters nor the rows
+    are bounded by the recursion limit.
     """
     out: dict[Partition, int] = {}
-    shape = list(lam) + [0] * (k - len(lam))
     labels = _trim(mu)
-    if not labels:
-        return (( _trim(shape), 1),)
-
-    def place(li: int, prev_counts: list[int]) -> None:
-        if li == len(labels):
-            key = _trim(shape)
+    # the i-th iterator yields the tableaux with i letters placed, as (shape, the last
+    # letter's boxes per row); only the strips on the current path are held
+    stack = [iter([(tuple(lam) + (0,) * (k - len(lam)), (0,) * k)])]
+    while stack:
+        tableau = next(stack[-1], None)
+        li = len(stack) - 1
+        if tableau is None:
+            stack.pop()
+        elif li == len(labels):
+            key = _trim(tableau[0])
             out[key] = out.get(key, 0) + 1
-            return
-        old = shape[:]
-        cur_counts = [0] * k
-
-        def rows(j: int, rem: int, prev_pref: int, cur_pref: int) -> None:
-            if j == k:
-                if rem == 0:
-                    place(li + 1, cur_counts[:])
-                return
-            cap = m - shape[j]
-            if j > 0:
-                cap = min(cap, old[j - 1] - shape[j])
-            if li > 0:
-                cap = min(cap, prev_pref - cur_pref)
-            cap = min(cap, rem)
-            for c in range(cap + 1):
-                shape[j] += c
-                cur_counts[j] = c
-                rows(j + 1, rem - c, prev_pref + prev_counts[j], cur_pref + c)
-                shape[j] -= c
-                cur_counts[j] = 0
-
-        rows(0, labels[li], 0, 0)
-
-    place(0, [0] * k)
+        else:
+            stack.append(_strips(*tableau, labels[li], m, li > 0))
     return tuple(sorted(out.items()))
+
+
+def _strips(old: Partition, prev: Partition, size: int, m: int,
+            ballot: bool) -> Iterator[tuple[Partition, Partition]]:
+    """Horizontal strips of size boxes on the padded shape old within m columns.
+
+    Yields each new shape with its boxes per row.  With ballot, the boxes in
+    rows 0..j number at most prev's in rows 0..j-1.  The rows are filled top
+    down, each first with all it takes; the deepest row holding a box then
+    gives one up, as in an odometer.
+    """
+    k = len(old)
+    room = [above - x for above, x in zip((m,) + old, old)]
+    allowed = list(accumulate(prev, initial=0)) if ballot else [size] * k
+    boxes = [0] * k
+    j = placed = 0  # boxes[j:] are empty, and placed is the sum of boxes[:j]
+    while True:
+        while placed < size and j < k:
+            boxes[j] = min(room[j], size - placed, allowed[j] - placed)
+            placed += boxes[j]
+            j += 1
+        if placed == size:
+            yield tuple(map(add, old, boxes)), tuple(boxes)
+        j -= 1
+        while j >= 0 and not boxes[j]:
+            j -= 1
+        if j < 0:
+            return
+        boxes[j] -= 1
+        placed -= 1
+        j += 1
 
 
 def lr_product(x: CohomologyClass, y: CohomologyClass) -> CohomologyClass:

@@ -94,8 +94,15 @@ def test_exist_with_many_points_needs_no_recursion(capsys):
     # one level of the search per marked point: 1,500 levels exceed Python's recursion limit
     t = SeriesType(3000, 1, 3000)
     assert schubert.bn_condition(t, [RamificationSeq((0, 1), 1, 3000)] * 1500)
-    code, out, err = run(capsys, "exist", "3000", "1", "3000", *["--ram", "0,1"] * 1500)
-    assert (code, out, err) == (0, "exists: yes (criterion: schubert-nonvanishing)\n", "")
+    for args in (
+        ("3000", "1", "3000", *["--ram", "0,1"] * 1500),
+        # a Littlewood-Richardson expansion of 41 letters in 41 rows
+        ("38", "40", "80", *["--ram", ",".join(["1"] * 41)] * 2),
+        # one box in a rectangle of 1,501 rows
+        ("10", "1500", "1510", *["--ram", ",".join(["0"] * 1500 + ["1"])] * 2),
+    ):
+        code, out, err = run(capsys, "exist", *args)
+        assert (code, out, err) == (0, "exists: yes (criterion: schubert-nonvanishing)\n", ""), args[:3]
 
 
 def test_exist_without_conditions_uses_clamp(capsys):
@@ -379,6 +386,13 @@ def test_curve_file_must_be_an_object(tmp_path, capsys):
     p.write_text("5")
     code, out, err = run(capsys, "limit", "refute", str(p), "1", "12")
     assert (code, out, err) == (2, "", "error: curve document must be an object, got 5\n")
+
+
+def test_deeply_nested_curve_file_exits_2(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "limit", "refute", str(p), "1", "12")
+    assert (code, out, err) == (2, "", f"error: {p} is nested too deeply to be a curve file\n")
 
 
 def test_curve_file_accepts_null_gonality_and_false_points_general():

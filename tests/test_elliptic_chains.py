@@ -6,7 +6,8 @@ g^r_d iff rho(g, r, d) >= 0 (Eisenbud-Harris, Limit linear series: basic
 theory, Invent. Math. 85, 1986).  When the two node points of every link
 differ by k-torsion it carries one iff rho-bar_k(g, r, d) >= 0 (Pflueger,
 Brill-Noether varieties of k-gonal curves, Adv. Math. 312, 2017).  The
-engine knows neither theorem: it folds each link over the branch beyond it.
+engine knows neither theorem: it folds each link over the branch beyond it, in a
+loop, so chains far longer than the recursion limit get a verdict.
 """
 
 from math import comb
@@ -40,8 +41,8 @@ SERIES = [(g, r, d) for g in range(3, 13) for r in range(4) for d in range(r + 1
           if comb(d + 1, r + 1) <= 3000]
 
 
-def _check_engine(g: int, r: int, d: int, k: int | None) -> str:
-    """Refute both ways; check the report's invariants; return the verdict."""
+def _check_engine(g: int, r: int, d: int, k: int | None):
+    """Refute both ways; check the report's invariants; return the pruned report."""
     curve = elliptic_chain(g, k)
     t = SeriesType(g, r, d)
     pruned = refute(curve, t, survivor_cap=5)
@@ -53,14 +54,14 @@ def _check_engine(g: int, r: int, d: int, k: int | None) -> str:
     for survivor in pruned.survivors:
         check = verify_witness(curve, t, survivor.assignment_dict())
         assert check.verdict != "rejected", (case, survivor)
-    return pruned.verdict
+    return pruned
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(SERIES))
 def test_chains_without_torsion_follow_eisenbud_harris(series):
     g, r, d = series
-    verdict = _check_engine(g, r, d, None)
+    verdict = _check_engine(g, r, d, None).verdict
     assert (verdict == "refuted") == (rho(SeriesType(g, r, d)) < 0), series
 
 
@@ -68,8 +69,25 @@ def test_chains_without_torsion_follow_eisenbud_harris(series):
 @given(st.sampled_from(SERIES), st.integers(2, 6))
 def test_chains_with_torsion_follow_pflueger(series, k):
     g, r, d = series
-    verdict = _check_engine(g, r, d, k)
+    verdict = _check_engine(g, r, d, k).verdict
     assert (verdict == "refuted") == (rho_bar(g, r, d, k) < 0), (series, k)
+
+
+@pytest.mark.parametrize("k,r,d,verdict,candidates,survivors", [
+    (None, 1, 3, "refuted", 36, 0),  # rho = -9,996
+    (2, 1, 2, "survivors", 9, 1),  # rho-bar_2 = 0
+])
+def test_chains_of_ten_thousand_curves(k, r, d, verdict, candidates, survivors):
+    # the fold walks the links in a loop, so the recursion limit does not bound the length
+    g = 10_000
+    bound = rho(SeriesType(g, r, d)) if k is None else rho_bar(g, r, d, k)
+    assert (bound < 0) == (verdict == "refuted")
+    report = _check_engine(g, r, d, k)
+    assert (report.verdict, report.candidates_examined, report.survivor_count) == \
+        (verdict, candidates, survivors)
+    for survivor in report.survivors:
+        check = verify_witness(elliptic_chain(g, k), SeriesType(g, r, d), survivor.assignment_dict())
+        assert check.verdict == "confirmed"
 
 
 @pytest.mark.parametrize("k", [None, 2, 3, 4])

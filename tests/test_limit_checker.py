@@ -33,12 +33,12 @@ def _v(entries, d):
     return VanishingSeq(tuple(entries), d)
 
 
-TAIL_KEY = ("tail", 1, None, None, None)
+TAIL_KEY = ("tail", 1, None, ())
 
 
 def _key(kind, genus):
     """The table key of a general leaf or of a general bridge ending in a tail."""
-    return kind, genus, None, None, TAIL_KEY if kind == "bridge" else None
+    return kind, genus, None, ()
 
 
 def _clamp_feasible(c, genus, d, r, cusps):

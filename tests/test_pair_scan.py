@@ -107,11 +107,14 @@ def test_random_pair_curves_match_brute_force(drawn, cap):
         report = refute(curve, SeriesType(curve.genus, r, d), prune=prune, survivor_cap=cap)
         assert _scan_fields(report) == expected
         for side, branch in zip(sides, branches):
-            while branch is not None:  # every branch on the path, against its scan
-                assert side.comp == branch.comp
-                status = _branch_table(branch.key, r, d, prune).status
-                assert status == tuple(map(side.status, lat.seqs)), (branch.comp.id, prune)
-                side, branch = side.beyond, branch.beyond
+            kind, genus, facts, links = branch.key
+            for i, (comp, _, _) in enumerate(branch.parts):  # every suffix of the path, by its scan
+                assert side.comp == comp
+                key = (kind, genus, facts, links[i:]) if i <= len(links) else ("tail", 1, None, ())
+                status = _branch_table(key, r, d, prune).status
+                assert status == tuple(map(side.status, lat.seqs)), (comp.id, prune)
+                side = side.beyond
+            assert side is None
 
 
 @pytest.mark.parametrize("name,clamp_c1", [

@@ -67,7 +67,7 @@ def _samples():
         NodeAudit("A.p~B.p", (12, 12), "refined"),
         ComponentAudit("E", "pass", True, False, "rule", ""),
         WitnessReport("c", (1, 12), "confirmed", (), (), (), (), audit, True, ()),
-        _Branch("tail", comp, "p"),
+        _Branch("tail", ((comp, "p", None),)),
         _BranchTable(("pass",)),
         DivisorClass(2, 1, (0, 0)),
         Decomposition(23, Fraction(1, 2), Fraction(0), ()),
@@ -169,8 +169,8 @@ def test_keyword_construction_and_defaults():
     assert Witness("w", (1, 12), ()).description == ""
     assert not DivisorClass(g=2, lam=1, delta=(0, 0)).normalized_up_to_scale
     assert CohomologyClass(rect=(1, 1)).is_zero()
-    branch = _Branch("general", comp, "p")
-    assert (branch.far, branch.beyond) == (None, None)
+    branch = _Branch(kind="general", parts=((comp, "p", None),))
+    assert (branch.links, branch.key) == ((), ("general", 3, None, ()))
     assert _BranchTable(("fail",)) == _BranchTable(status=("fail",), good_in=(), floor=None)
 
 
@@ -188,3 +188,19 @@ def test_cold_import_loads_no_dataclass_machinery():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert out.stdout == "[]\n"
+
+
+def test_package_imports_a_module_on_first_use():
+    # the Schubert calculus alone does not compile or hold the limit engine
+    src = str(Path(bnlimits.__file__).resolve().parents[1])
+    probe = ("import sys, bnlimits.schubert; "
+             "print(sorted(m for m in sys.modules if m.startswith('bnlimits'))); "
+             "print(bnlimits.refute.__module__, bnlimits.modspace.__name__)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert out.stdout == ("['bnlimits', 'bnlimits.numerology', 'bnlimits.schubert']\n"
+                          "bnlimits.limit_checker bnlimits.modspace\n")
+    assert sorted(bnlimits.__all__) == bnlimits.__all__
+    assert all(getattr(bnlimits, name) for name in bnlimits.__all__)
+    with pytest.raises(AttributeError):
+        bnlimits.no_such_name
