@@ -10,7 +10,8 @@ marked points.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from operator import add
+from typing import NamedTuple, Sequence
 
 from . import schubert
 from .numerology import (
@@ -209,6 +210,13 @@ class CheckResult(NamedTuple):
         return self.status == "fail"
 
 
+# results without detail, shared by the calls that return them
+_SINGLE_POLE_PASS = CheckResult("pass", RULE_ELLIPTIC_SINGLE_POLE, exact=True)
+_PAIR_PASS = (CheckResult("pass", RULE_ELLIPTIC_PAIR_BOUND),  # by witness grade
+              CheckResult("pass", RULE_ELLIPTIC_PAIR_BOUND, exact=True, witness_grade=True))
+_CLAMP = tuple(CheckResult(status, RULE_GENERAL_POINTED, exact=True) for status in ("fail", "pass"))
+
+
 def elliptic_single_point_check(d: int, a: VanishingSeq) -> CheckResult:
     """Existence of an elliptic aspect with vanishing at least a at one point.
 
@@ -222,7 +230,7 @@ def elliptic_single_point_check(d: int, a: VanishingSeq) -> CheckResult:
     if d - 1 in a.entries and d in a.entries:
         return CheckResult("fail", RULE_ELLIPTIC_SINGLE_POLE, exact=True,
                            detail=f"orders {d - 1} and {d} cannot both occur at one point")
-    return CheckResult("pass", RULE_ELLIPTIC_SINGLE_POLE, exact=True)
+    return _SINGLE_POLE_PASS
 
 
 def elliptic_two_point_check(a: VanishingSeq, b: VanishingSeq,
@@ -236,39 +244,42 @@ def elliptic_two_point_check(a: VanishingSeq, b: VanishingSeq,
     divisor pinned by the equalities admits the sequence, which upgrades the
     pass to an exact existence statement.
     """
-    if a.d != b.d or a.r != b.r:
+    x = a.entries
+    if a.d != b.d or len(x) != len(b.entries):
         raise ValueError(f"sequence bounds ({a.r}, {a.d}) and ({b.r}, {b.d}) differ")
-    d, r = a.d, a.r
-    sums = [a.entries[i] + b.entries[r - i] for i in range(r + 1)]
-    if any(s > d for s in sums):
+    d, r = a.d, len(x) - 1
+    sums = list(map(add, x, reversed(b.entries)))
+    if max(sums) > d:
         return CheckResult("fail", RULE_ELLIPTIC_PAIR_BOUND,
                            detail=f"pairwise sums {sums} exceed degree {d}")
-    eq = [i for i in range(r + 1) if sums[i] == d]
-    if len(eq) >= 2:
+    eq = [i for i, s in enumerate(sums) if s == d]
+    if _torsion_fails(x, eq, torsion_order):
         if torsion_order is None:
             return CheckResult("fail", RULE_ELLIPTIC_TORSION,
                                detail="two exact sums force torsion, but none is declared")
-        base = a.entries[eq[0]]
-        bad = [a.entries[i] - base for i in eq if (a.entries[i] - base) % torsion_order]
-        if bad:
-            return CheckResult("fail", RULE_ELLIPTIC_TORSION,
-                               detail=f"order {torsion_order} does not divide differences {bad}")
-    witness = all(s >= d - 1 for s in sums)
-    if witness:
-        # existence needs the divisor conditions relative to the pinned class
-        base = a.entries[eq[0]] if eq else None
-        for i in range(r + 1):
-            if sums[i] != d - 1:
-                continue
-            if base is None:
-                continue  # no pinned divisor; a general one avoids the bad classes
-            diff = a.entries[i] + 1 - base
+        base = x[eq[0]]
+        bad = [x[i] - base for i in eq if (x[i] - base) % torsion_order]
+        return CheckResult("fail", RULE_ELLIPTIC_TORSION,
+                           detail=f"order {torsion_order} does not divide differences {bad}")
+    witness = min(sums) >= d - 1
+    if witness and eq:
+        # existence needs the divisor conditions relative to the pinned class (with
+        # no exact sum, a general divisor avoids the bad classes)
+        base = x[eq[0]]
+        for i in [i for i, s in enumerate(sums) if s == d - 1]:
+            diff = x[i] + 1 - base
             triggered = diff == 0 or (torsion_order is not None and diff % torsion_order == 0)
-            if triggered and not (i < r and a.entries[i + 1] == a.entries[i] + 1):
+            if triggered and not (i < r and x[i + 1] == x[i] + 1):
                 witness = False
                 break
-    return CheckResult("pass", RULE_ELLIPTIC_PAIR_BOUND, exact=witness,
-                       witness_grade=witness)
+    return _PAIR_PASS[witness]
+
+
+def _torsion_fails(a: Sequence[int], eq: Sequence[int], torsion_order: int | None) -> bool:
+    """The torsion-divisibility rule on bare tuples: exact sums a_i + b_{r-i} = d at two or
+    more indices eq force p - q to be torsion whose order divides every a_i - a_j there."""
+    return len(eq) >= 2 and (torsion_order is None or any((a[i] - a[eq[0]]) % torsion_order
+                                                          for i in eq))
 
 
 def general_pointed_check(t: SeriesType, rams: list[RamificationSeq] | tuple[RamificationSeq, ...],
@@ -285,8 +296,7 @@ def general_pointed_check(t: SeriesType, rams: list[RamificationSeq] | tuple[Ram
         raise ValueError(f"number of extra cusps must be nonnegative, got {extra_cusps}")
     rams = list(rams)
     if len(rams) == 1 and extra_cusps == 0:
-        ok = pointed_exists(t, rams[0])
-        return CheckResult("pass" if ok else "fail", RULE_GENERAL_POINTED, exact=True)
+        return _CLAMP[pointed_exists(t, rams[0])]
     if len(rams) == 1 and extra_cusps == 1:
         ok = cusp_pointed_exists(t, rams[0])
         return CheckResult("pass" if ok else "fail", RULE_GENERAL_CUSP, exact=True)

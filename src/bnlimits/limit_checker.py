@@ -25,10 +25,10 @@ single-pole rule, the table beyond and the torsion rule with s.
 
 The pivot enumerates: a two-noded elliptic pivot accounts for all pairs
 (a, b) at its nodes, counting whole boxes of them, torsion failures
-included, from down-set sums and walking a box only to list survivors; a
-one-noded one scans its sequences; a general or fact-sheet hub with
-one-noded elliptic tails is evaluated once, on the floors (cusps) read from
-the tails' tables.  Survivors list one witness per branch.  Refused shapes:
+included, from down-set sums and walking a box, by rank, only to list
+survivors; a one-noded one scans its sequences; a general or fact-sheet hub
+with one-noded elliptic tails is evaluated once, on the floors (cusps) read
+from the tails' tables.  Survivors list one witness per branch.  Refused shapes:
 a hub arm that is not a one-noded elliptic tail, a two-noded component off
 the pivot that is not a general bridge to a tail or an elliptic link, and an
 elliptic component with three nodes.  Setting prune=False asks whether any
@@ -49,10 +49,9 @@ MAX_SEQUENCES vanishing sequences per point is refused.
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
-from functools import partial
-from itertools import accumulate, combinations, compress, islice
+from itertools import combinations, compress, groupby, islice
 from math import comb
-from operator import add, and_, not_
+from operator import add, and_, itemgetter, not_
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -70,19 +69,13 @@ from .curves import (
     CheckResult,
     CompactCurve,
     Component,
+    _torsion_fails,
     elliptic_single_point_check,
     elliptic_two_point_check,
     factsheet_check,
     general_pointed_check,
 )
-from .numerology import (
-    RamificationSeq,
-    SeriesType,
-    VanishingSeq,
-    adjusted_rho,
-    rho,
-    vanishing_to_ramification,
-)
+from .numerology import SeriesType, VanishingSeq, rho, vanishing_to_ramification
 
 SMOOTHABILITY_NOTE = "smoothability not verified"
 
@@ -112,11 +105,7 @@ def node_compatible(a_y: VanishingSeq, a_z: VanishingSeq, d: int) -> str:
     """
     if a_y.d != d or a_z.d != d or a_y.r != a_z.r:
         raise ValueError("sequence bounds do not match the node degree")
-    return _node_class(_node_sums(a_y, a_z), d)
-
-
-def _node_sums(a_y: VanishingSeq, a_z: VanishingSeq) -> tuple[int, ...]:
-    return tuple(map(add, a_y.entries, reversed(a_z.entries)))
+    return _node_class(tuple(map(add, a_y.entries, reversed(a_z.entries))), d)
 
 
 def _node_class(sums: tuple[int, ...], d: int) -> str:
@@ -144,27 +133,21 @@ def additivity_audit(t: SeriesType, aspect_rhos: Sequence[int]) -> AdditivityAud
     """Compare rho(g, r, d) with the sum of per-component adjusted rho."""
     lhs = rho(t)
     rhs = sum(aspect_rhos)
-    return AdditivityAudit(lhs=lhs, rhs=rhs, satisfied=lhs >= rhs, equality=lhs == rhs)
-
-
-Assignment = dict[str, dict[str, tuple[int, ...]]]
+    return AdditivityAudit(lhs, rhs, lhs >= rhs, lhs == rhs)
 
 
 class Survivor(NamedTuple):
-    """A candidate aspect assignment that no necessary rule eliminated."""
+    """A candidate aspect assignment that no necessary rule eliminated.
+
+    assignment holds every node end: the components by id, each with its node
+    points by name and the vanishing sequence there.  unconfirmed names, in
+    order, the fact-sheet components that abstained rather than passed.
+    """
 
     assignment: tuple[tuple[str, tuple[tuple[str, tuple[int, ...]], ...]], ...]
     unconfirmed: tuple[str, ...] = ()
 
-    @staticmethod
-    def from_dict(assignment: Assignment, unconfirmed: Sequence[str] = ()) -> "Survivor":
-        frozen = tuple(
-            (comp, tuple(sorted((pt, tuple(seq)) for pt, seq in pts.items())))
-            for comp, pts in sorted(assignment.items())
-        )
-        return Survivor(frozen, tuple(sorted(unconfirmed)))
-
-    def assignment_dict(self) -> Assignment:
+    def assignment_dict(self) -> dict[str, dict[str, tuple[int, ...]]]:
         return {comp: {pt: seq for pt, seq in pts} for comp, pts in self.assignment}
 
     def to_json(self) -> dict:
@@ -387,17 +370,21 @@ def _all_seqs(r: int, d: int) -> list[tuple[int, ...]]:
 class _TableCache:
     """LRU store of the tables that refutations share, least recently used first.
 
-    Each table is a tuple whose first field has one entry per sequence; the
-    store drops old tables while their entries exceed MAX_CACHED_SEQUENCES.
+    Each table is a tuple whose first field has one entry per sequence; a
+    branch table also holds the tables beyond its links.  The store drops old
+    tables while all these entries exceed MAX_CACHED_SEQUENCES.  It also keeps
+    the curve, series and plan that verify_witness last used (_verify_plan).
     """
 
     def __init__(self) -> None:
         self.tables: OrderedDict = OrderedDict()
         self.held = 0
+        self.plan: tuple = (None, None, None)
 
     def clear(self) -> None:
         self.tables.clear()
         self.held = 0
+        self.plan = (None, None, None)
 
     def __call__(self, build):
         def lookup(*args):
@@ -407,14 +394,18 @@ class _TableCache:
                 self.tables.move_to_end(key)
                 return table
             table = self.tables[key] = build(*args)
-            self.held += len(table[0])
+            self.held += _entries(table)
             while self.held > MAX_CACHED_SEQUENCES:
-                self.held -= len(self.tables.popitem(last=False)[1][0])
+                self.held -= _entries(self.tables.popitem(last=False)[1])
             return table
 
         lookup.__wrapped__ = build
         lookup.cache_clear = self.clear
         return lookup
+
+
+def _entries(table: tuple) -> int:
+    return len(table[0]) + sum(len(t.status) for t in getattr(table, "beyond", ()))
 
 
 _tables = _TableCache()
@@ -464,12 +455,14 @@ class _BranchTable(NamedTuple):
     A table read as the far node of a two-noded elliptic curve also holds
     the down-set counts of the good b, those that pass the single-pole rule
     and that the branch does not fail; a tail's table keeps its floor, the
-    pointwise least sequence it does not fail (None if it fails them all).
+    pointwise least sequence it does not fail (None if it fails them all); a
+    branch with links keeps the table beyond each link, from the pivot out.
     """
 
     status: tuple[str, ...]
     good_in: tuple[int, ...] = ()
     floor: tuple[int, ...] | None = None
+    beyond: tuple["_BranchTable", ...] = ()
 
 
 @_tables
@@ -480,7 +473,7 @@ def _branch_table(key: tuple, r: int, d: int, prune: bool, far: bool = False) ->
     criterion on a general leaf (a bridge adds the cusp its tail forces) and
     the single-pole rule on a tail.  Then _link_table puts the links in front
     of it one at a time, from the far end inward, each from the table before
-    it, which is held in a local variable rather than fetched from the cache.
+    it, and the whole branch's table keeps those before it for the witnesses.
     Every rule asks for vanishing at least, so each own table passes a
     down-set, and pruned mode reads it at the least s compatible with a,
     caps(a).  Naive mode asks whether any compatible s passes instead: caps
@@ -494,10 +487,10 @@ def _branch_table(key: tuple, r: int, d: int, prune: bool, far: bool = False) ->
         table = _branch_table(key, r, d, prune)
         return table._replace(good_in=_good_in(table.status, lat))
     if links:
-        table = _branch_table((kind, genus, facts, ()), r, d, prune)
+        tables = [_branch_table((kind, genus, facts, ()), r, d, prune)]
         for torsion in reversed(links):
-            table = _link_table(table, torsion, lat, prune)
-        return table
+            tables.append(_link_table(tables[-1], torsion, lat, prune))
+        return tables.pop()._replace(beyond=tuple(reversed(tables)))
     if kind == KIND_FACTSHEET:
         t = SeriesType(genus, r, d)
         return _BranchTable(tuple(
@@ -564,7 +557,10 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
     rule application; rule_hits records, per rule, how many candidates that
     rule eliminated first (rules are applied in a fixed order).  Unknown
     oracle answers never eliminate: such candidates survive flagged as
-    unconfirmed.
+    unconfirmed.  The first survivor_cap survivors are listed, in candidate
+    order, as positions in the lattice, one slot per node end laid out once
+    per call in the order of Survivor.assignment; a branch's witness is
+    filled in once per aspect across its node, from the tables of its fold.
     """
     if t.g != curve.genus:
         raise ValueError(f"series genus {t.g} does not match curve genus {curve.genus}")
@@ -573,41 +569,32 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
     pivot, branches = _analyze(curve)
     r, d = t.r, t.d
     lat = _lattice(r, d)
-    seqs, index, pole_ok = lat.seqs, lat.index, lat.pole_ok
+    seqs, caps, pole_ok = lat.seqs, lat.caps, lat.pole_ok
     n = len(seqs)
     points = curve.node_points(pivot.id)
-    walks: list[list[_BranchTable | None] | None] = [None] * len(branches)
+    ends = sorted(end for node in curve.nodes for end in node.ends)
+    slot = {end: k for k, end in enumerate(ends)}
+    groups = [(comp_id, len(list(pts))) for comp_id, pts in groupby(ends, itemgetter(0))]
+    names = [point for _, point in ends]
+    filled = [0] * len(ends)  # a position in seqs per slot
+    at_pivot = [slot[pivot.id, p] for p in points]
+    walks: list = [None] * len(branches)
 
-    def extend(i: int, a: tuple[int, ...], status: str, out: Assignment,
-               flagged: list[str]) -> None:
-        """Add one witness for branch i, against a across its node, to out."""
-        branch = branches[i]
-        if walks[i] is None:  # the table beyond each part, built at the branch's first witness
-            kind, genus, facts, links = branch.key
-            # the end's table, then one more per link inward, up to the whole branch's
-            tables = list(accumulate(reversed(links), partial(_link_table, lat=lat, prune=prune),
-                                     initial=_branch_table((kind, genus, facts, ()), r, d, prune)))
-            tail = [_branch_table(("tail", 1, None, ()), r, d, prune)] if kind == "bridge" else []
-            walks[i] = tables[::-1][1:] + tail + [None]
-        for (comp, point, far), beyond in zip(branch.parts, walks[i]):
-            s = min_complement(a, d)
-            out[comp.id] = {point: s}
-            if far is None:
-                break
-            if comp.kind == KIND_GENERAL:  # a bridge: the cusp that its tail forces
-                ib = index[beyond.floor]
-            else:  # a link: its first partner b of s
-                ib = next(_partners(s, d, lat, beyond.status, comp.torsion_between(point, far)))
-            a, status = seqs[ib], beyond.status[ib]
-            out[comp.id][far] = a
-        if status == "unknown":
-            flagged.append(comp.id)
+    def extend(i: int, ia: int) -> tuple[str, ...]:
+        """Fill branch i's slots with its witness against ia; the end's id if unknown."""
+        if walks[i] is None:
+            walks[i] = _walk(branches[i], slot, lat, r, d, prune)
+        steps, end_slot, end_status, end_id = walks[i]
+        for near, far, beyond, torsion, floor in steps:  # a link's first partner, a bridge's floor
+            filled[near] = ia = caps[ia]
+            filled[far] = ia = next(_partners(ia, d, lat, beyond, torsion)) if floor is None else floor
+        filled[end_slot] = caps[ia]
+        return (end_id,) if end_status[ia] == "unknown" else ()
 
-    def witness(aspects, statuses, flagged: list[str]) -> Survivor:
-        out: Assignment = {pivot.id: dict(zip(points, aspects))}
-        for i, (a, status) in enumerate(zip(aspects, statuses)):
-            extend(i, a, status, out, flagged)
-        return Survivor.from_dict(out, flagged)
+    def survivor(flagged: tuple[str, ...]) -> Survivor:
+        aspects = zip(names, map(seqs.__getitem__, filled))
+        return Survivor(tuple([(comp_id, tuple(islice(aspects, k))) for comp_id, k in groups]),
+                        tuple(sorted(flagged)))
 
     if pivot.kind != KIND_ELLIPTIC:
         # a star: the one candidate is the floors that the tails force on the hub
@@ -623,9 +610,11 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
         notes = ["hub evaluated on the ramification floors forced by the tails"]
         if result.failed:
             return _finish(curve, t, 1, {f"{result.rule}@{pivot.id}": 1}, [], 0, prune, notes)
-        survivor = witness(floors, ["pass"] * len(floors),
-                           [pivot.id] if result.status == "unknown" else [])
-        return _finish(curve, t, 1, {}, [survivor][:survivor_cap], 1, prune, notes + [
+        flagged = (pivot.id,) if result.status == "unknown" else ()
+        for i, floor in enumerate(floors):
+            filled[at_pivot[i]] = ia = lat.index[floor]
+            flagged += extend(i, ia)
+        return _finish(curve, t, 1, {}, [survivor(flagged)][:survivor_cap], 1, prune, notes + [
             "survivor lists the floor assignment; larger ramification may also survive"])
 
     # an elliptic pivot: a sequence a at its first node fails the single-pole rule or
@@ -636,7 +625,10 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
     pole_fails = n - sum(pole_ok)
     if len(branches) == 1:
         hits = Counter({key_pole: pole_fails, branches[0].rule: n - pole_fails - len(opened)})
-        survivors = [witness((seqs[i],), (status_u[i],), []) for i in opened[:survivor_cap]]
+        survivors = []
+        for i in opened[:survivor_cap]:
+            filled[at_pivot[0]] = i
+            survivors.append(survivor(extend(0, i)))
         return _finish(curve, t, n, +hits, survivors, len(opened), prune)
 
     # two nodes: count the pairs (a, b) box by box.  Over the open a, the rules on the
@@ -645,8 +637,8 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
     # counted and its survivors walked.
     branch_v = branches[1]
     torsion = pivot.torsion_between(*points)
-    status_v, good_in, _ = _branch_table(branch_v.key, r, d, prune, True)
-    tops = list(map(lat.caps.__getitem__, opened))
+    status_v, good_in, *_ = _branch_table(branch_v.key, r, d, prune, True)
+    tops = list(map(caps.__getitem__, opened))
     in_box, pole, good = (sum(map(table.__getitem__, tops))
                           for table in (lat.box, lat.pole_in, good_in))
     hits = Counter()
@@ -662,15 +654,34 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
     for i, ic in zip(opened, tops):
         if not good_in[ic]:
             continue
-        a = seqs[i]
-        tor = _torsion_hits(a, ic, lat.steps, good_in, torsion)
+        tor = _torsion_hits(seqs[i], ic, lat.steps, good_in, torsion)
         hits[key_tor] += tor
         count -= tor
         if good_in[ic] == tor or len(survivors) >= survivor_cap:
             continue
-        for ib in islice(_partners(a, d, lat, status_v, torsion), survivor_cap - len(survivors)):
-            survivors.append(witness((a, seqs[ib]), (status_u[i], status_v[ib]), []))
+        filled[at_pivot[0]] = i
+        flagged = extend(0, i)
+        for ib in islice(_partners(i, d, lat, status_v, torsion), survivor_cap - len(survivors)):
+            filled[at_pivot[1]] = ib
+            survivors.append(survivor(flagged + extend(1, ib)))
     return _finish(curve, t, n * n, +hits, survivors, count, prune)
+
+
+def _walk(branch: _Branch, slot: Mapping[tuple[str, str], int], lat: _Lattice, r: int, d: int,
+          prune: bool) -> tuple:
+    """How refute fills a branch's slots: per link or bridge, its near and far slots,
+    the status table beyond it, its torsion and (a bridge) the position of its tail's
+    floor; then the end's slot, its table's status and its id."""
+    table = _branch_table(branch.key, r, d, prune)
+    beyond = [*table.beyond]
+    if branch.kind == "bridge":
+        beyond.append(_branch_table(("tail", 1, None, ()), r, d, prune))
+    steps = [(slot[comp.id, point], slot[comp.id, far], after.status,
+              comp.torsion_between(point, far),
+              lat.index[after.floor] if comp.kind == KIND_GENERAL else None)
+             for (comp, point, far), after in zip(branch.parts, beyond)]
+    end, point, _ = branch.parts[-1]
+    return steps, slot[end.id, point], (beyond or [table])[-1].status, end.id
 
 
 def _finish(curve, t, candidates, hits, survivors, count, prune, extra_notes=()) -> RefutationReport:
@@ -682,20 +693,47 @@ def _finish(curve, t, candidates, hits, survivors, count, prune, extra_notes=())
                             count > len(survivors), prune, (*notes, *extra_notes))
 
 
-def _partners(a: tuple[int, ...], d: int, lat: _Lattice, status: Sequence[str],
+def _partners(ia: int, d: int, lat: _Lattice, status: Sequence[str],
               torsion: int | None) -> Iterator[int]:
-    """Positions of the b <= caps(a), in order, that pass the single-pole rule, the
-    table of the branch behind b and, with a, the torsion rule."""
-    for b in _box(min_complement(a, d)):
-        ib = lat.index[b]
-        if lat.pole_ok[ib] and status[ib] != "fail" and not _torsion_fails(a, b, d, torsion):
-            yield ib
+    """Positions of the b <= c = caps(a), in order, that pass the single-pole rule,
+    status and, with a = seqs[ia], the torsion rule.
 
-
-def _torsion_fails(a: tuple[int, ...], b: tuple[int, ...], d: int, torsion: int | None) -> bool:
-    """Torsion-divisibility rule for a pair inside the pairwise bound."""
-    eq = [i for i, x in enumerate(a) if x + b[-1 - i] == d]
-    return len(eq) >= 2 and (torsion is None or any((a[i] - a[eq[0]]) % torsion for i in eq))
+    The box is walked by rank: for each prefix (b_0, ..., b_{r-1}) <= c, in
+    order, the b_r in (b_{r-1}, c_r] have ranks k to top, and raising b_j from
+    v, the later coordinates least, adds C(d - v, r - j) to k.  Exact sums sit
+    where b_j = c_j, so the torsion rule is asked only of a prefix with some
+    b_j = c_j, for the run and for its last b, b_r = c_r.
+    """
+    a, c = lat.seqs[ia], lat.seqs[lat.caps[ia]]
+    pole_ok = lat.pole_ok
+    r = len(a) - 1
+    pre = list(range(r))  # the prefix, least first
+    ks = [0] * (r + 1)  # ks[j + 1]: the rank with b_0, ..., b_j as in pre, the rest least
+    capped = sum(map(int.__eq__, pre, c))  # the j < r with pre[j] = c[j]
+    while True:
+        k = ks[r]
+        top = k + c[r] - (pre[-1] + 1 if r else 0)
+        if capped:
+            eq = [r - j for j, v in enumerate(pre) if v == c[j]]  # indices of a with exact sums
+            if _torsion_fails(a, eq, torsion):  # then b_r = c_r fails as well
+                top = k - 1
+            elif _torsion_fails(a, [*eq, 0], torsion):
+                top -= 1
+        for ib in range(k, top + 1):
+            if pole_ok[ib] and status[ib] != "fail":
+                yield ib
+        j = r - 1
+        while j >= 0 and pre[j] == c[j]:
+            j -= 1
+        if j < 0:
+            return
+        ks[j + 1] += comb(d - pre[j], r - j)
+        pre[j] += 1
+        capped += (pre[j] == c[j]) - (r - 1 - j)  # the coordinates after j were capped
+        for i in range(j + 1, r):
+            pre[i] = pre[i - 1] + 1
+            ks[i + 1] = ks[j + 1]
+            capped += pre[i] == c[i]
 
 
 def _torsion_hits(a: tuple[int, ...], ic: int, steps: tuple[tuple[int, ...], ...],
@@ -737,14 +775,6 @@ def _down_sums(steps: Sequence[Sequence[int]], *weights: Iterable) -> tuple[tupl
     return tuple(tuple(table[:-1]) for table in tables)
 
 
-def _box(hi: Sequence[int]) -> list[tuple[int, ...]]:
-    """Strictly increasing tuples b <= hi, in lexicographic order."""
-    level = [(v,) for v in range(hi[0] + 1)]
-    for top in hi[1:]:
-        level = [b + (v,) for b in level for v in range(b[-1] + 1, top + 1)]
-    return level
-
-
 # ---------------------------------------------------------------------------
 # witness verification
 
@@ -757,80 +787,89 @@ def verify_witness(curve: CompactCurve, t: SeriesType,
     vanish at least that much, which is what the node matching consumes.
     Verdict "confirmed" needs every component oracle to be an exact pass and
     every node to match; passes by merely necessary rules (or unknowns on
-    fact-sheet components) downgrade to "consistent".
+    fact-sheet components) downgrade to "consistent".  Each sequence is
+    checked once, as a VanishingSeq, and the oracles read it or the
+    ramification derived from it; nothing here reads refute's tables, so this
+    stays an independent check of refute's survivors.
     """
     if t.g != curve.genus:
         raise ValueError(f"series genus {t.g} does not match curve genus {curve.genus}")
     r, d = t.r, t.d
-
-    node_points, _ = _node_map(curve)
+    comps, nodes, node_points = _verify_plan(curve, t)
     seqs: dict[tuple[str, str], VanishingSeq] = {}
-    for comp in curve.components:
-        need = node_points[comp.id]
+    for comp, need, _, _ in comps:
         given = dict(assignment.get(comp.id, {}))
-        missing = [p for p in need if p not in given]
-        if missing:
-            raise ValueError(f"assignment incomplete: {comp.id} lacks {missing}")
+        if not all(map(given.__contains__, need)):
+            raise ValueError(f"assignment incomplete: {comp.id} lacks {[p for p in need if p not in given]}")
         for pt, entries in given.items():
-            if pt not in comp.points:
-                raise ValueError(f"assignment names unknown point {comp.id}.{pt}")
             if pt not in need:
+                if pt not in comp.points:
+                    raise ValueError(f"assignment names unknown point {comp.id}.{pt}")
                 raise ValueError(f"point {comp.id}.{pt} is not a node; only node points carry witness data")
-            seq = VanishingSeq(tuple(entries), d)
-            if seq.r != r:
-                raise ValueError(f"sequence at {comp.id}.{pt} has length {seq.r + 1}, need {r + 1}")
-            seqs[(comp.id, pt)] = seq
+            seq = seqs[comp.id, pt] = VanishingSeq(entries, d)
+            if len(seq.entries) != r + 1:
+                raise ValueError(f"sequence at {comp.id}.{pt} has length {len(seq.entries)}, need {r + 1}")
     for comp_id in assignment:
         if comp_id not in node_points:
             raise KeyError(comp_id)
 
     node_audits = []
     excess = []
-    for node in curve.nodes:
-        (c1, p1), (c2, p2) = node.ends
-        sums = _node_sums(seqs[(c1, p1)], seqs[(c2, p2)])
+    for end, other, name in nodes:
+        sums = tuple(map(add, seqs[end].entries, reversed(seqs[other].entries)))
         cls = _node_class(sums, d)
-        node_audits.append(NodeAudit(str(node), sums, cls))
-        excess.append((str(node), sum(sums) - (r + 1) * d if cls != "incompatible" else 0))
+        node_audits.append(NodeAudit(name, sums, cls))
+        excess.append((name, sum(sums) - (r + 1) * d if cls != "incompatible" else 0))
 
     comp_audits = []
     aspect_rhos = []
-    for comp in curve.components:
-        pts = node_points[comp.id]
-        vans = [seqs[(comp.id, p)] for p in pts]
-        rams = [vanishing_to_ramification(v) for v in vans]
-        result = _component_oracle(comp, t, pts, vans, rams)
-        comp_audits.append(ComponentAudit(comp.id, result.status, result.exact,
-                                          result.witness_grade, result.rule, result.detail))
-        aspect_rhos.append((comp.id, adjusted_rho(SeriesType(comp.genus, r, d), rams)))
+    for comp, pts, t_comp, rho_comp in comps:
+        vans = [seqs[comp.id, p] for p in pts]
+        status, rule, exact, grade, detail = _component_oracle(comp, t_comp, pts, vans)
+        comp_audits.append(ComponentAudit(comp.id, status, exact, grade, rule, detail))
+        aspect_rhos.append((comp.id, rho_comp - sum(map(sum, map(itemgetter(0), vans)))))
 
     audit = additivity_audit(t, [v for _, v in aspect_rhos])
-    refined = all(n.classification == "refined" for n in node_audits)
-
-    if any(n.classification == "incompatible" for n in node_audits) or \
-            any(c.status == "fail" for c in comp_audits):
-        verdict = "rejected"
-    elif all(c.status == "pass" and c.exact for c in comp_audits):
-        verdict = "confirmed"
-    else:
-        verdict = "consistent"
-
+    classes = {n.classification for n in node_audits} | {c.status for c in comp_audits}
+    asserted = [c.component for c in comp_audits if c.status != "pass" or not c.exact]
+    verdict = ("rejected" if "incompatible" in classes or "fail" in classes
+               else "consistent" if asserted else "confirmed")
     notes = []
     if verdict == "consistent":
-        asserted = [c.component for c in comp_audits if c.status == "unknown" or not c.exact]
         notes.append("component existence asserted, not proven: " + ", ".join(sorted(asserted)))
     if verdict in ("confirmed", "consistent"):
         notes.append(SMOOTHABILITY_NOTE)
     return WitnessReport(curve.id, (r, d), verdict, tuple(node_audits), tuple(comp_audits),
-                         tuple(aspect_rhos), tuple(excess), audit, refined, tuple(notes))
+                         tuple(aspect_rhos), tuple(excess), audit,
+                         all(n.classification == "refined" for n in node_audits), tuple(notes))
+
+
+def _verify_plan(curve: CompactCurve, t: SeriesType) -> tuple:
+    """What verify_witness reads of a curve: per component, its node points, the series on
+    it and that series' rho plus r(r+1)/2 per point (a ramification weight is the vanishing
+    sum less that); per node, its ends and its name; and each component's node points by id.
+
+    A curve's survivors are verified one after another, so the plan for the last curve (the
+    same object) and series is kept with the tables.
+    """
+    last, last_t, plan = _tables.plan
+    if last is not curve or last_t != t:
+        node_points, _ = _node_map(curve)
+        on = [(c, node_points[c.id], SeriesType(c.genus, t.r, t.d)) for c in curve.components]
+        comps = [(*x, rho(x[2]) + t.r * (t.r + 1) // 2 * len(x[1])) for x in on]
+        plan = comps, [(*node.ends, str(node)) for node in curve.nodes], node_points
+        _tables.plan = curve, t, plan
+    return plan
 
 
 def _component_oracle(comp: Component, t: SeriesType, pts: list[str],
-                      vans: list[VanishingSeq], rams: list[RamificationSeq]) -> CheckResult:
-    if comp.kind == KIND_GENERAL:
-        return general_pointed_check(SeriesType(comp.genus, t.r, t.d), rams)
-    if comp.kind == KIND_FACTSHEET:
-        return factsheet_check(comp.facts, SeriesType(comp.genus, t.r, t.d), rams)
+                      vans: list[VanishingSeq]) -> CheckResult:
+    """The rule of one component on its aspects; t is the series on that component."""
+    if comp.kind != KIND_ELLIPTIC:
+        rams = list(map(vanishing_to_ramification, vans))
+        if comp.kind == KIND_GENERAL:
+            return general_pointed_check(t, rams)
+        return factsheet_check(comp.facts, t, rams)
     if not 0 < len(vans) < 3:
         raise UnsupportedCurveError(f"elliptic component {comp.id} has more than two nodes")
     for v in vans:  # the single-pole rule at each node point, then the pair's rules

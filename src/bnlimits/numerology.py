@@ -10,6 +10,7 @@ Everything here is exact integer arithmetic on immutable values.
 
 from __future__ import annotations
 
+from operator import lt, sub
 from typing import NamedTuple
 
 
@@ -41,7 +42,7 @@ class VanishingSeq(NamedTuple("VanishingSeq", [("entries", tuple[int, ...]), ("d
             raise ValueError("vanishing sequence must be nonempty")
         if a[0] < 0 or a[-1] > d:
             raise ValueError(f"vanishing sequence {a} out of range [0, {d}]")
-        if any(x >= y for x, y in zip(a, a[1:])):
+        if not all(map(lt, a, a[1:])):
             raise ValueError(f"vanishing sequence {a} is not strictly increasing")
         return tuple.__new__(cls, (a, d))
 
@@ -86,8 +87,9 @@ def adjusted_rho(t: SeriesType, rams: list[RamificationSeq] | tuple[Ramification
 
 
 def vanishing_to_ramification(a: VanishingSeq) -> RamificationSeq:
-    """Subtract i from the i-th vanishing order."""
-    return RamificationSeq(tuple(x - i for i, x in enumerate(a.entries)), a.r, a.d)
+    """Subtract i from the i-th vanishing order; weakly increasing in [0, d - r], so unchecked."""
+    return tuple.__new__(RamificationSeq, (tuple(map(sub, a.entries, range(len(a.entries)))),
+                                           len(a.entries) - 1, a.d))
 
 
 def ramification_to_vanishing(alpha: RamificationSeq) -> VanishingSeq:

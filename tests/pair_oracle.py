@@ -4,7 +4,8 @@ For a curve whose pivot is an elliptic component with two nodes, walk all
 n^2 pairs (a, b) of vanishing sequences at its two node points and apply
 the engine's rules in the engine's order: single pole at a, the branch
 behind a's node, the pairwise bound, single pole at b, the branch behind
-b's node, torsion divisibility.
+b's node, torsion divisibility.  box and torsion_fails walk one box and
+test one pair, the oracles of the engine's box counts and partner walk.
 
 The branch behind a node (a leaf, an elliptic tail, a general bridge ending
 in a tail, or an elliptic link with a further branch beyond it) is judged
@@ -127,6 +128,27 @@ class Side:
         self.beyond.aspects(b, out, unconfirmed)
 
 
+def survivor(assignment: dict, unconfirmed) -> Survivor:
+    """The Survivor of an assignment {component: {point: sequence}}, sorted by id and point."""
+    frozen = tuple((comp, tuple(sorted((pt, tuple(seq)) for pt, seq in pts.items())))
+                   for comp, pts in sorted(assignment.items()))
+    return Survivor(frozen, tuple(sorted(unconfirmed)))
+
+
+def box(hi) -> list[tuple[int, ...]]:
+    """Strictly increasing tuples b <= hi, in lexicographic order."""
+    level = [(v,) for v in range(hi[0] + 1)]
+    for top in hi[1:]:
+        level = [b + (v,) for b in level for v in range(b[-1] + 1, top + 1)]
+    return level
+
+
+def torsion_fails(a, b, d: int, torsion: int | None) -> bool:
+    """Torsion-divisibility rule for one pair (a, b) inside the pairwise bound."""
+    eq = [i for i, x in enumerate(a) if x + b[-1 - i] == d]
+    return len(eq) >= 2 and (torsion is None or any((a[i] - a[eq[0]]) % torsion for i in eq))
+
+
 def pivot_sides(curve: CompactCurve, r: int, d: int):
     """The pivot, its two node points and the Side behind each."""
     pivot = next(c for c in curve.components
@@ -179,7 +201,7 @@ def brute_force_pairs(curve: CompactCurve, r: int, d: int, cap: int = 100) -> di
                 unconfirmed: list = []
                 side_u.aspects(a, assignment, unconfirmed)
                 side_v.aspects(b, assignment, unconfirmed)
-                survivors.append(Survivor.from_dict(assignment, unconfirmed))
+                survivors.append(survivor(assignment, unconfirmed))
     return {
         "verdict": "refuted" if count == 0 else "survivors",
         "candidates_examined": len(seqs) ** 2,

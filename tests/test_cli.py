@@ -234,6 +234,22 @@ def test_limit_verify_matches_golden(capsys, curve, r, d, witness, fmt):
     assert out.encode("utf-8") == (GOLDEN / f"verify_{curve}_{r}_{d}.{fmt}").read_bytes()
 
 
+REJECTED = Path(__file__).parent / "curves" / "chain_9torsion_pencil_rejected.json"
+
+
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+def test_limit_verify_rejected_matches_golden(capsys, fmt):
+    # an incompatible node and a failing component, with the detail of each
+    extra = ("--json",) if fmt == "json" else ()
+    code, out, _ = run(capsys, "limit", "verify", str(REJECTED), "1", "12", "--witness", "g1_12",
+                       *extra)
+    assert code == 0
+    assert out.encode("utf-8") == \
+        (GOLDEN / f"verify_chain-9torsion-pencil-rejected_1_12.{fmt}").read_bytes()
+    assert "rejected" in out and "incompatible" in out
+    assert "order 9 does not divide differences [12]" in out
+
+
 @pytest.mark.parametrize("golden,args", [
     ("decompose_23_1_12.json", ("decompose", "23", "1", "12", "--json")),
     ("slope_boundary_table.txt", ("slope", "boundary-table")),

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bnlimits import limit_checker
 from bnlimits.curves import CompactCurve, Component, Node, TorsionPair
 from bnlimits.limit_checker import refute, verify_witness
 from bnlimits.numerology import SeriesType, rho
@@ -102,3 +103,25 @@ def test_short_chains_every_series(k):
         assert (verdict == "refuted") == (bound < 0), (g, r, d, k)
         verdicts.add(verdict)
     assert verdicts == {"refuted", "survivors"}
+
+
+def test_listing_a_linked_branch_builds_no_table(monkeypatch):
+    # a witness reads the table beyond each link from the branch's own table, which keeps
+    # them, so listing survivors builds no link table and the cache counts what is kept
+    built = []
+    link_table = limit_checker._link_table
+    monkeypatch.setattr(limit_checker, "_link_table",
+                        lambda *args, **kw: built.append(args[1]) or link_table(*args, **kw))
+    g = 2000
+    curve, t = elliptic_chain(g, 2), SeriesType(g, 1, 2)
+    for prune in (True, False):
+        for cap in (0, 1, 5):
+            limit_checker._lattice.cache_clear()
+            built.clear()
+            report = refute(curve, t, prune=prune, survivor_cap=cap)
+            assert len(report.survivors) == min(cap, 1)
+            assert built == [2] * (g - 3), (prune, cap)  # one per link, E3 to E(g-1)
+            tables = limit_checker._tables
+            held = sum(len(table[0]) + sum(len(b.status) for b in getattr(table, "beyond", ()))
+                       for table in tables.tables.values())
+            assert held == tables.held

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from pair_oracle import brute_force_pairs
+from pair_oracle import box, brute_force_pairs, torsion_fails
 
 from bnlimits import limit_checker
 from bnlimits.curvefile import curve_from_json, curve_to_json, load_fixture
@@ -13,12 +13,10 @@ from bnlimits.limit_checker import (
     MAX_CACHED_SEQUENCES,
     MAX_SEQUENCES,
     UnsupportedCurveError,
-    _box,
     _branch_table,
     _down_sums,
     _lattice,
     _tables,
-    _torsion_fails,
     _torsion_hits,
     additivity_audit,
     min_complement,
@@ -182,7 +180,9 @@ def _clear_caches():
 
 
 def _held_within_bound():
-    held = sum(len(table[0]) for table in _tables.tables.values())
+    # a branch table with links also holds the tables beyond them
+    held = sum(len(table[0]) + sum(len(b.status) for b in getattr(table, "beyond", ()))
+               for table in _tables.tables.values())
     return held == _tables.held <= limit_checker.MAX_CACHED_SEQUENCES
 
 
@@ -298,7 +298,7 @@ def test_lattice_steps_and_caps_match_clamping():
             assert lat.box == tuple(m.bit_count() for m in below), (r, d)
             assert lat.pole_in == tuple((m & fails).bit_count() for m in below), (r, d)
             if len(lat.seqs) <= 300:  # walking every box of the larger lattices takes a minute
-                boxes = [_box(s) for s in lat.seqs]
+                boxes = [box(s) for s in lat.seqs]
                 assert lat.box == tuple(map(len, boxes)), (r, d)
                 assert lat.pole_in == tuple(sum(b[-2:] == (d - 1, d) for b in box)
                                             for box in boxes), (r, d)
@@ -356,8 +356,8 @@ def test_torsion_hits_match_the_walked_box(r, d):
     (good_in,) = _down_sums(lat.steps, good)
     for torsion in (None, 2, 3, 5):
         for a, ic in zip(lat.seqs, lat.caps):
-            walked = sum(1 for b in _box(lat.seqs[ic])
-                         if good[lat.index[b]] and _torsion_fails(a, b, d, torsion))
+            walked = sum(1 for b in box(lat.seqs[ic])
+                         if good[lat.index[b]] and torsion_fails(a, b, d, torsion))
             assert _torsion_hits(a, ic, lat.steps, good_in, torsion) == walked, (a, torsion)
 
 
@@ -430,16 +430,56 @@ def test_verify_witness_rejects_bad_torsion():
     assert report.verdict == "rejected"
 
 
+def _with(aspects, comp, point, entries):
+    return {**aspects, comp: {**aspects.get(comp, {}), point: entries}}
+
+
 def test_verify_witness_input_errors(fixtures):
+    # every check on the caller's input, each with its exact message
     desc = fixtures["chain_9torsion"]
     aspects = desc.witness("g2_17").aspects_dict()
-    incomplete = {k: v for k, v in aspects.items() if k != "C1"}
-    with pytest.raises(ValueError):
-        verify_witness(desc.curve, SeriesType(23, 2, 17), incomplete)
-    with pytest.raises(ValueError):
-        verify_witness(desc.curve, SeriesType(23, 3, 20), aspects)  # wrong length
-    with pytest.raises(ValueError):
-        verify_witness(desc.curve, SeriesType(22, 2, 17), aspects)  # wrong genus
+    t = SeriesType(23, 2, 17)
+    # C1 of the chain with a second marked point x that sits in no node
+    marked = desc.curve._replace(components=(
+        desc.curve.components[0]._replace(points=("p1", "x")), *desc.curve.components[1:]))
+    cases = [
+        (desc.curve, t, {k: v for k, v in aspects.items() if k != "C1"},
+         "assignment incomplete: C1 lacks ['p1']"),
+        (desc.curve, SeriesType(23, 3, 20), aspects, "sequence at C1.p1 has length 3, need 4"),
+        (desc.curve, SeriesType(22, 2, 17), aspects,
+         "series genus 22 does not match curve genus 23"),
+        (desc.curve, t, _with(aspects, "C1", "zz", (4, 9, 13)),
+         "assignment names unknown point C1.zz"),
+        (marked, t, _with(aspects, "C1", "x", (4, 9, 13)),
+         "point C1.x is not a node; only node points carry witness data"),
+        (desc.curve, t, _with(aspects, "E", "p2", (4, 8, 18)),
+         "vanishing sequence (4, 8, 18) out of range [0, 17]"),
+        (desc.curve, t, _with(aspects, "E", "p2", (-1, 8, 13)),
+         "vanishing sequence (-1, 8, 13) out of range [0, 17]"),
+        (desc.curve, t, _with(aspects, "C2", "p2", (4, 9, 9)),
+         "vanishing sequence (4, 9, 9) is not strictly increasing"),
+        (desc.curve, t, _with(aspects, "C2", "p2", ()), "vanishing sequence must be nonempty"),
+    ]
+    for curve, series, assignment, message in cases:
+        with pytest.raises(ValueError) as err:
+            verify_witness(curve, series, assignment)
+        assert str(err.value) == message
+    with pytest.raises(KeyError) as err:
+        verify_witness(desc.curve, t, {**aspects, "X": {}})
+    assert err.value.args == ("X",)
+
+
+def test_verify_plan_is_one_slot_cleared_with_the_tables(fixtures):
+    # verify_witness keeps the plan of the last curve only, and cache_clear drops it
+    desc, other = fixtures["chain_9torsion"], fixtures["chain_12torsion"]
+    t = SeriesType(23, 2, 17)
+    first = verify_witness(desc.curve, t, desc.witness("g2_17").aspects_dict())
+    assert _tables.plan[0] is desc.curve
+    verify_witness(other.curve, SeriesType(23, 1, 12), other.witness("g1_12").aspects_dict())
+    assert _tables.plan[0] is other.curve and _tables.plan[1] == (23, 1, 12)
+    _lattice.cache_clear()
+    assert _tables.plan == (None, None, None)
+    assert verify_witness(desc.curve, t, desc.witness("g2_17").aspects_dict()) == first
 
 
 def test_additivity_identity_on_witnesses(fixtures):

@@ -7,7 +7,7 @@ from pair_oracle import brute_force_pairs, pivot_sides
 
 from bnlimits.curvefile import load_fixture
 from bnlimits.curves import CompactCurve, Component, FactSheet, Node, SeriesDimFact, TorsionPair
-from bnlimits.limit_checker import _analyze, _branch_table, _lattice, refute
+from bnlimits.limit_checker import _analyze, _branch_table, _lattice, refute, verify_witness
 from bnlimits.numerology import SeriesType
 
 ORACLE_SEQ_CAP = 120  # C(d+1, r+1) up to which the n^2 brute force stays quick
@@ -135,3 +135,26 @@ def test_web_refutation_rule_hits_golden(name, clamp_c1):
         "general-pointed-clamp@C2": 949_267,
     }
     assert report.survivor_count == 0 and report.survivors == () and not report.truncated
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair_curves(), st.data())
+@example((SHARED_BOX[0], 1, 3), None)
+@example((SHARED_BOX[0], 2, 6), None)  # 350 survivors, 100 listed
+def test_capped_listing_is_a_prefix_of_the_full_one(drawn, data):
+    # the survivors are listed lazily, partner by partner, so every cap k cuts the one
+    # listing: the ends, a cap drawn in between, and every cap when data is None
+    curve, r, d = drawn
+    t = SeriesType(curve.genus, r, d)
+    for prune in (True, False):
+        full = refute(curve, t, prune=prune)
+        assert len(set(full.survivors)) == len(full.survivors)
+        for survivor in full.survivors:
+            assert verify_witness(curve, t, survivor.assignment_dict()).verdict != "rejected"
+        top = min(len(full.survivors) + 1, 100)
+        caps = range(top + 1) if data is None else {0, 1, top, data.draw(st.integers(0, top))}
+        for k in caps:
+            report = refute(curve, t, prune=prune, survivor_cap=k)
+            assert report.survivors == full.survivors[:k], (prune, k)
+            assert report.survivor_count == full.survivor_count
+            assert report.truncated == (report.survivor_count > k), (prune, k)
