@@ -7,23 +7,20 @@ documented JSON shape, unknown keys are rejected everywhere, every integer
 field must be a JSON integer (not a boolean, float or string), every id,
 kind, point name and description must be a JSON string, points_general
 must be a JSON boolean, and the decoded curve re-validates all structural
-invariants.
+invariants.  curve_from_json checks each value where it reads it, in one
+pass over each object: exact type tests (a decoded JSON object is a dict;
+other mappings take the slower abstract test), key sets held by the module,
+and messages formatted only when a check fails.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Any, Mapping, NamedTuple
+from typing import Any, NamedTuple
 
-from .curves import (
-    CompactCurve,
-    Component,
-    FactSheet,
-    Node,
-    SeriesDimFact,
-    TorsionPair,
-)
+from .curves import CompactCurve, Component, FactSheet, Node, SeriesDimFact, TorsionPair
 
 SCHEMA = "compact-curve/1"
 
@@ -52,121 +49,127 @@ class CurveDescription(NamedTuple):
         raise KeyError(f"no witness named {name!r}; have {[w.name for w in self.witnesses]}")
 
 
-def _object(value: Any, where: str, allowed: set[str] | None = None,
-            required: frozenset[str] | set[str] = frozenset()) -> Mapping[str, Any]:
-    """A JSON object with keys from allowed (any names when None), the required ones included."""
-    if not isinstance(value, Mapping):
-        raise ValueError(f"{where} must be an object, got {json.dumps(value)}")
-    unknown = set(value) - allowed if allowed is not None else set()
-    if unknown:
-        raise ValueError(f"unknown keys {sorted(unknown)} in {where}")
-    missing = required - set(value)
-    if missing:
-        raise ValueError(f"missing keys {sorted(missing)} in {where}")
+# the keys each kind of object allows, and those it requires
+_CURVE = frozenset({"schema", "id", "description", "genus", "components", "nodes", "witnesses"})
+_CURVE_NEEDS = frozenset({"schema", "id", "genus", "components", "nodes"})
+_COMPONENT = frozenset({"id", "kind", "genus", "points", "torsion", "facts", "description"})
+_COMPONENT_NEEDS = frozenset({"id", "kind", "genus", "points"})
+_TORSION, _DIM, _NONE = frozenset({"points", "order"}), frozenset({"r", "d", "dim"}), frozenset()
+_FACTS = frozenset({"series_dims", "gonality", "points_general"})
+_WITNESS, _WITNESS_NEEDS = frozenset({"series", "aspects", "description"}), frozenset({"series", "aspects"})
+_SHAPES = {int: "an integer", str: "a string", bool: "true or false"}
+
+
+def _bad(value: Any, where: str, shape: str) -> ValueError:
+    return ValueError(f"{where} must be {shape}, got {json.dumps(value)}")
+
+
+def _is(value: Any, kind: type, where: str, *args: Any) -> Any:
+    """value, if its type is exactly kind (so a bool is no integer); where.format(*args) names it."""
+    if type(value) is not kind:
+        raise _bad(value, where.format(*args), _SHAPES[kind])
     return value
 
 
-def _array(value: Any, where: str, length: int | None = None) -> list | tuple:
+def _array(value: Any, length: int | None, where: str, *args: Any) -> list | tuple:
     if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
-        shape = "an array" if length is None else f"an array of {length}"
-        raise ValueError(f"{where} must be {shape}, got {json.dumps(value)}")
+        raise _bad(value, where.format(*args), "an array" if length is None else f"an array of {length}")
     return value
 
 
-def _int(value: Any, where: str) -> int:
-    # bool is a subclass of int, so test the exact type
-    if type(value) is not int:
-        raise ValueError(f"{where} must be an integer, got {json.dumps(value)}")
+def _ints(values: Any, length: int | None, where: str, *args: Any) -> tuple[int, ...]:
+    return tuple(_is(x, int, where, *args) for x in _array(values, length, where, *args))
+
+
+def _object(value: Any, allowed: frozenset[str] | None, required: frozenset[str], where: str,
+            *args: Any) -> Mapping[str, Any]:
+    """A JSON object with keys from allowed (any names when None), the required ones included."""
+    if type(value) is not dict and not isinstance(value, Mapping):
+        raise _bad(value, where.format(*args), "an object")
+    keys = value.keys()
+    if allowed is not None and not keys <= allowed:
+        raise ValueError(f"unknown keys {sorted(set(keys) - allowed)} in {where.format(*args)}")
+    if not keys >= required:
+        raise ValueError(f"missing keys {sorted(required - set(keys))} in {where.format(*args)}")
     return value
 
 
-def _str(value: Any, where: str) -> str:
-    if type(value) is not str:
-        raise ValueError(f"{where} must be a string, got {json.dumps(value)}")
-    return value
+def _where(doc: Any) -> str:
+    """How messages name a component: by its id, if that is a string."""
+    cid = doc.get("id") if type(doc) is dict or isinstance(doc, Mapping) else None
+    return f"component {cid}" if type(cid) is str else "component"
 
 
-def _ints(values: Any, where: str, length: int | None = None) -> tuple[int, ...]:
-    return tuple(_int(x, where) for x in _array(values, where, length))
+def _torsion_pair(item: Any) -> TorsionPair:
+    _object(item, _TORSION, _TORSION, "torsion entry")
+    for p in _array(item["points"], 2, "points of torsion entry"):
+        _is(p, str, "point of torsion entry")
+    return TorsionPair(item["points"], _is(item["order"], int, "torsion order"))
 
 
-def _parse_point_ref(ref: Any) -> tuple[str, str]:
-    if type(ref) is not str or ref.count(".") != 1:
-        raise ValueError(f"point reference {ref!r} must look like component.point")
-    comp, pt = ref.split(".")
-    return comp, pt
+def _facts(doc: Any) -> FactSheet:
+    doc = _object(doc, _FACTS, _NONE, "facts")
+    dims = []
+    for item in _array(doc.get("series_dims", ()), None, "series_dims"):
+        _object(item, _DIM, _DIM, "series dimension fact")
+        dims.append(SeriesDimFact(*(_is(item[k], int, "{} of series dimension fact", k)
+                                    for k in ("r", "d", "dim"))))
+    gonality = None if doc.get("gonality") is None else _is(doc["gonality"], int, "gonality")
+    return FactSheet(tuple(dims), gonality, _is(doc.get("points_general", True), bool, "points_general"))
 
 
-def _parse_component(doc: Any) -> Component:
-    where = "component"
-    if isinstance(doc, Mapping) and type(doc.get("id")) is str:
-        where = f"component {doc['id']}"
-    _object(doc, where, {"id", "kind", "genus", "points", "torsion", "facts", "description"},
-            {"id", "kind", "genus", "points"})
-    torsion = []
-    for item in _array(doc.get("torsion", []), f"torsion of {where}"):
-        _object(item, "torsion entry", {"points", "order"}, {"points", "order"})
-        p, q = (_str(x, "point of torsion entry")
-                for x in _array(item["points"], "points of torsion entry", 2))
-        torsion.append(TorsionPair((p, q), _int(item["order"], "torsion order")))
-    facts = None
-    if "facts" in doc:
-        fdoc = _object(doc["facts"], "facts", {"series_dims", "gonality", "points_general"})
-        dims = []
-        for item in _array(fdoc.get("series_dims", []), "series_dims"):
-            _object(item, "series dimension fact", {"r", "d", "dim"}, {"r", "d", "dim"})
-            dims.append(SeriesDimFact(*(_int(item[k], f"{k} of series dimension fact")
-                                        for k in ("r", "d", "dim"))))
-        gonality = fdoc.get("gonality")
-        if gonality is not None:
-            _int(gonality, "gonality")
-        points_general = fdoc.get("points_general", True)
-        if type(points_general) is not bool:
-            raise ValueError(f"points_general must be true or false, got {json.dumps(points_general)}")
-        facts = FactSheet(tuple(dims), gonality, points_general)
-    return Component(
-        id=_str(doc["id"], "component id"),
-        genus=_int(doc["genus"], f"genus of {where}"),
-        kind=_str(doc["kind"], f"kind of {where}"),
-        points=tuple(_str(p, f"point of {where}")
-                     for p in _array(doc["points"], f"points of {where}")),
-        torsion=tuple(torsion),
-        facts=facts,
-    )
+def _component(doc: Any) -> Component:
+    # a dict with the right keys skips _object, whose messages name the component (_where)
+    if type(doc) is not dict or not doc.keys() <= _COMPONENT or not doc.keys() >= _COMPONENT_NEEDS:
+        _object(doc, _COMPONENT, _COMPONENT_NEEDS, "{}", _where(doc))
+    torsion = doc.get("torsion", ())
+    if not isinstance(torsion, (list, tuple)):
+        raise _bad(torsion, f"torsion of {_where(doc)}", "an array")
+    torsion = tuple(map(_torsion_pair, torsion))
+    facts = _facts(doc["facts"]) if "facts" in doc else None
+    cid = _is(doc["id"], str, "component id")
+    genus = _is(doc["genus"], int, "genus of component {}", cid)
+    kind = _is(doc["kind"], str, "kind of component {}", cid)
+    for p in _array(doc["points"], None, "points of component {}", cid):
+        _is(p, str, "point of component {}", cid)
+    return Component(cid, genus, kind, doc["points"], torsion, facts)
+
+
+def _node(pair: Any) -> Node:
+    ends = []
+    for ref in _array(pair, 2, "node"):
+        if type(ref) is not str or ref.count(".") != 1:
+            raise ValueError(f"point reference {ref!r} must look like component.point")
+        ends.append(tuple(ref.split(".")))
+    return Node(ends)
+
+
+def _witness(name: str, doc: Any) -> Witness:
+    _object(doc, _WITNESS, _WITNESS_NEEDS, "witness {}", name)
+    series = _ints(doc["series"], 2, "series of witness {}", name)
+    aspects = []
+    for comp, pts in sorted(_object(doc["aspects"], None, _NONE, "aspects of witness {}", name).items()):
+        pts = _object(pts, None, _NONE, "aspects of witness {} at {}", name, comp)
+        aspects.append((comp, tuple(sorted(
+            (pt, _ints(seq, None, "aspect of witness {} at {}.{}", name, comp, pt))
+            for pt, seq in pts.items()))))
+    about = _is(doc.get("description", ""), str, "description of witness {}", name)
+    return Witness(name, series, tuple(aspects), about)
 
 
 def curve_from_json(doc: Any) -> CurveDescription:
-    _object(doc, "curve document",
-            {"schema", "id", "description", "genus", "components", "nodes", "witnesses"},
-            {"schema", "id", "genus", "components", "nodes"})
+    """Decode and check a curve document; the checks run in a fixed order, and the
+    first that fails raises ValueError."""
+    _object(doc, _CURVE, _CURVE_NEEDS, "curve document")
     if doc["schema"] != SCHEMA:
         raise ValueError(f"unsupported schema {doc['schema']!r}, expected {SCHEMA!r}")
-    components = tuple(_parse_component(c) for c in _array(doc["components"], "components"))
-    nodes = []
-    for pair in _array(doc["nodes"], "nodes"):
-        ends = _array(pair, "node", 2)
-        nodes.append(Node((_parse_point_ref(ends[0]), _parse_point_ref(ends[1]))))
-    curve = CompactCurve(
-        id=_str(doc["id"], "curve id"),
-        genus=_int(doc["genus"], "curve genus"),
-        components=components,
-        nodes=tuple(nodes),
-    )
-    witnesses = []
-    for name, wdoc in _object(doc.get("witnesses", {}), "witnesses").items():
-        _object(wdoc, f"witness {name}", {"series", "aspects", "description"},
-                {"series", "aspects"})
-        r, d = _ints(wdoc["series"], f"series of witness {name}", 2)
-        aspects = []
-        for comp, pts in sorted(_object(wdoc["aspects"], f"aspects of witness {name}").items()):
-            pts = _object(pts, f"aspects of witness {name} at {comp}")
-            aspects.append((comp, tuple(sorted(
-                (pt, _ints(seq, f"aspect of witness {name} at {comp}.{pt}"))
-                for pt, seq in pts.items()))))
-        about = _str(wdoc.get("description", ""), f"description of witness {name}")
-        witnesses.append(Witness(name, (r, d), tuple(aspects), about))
-    about = _str(doc.get("description", ""), "curve description")
-    return CurveDescription(curve, tuple(witnesses), about)
+    comps = tuple(map(_component, _array(doc["components"], None, "components")))
+    nodes = tuple(map(_node, _array(doc["nodes"], None, "nodes")))
+    curve = CompactCurve(_is(doc["id"], str, "curve id"), _is(doc["genus"], int, "curve genus"),
+                         comps, nodes)
+    witnesses = _object(doc.get("witnesses", {}), None, _NONE, "witnesses").items()
+    witnesses = tuple(_witness(name, w) for name, w in witnesses)
+    return CurveDescription(curve, witnesses, _is(doc.get("description", ""), str, "curve description"))
 
 
 def curve_to_json(desc: CurveDescription) -> dict[str, Any]:
@@ -176,44 +179,36 @@ def curve_to_json(desc: CurveDescription) -> dict[str, Any]:
         if c.torsion:
             cd["torsion"] = [{"points": list(t.points), "order": t.order} for t in c.torsion]
         if c.facts is not None:
-            fd: dict[str, Any] = {
-                "series_dims": [{"r": f.r, "d": f.d, "dim": f.dim} for f in c.facts.series_dims]
-            }
+            fd: dict[str, Any] = {"series_dims": [f._asdict() for f in c.facts.series_dims]}
             if c.facts.gonality is not None:
                 fd["gonality"] = c.facts.gonality
             fd["points_general"] = c.facts.points_general
             cd["facts"] = fd
         comps.append(cd)
     doc: dict[str, Any] = {
-        "schema": SCHEMA,
-        "id": desc.curve.id,
-        "genus": desc.curve.genus,
-        "components": comps,
-        "nodes": [[f"{a[0]}.{a[1]}", f"{b[0]}.{b[1]}"] for (a, b) in
-                  (node.ends for node in desc.curve.nodes)],
+        "schema": SCHEMA, "id": desc.curve.id, "genus": desc.curve.genus, "components": comps,
+        "nodes": [[".".join(a), ".".join(b)] for a, b in (node.ends for node in desc.curve.nodes)],
     }
     if desc.description:
         doc["description"] = desc.description
     if desc.witnesses:
-        doc["witnesses"] = {
-            w.name: {
-                "series": list(w.series),
-                "aspects": {c: {p: list(s) for p, s in pts} for c, pts in w.aspects},
-                **({"description": w.description} if w.description else {}),
-            }
-            for w in desc.witnesses
-        }
+        doc["witnesses"] = {w.name: {
+            "series": list(w.series),
+            "aspects": {c: {p: list(s) for p, s in pts} for c, pts in w.aspects},
+            **({"description": w.description} if w.description else {}),
+        } for w in desc.witnesses}
     return doc
 
 
 def load_curve_file(path: str | Path) -> CurveDescription:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path} is not valid JSON: {exc}") from exc
-        except RecursionError as exc:
-            raise ValueError(f"{path} is nested too deeply to be a curve file") from exc
+    with open(path, "rb", buffering=0) as handle:  # one read, cheaper than a text stream
+        text = handle.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")  # newlines as in text mode
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path} is nested too deeply to be a curve file") from exc
     return curve_from_json(doc)
 
 

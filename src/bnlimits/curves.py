@@ -71,7 +71,7 @@ class TorsionPair(NamedTuple("TorsionPair", [("points", tuple[str, str]), ("orde
             raise ValueError("torsion pair needs two distinct points")
         if order < 2:
             raise ValueError(f"torsion order must be >= 2, got {order}")
-        return tuple.__new__(cls, (tuple(sorted(points)), order))
+        return tuple.__new__(cls, ((p, q) if p < q else (q, p), order))
 
 
 class Component(NamedTuple("Component", [
@@ -82,19 +82,18 @@ class Component(NamedTuple("Component", [
 
     def __new__(cls, id: str, genus: int, kind: str, points: tuple[str, ...],
                 torsion: tuple[TorsionPair, ...] = (), facts: FactSheet | None = None) -> "Component":
-        points = tuple(points)
-        torsion = tuple(torsion)
+        points, torsion = tuple(points), tuple(torsion)
         if kind not in KINDS:
             raise ValueError(f"unknown component kind {kind!r}")
         if genus < 0:
             raise ValueError("genus must be nonnegative")
-        if len(set(points)) != len(points):
+        if len(points) > 1 and len(set(points)) != len(points):
             raise ValueError(f"duplicate marked points on {id}")
         if kind == KIND_ELLIPTIC and genus != 1:
             raise ValueError(f"elliptic component {id} must have genus 1")
-        if kind != KIND_ELLIPTIC and torsion:
+        if torsion and kind != KIND_ELLIPTIC:
             raise ValueError(f"torsion data only allowed on elliptic components ({id})")
-        if kind != KIND_FACTSHEET and facts is not None:
+        if facts is not None and kind != KIND_FACTSHEET:
             raise ValueError(f"fact sheet only allowed on factsheet components ({id})")
         for pair in torsion:
             for p in pair.points:
@@ -118,10 +117,10 @@ class Node(NamedTuple("Node", [
     __slots__ = ()
 
     def __new__(cls, ends: tuple[tuple[str, str], tuple[str, str]]) -> "Node":
-        a, b = ends
+        a, b = map(tuple, ends)
         if a[0] == b[0]:
             raise ValueError(f"node joins component {a[0]} to itself")
-        return tuple.__new__(cls, (tuple(sorted((tuple(a), tuple(b)))),))
+        return tuple.__new__(cls, ((a, b) if a < b else (b, a),))
 
     def __str__(self) -> str:
         (c1, p1), (c2, p2) = self.ends
@@ -135,40 +134,35 @@ class CompactCurve(NamedTuple("CompactCurve", [
 
     def __new__(cls, id: str, genus: int, components: tuple[Component, ...],
                 nodes: tuple[Node, ...]) -> "CompactCurve":
-        components = tuple(components)
-        nodes = tuple(nodes)
-        ids = [c.id for c in components]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate component ids")
+        components, nodes = tuple(components), tuple(nodes)
         by_id = {c.id: c for c in components}
-        used: set[tuple[str, str]] = set()
+        if len(by_id) != len(components):
+            raise ValueError("duplicate component ids")
+        # one pass over the nodes: check the ends and join the components they meet,
+        # union-find style; with one node fewer than components, a node that joins two
+        # components already joined leaves the graph disconnected
+        used, root, cycle = set(), {c: c for c in by_id}, False
         for node in nodes:
-            for comp_id, point in node.ends:
+            for end in node.ends:
+                comp_id, point = end
                 if comp_id not in by_id:
                     raise ValueError(f"node references unknown component {comp_id}")
                 if point not in by_id[comp_id].points:
                     raise ValueError(f"node references unknown point {comp_id}.{point}")
-                if (comp_id, point) in used:
+                if end in used:
                     raise ValueError(f"marked point {comp_id}.{point} appears in two nodes")
-                used.add((comp_id, point))
-        # dual graph must be a tree
+                used.add(end)
+            (a, _), (b, _) = node.ends
+            while root[a] != a:  # path halving
+                root[a] = a = root[root[a]]
+            while root[b] != b:
+                root[b] = b = root[root[b]]
+            cycle |= a == b
+            root[b] = a
         if len(nodes) != len(components) - 1:
             raise ValueError("dual graph is not a tree (wrong node count)")
-        if components:
-            adj: dict[str, set[str]] = {c.id: set() for c in components}
-            for node in nodes:
-                (c1, _), (c2, _) = node.ends
-                adj[c1].add(c2)
-                adj[c2].add(c1)
-            seen = {components[0].id}
-            stack = [components[0].id]
-            while stack:
-                for nb in adj[stack.pop()]:
-                    if nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-            if len(seen) != len(components):
-                raise ValueError("dual graph is not a tree (disconnected)")
+        if cycle:
+            raise ValueError("dual graph is not a tree (disconnected)")
         total = sum(c.genus for c in components)
         if total != genus:
             raise ValueError(f"component genera sum to {total}, declared genus is {genus}")

@@ -48,6 +48,7 @@ MAX_SEQUENCES vanishing sequences per point is refused.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, OrderedDict
 from itertools import combinations, compress, groupby, islice
 from math import comb
@@ -558,9 +559,9 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
     rule eliminated first (rules are applied in a fixed order).  Unknown
     oracle answers never eliminate: such candidates survive flagged as
     unconfirmed.  The first survivor_cap survivors are listed, in candidate
-    order, as positions in the lattice, one slot per node end laid out once
-    per call in the order of Survivor.assignment; a branch's witness is
-    filled in once per aspect across its node, from the tables of its fold.
+    order, as positions in the lattice, one slot per node end laid out at the
+    first survivor listed (_layout); a branch's witness is filled in once per
+    aspect across its node, from the tables of its fold.
     """
     if t.g != curve.genus:
         raise ValueError(f"series genus {t.g} does not match curve genus {curve.genus}")
@@ -572,16 +573,15 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
     seqs, caps, pole_ok = lat.seqs, lat.caps, lat.pole_ok
     n = len(seqs)
     points = curve.node_points(pivot.id)
-    ends = sorted(end for node in curve.nodes for end in node.ends)
-    slot = {end: k for k, end in enumerate(ends)}
-    groups = [(comp_id, len(list(pts))) for comp_id, pts in groupby(ends, itemgetter(0))]
-    names = [point for _, point in ends]
-    filled = [0] * len(ends)  # a position in seqs per slot
-    at_pivot = [slot[pivot.id, p] for p in points]
+    layout: list = []  # slot, groups, names, at_pivot and filled, once a survivor is listed
     walks: list = [None] * len(branches)
 
     def extend(i: int, ia: int) -> tuple[str, ...]:
-        """Fill branch i's slots with its witness against ia; the end's id if unknown."""
+        """Fill branch i's slots with its witness against ia at the pivot; the end's id if unknown."""
+        if not layout:
+            layout.extend(_layout(curve, pivot.id, points))
+        slot, _, _, at_pivot, filled = layout
+        filled[at_pivot[i]] = ia
         if walks[i] is None:
             walks[i] = _walk(branches[i], slot, lat, r, d, prune)
         steps, end_slot, end_status, end_id = walks[i]
@@ -592,6 +592,7 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
         return (end_id,) if end_status[ia] == "unknown" else ()
 
     def survivor(flagged: tuple[str, ...]) -> Survivor:
+        _, groups, names, _, filled = layout
         aspects = zip(names, map(seqs.__getitem__, filled))
         return Survivor(tuple([(comp_id, tuple(islice(aspects, k))) for comp_id, k in groups]),
                         tuple(sorted(flagged)))
@@ -610,11 +611,13 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
         notes = ["hub evaluated on the ramification floors forced by the tails"]
         if result.failed:
             return _finish(curve, t, 1, {f"{result.rule}@{pivot.id}": 1}, [], 0, prune, notes)
-        flagged = (pivot.id,) if result.status == "unknown" else ()
-        for i, floor in enumerate(floors):
-            filled[at_pivot[i]] = ia = lat.index[floor]
-            flagged += extend(i, ia)
-        return _finish(curve, t, 1, {}, [survivor(flagged)][:survivor_cap], 1, prune, notes + [
+        listed = []
+        if survivor_cap:
+            flagged = (pivot.id,) if result.status == "unknown" else ()
+            for i, floor in enumerate(floors):
+                flagged += extend(i, lat.index[floor])
+            listed.append(survivor(flagged))
+        return _finish(curve, t, 1, {}, listed, 1, prune, notes + [
             "survivor lists the floor assignment; larger ramification may also survive"])
 
     # an elliptic pivot: a sequence a at its first node fails the single-pole rule or
@@ -625,10 +628,7 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
     pole_fails = n - sum(pole_ok)
     if len(branches) == 1:
         hits = Counter({key_pole: pole_fails, branches[0].rule: n - pole_fails - len(opened)})
-        survivors = []
-        for i in opened[:survivor_cap]:
-            filled[at_pivot[0]] = i
-            survivors.append(survivor(extend(0, i)))
+        survivors = [survivor(extend(0, i)) for i in opened[:survivor_cap]]
         return _finish(curve, t, n, +hits, survivors, len(opened), prune)
 
     # two nodes: count the pairs (a, b) box by box.  Over the open a, the rules on the
@@ -659,12 +659,19 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
         count -= tor
         if good_in[ic] == tor or len(survivors) >= survivor_cap:
             continue
-        filled[at_pivot[0]] = i
         flagged = extend(0, i)
         for ib in islice(_partners(i, d, lat, status_v, torsion), survivor_cap - len(survivors)):
-            filled[at_pivot[1]] = ib
             survivors.append(survivor(flagged + extend(1, ib)))
     return _finish(curve, t, n * n, +hits, survivors, count, prune)
+
+
+def _layout(curve: CompactCurve, pivot_id: str, points: list[str]) -> tuple:
+    """refute's survivor slots, one per node end in Survivor.assignment's order: the slot of
+    each end, (component, slot count) runs, the points, the pivot's slots, positions to fill."""
+    ends = sorted(end for node in curve.nodes for end in node.ends)
+    slot = {end: k for k, end in enumerate(ends)}
+    groups = [(comp_id, len(list(pts))) for comp_id, pts in groupby(ends, itemgetter(0))]
+    return slot, groups, [p for _, p in ends], [slot[pivot_id, p] for p in points], [0] * len(ends)
 
 
 def _walk(branch: _Branch, slot: Mapping[tuple[str, str], int], lat: _Lattice, r: int, d: int,
@@ -702,7 +709,11 @@ def _partners(ia: int, d: int, lat: _Lattice, status: Sequence[str],
     order, the b_r in (b_{r-1}, c_r] have ranks k to top, and raising b_j from
     v, the later coordinates least, adds C(d - v, r - j) to k.  Exact sums sit
     where b_j = c_j, so the torsion rule is asked only of a prefix with some
-    b_j = c_j, for the run and for its last b, b_r = c_r.
+    b_j = c_j, for the run and for its last b, b_r = c_r.  Within a run only
+    b_r rises: the single-pole rule, which reads b_{r-1}, is fixed, and status
+    passes an up-set (a branch's own table passes a down-set, read at the
+    order-reversing caps(b)), so the passing b are a suffix of the run, found
+    by bisection.
     """
     a, c = lat.seqs[ia], lat.seqs[lat.caps[ia]]
     pole_ok = lat.pole_ok
@@ -719,9 +730,8 @@ def _partners(ia: int, d: int, lat: _Lattice, status: Sequence[str],
                 top = k - 1
             elif _torsion_fails(a, [*eq, 0], torsion):
                 top -= 1
-        for ib in range(k, top + 1):
-            if pole_ok[ib] and status[ib] != "fail":
-                yield ib
+        if k <= top and pole_ok[k]:
+            yield from range(bisect_left(status, True, k, top + 1, key="fail".__ne__), top + 1)
         j = r - 1
         while j >= 0 and pre[j] == c[j]:
             j -= 1

@@ -847,3 +847,28 @@ def test_low_degree_series_on_every_shape(kind):
                     for survivor in pruned.survivors:
                         check = verify_witness(curve, t, survivor.assignment_dict())
                         assert check.verdict != "rejected", (case, survivor)
+
+
+ONE_NODE = CompactCurve("one-node", 3, (Component("C", 2, "general", ("x",)),
+                                       Component("E", 1, "elliptic", ("p",))),
+                        (Node((("C", "x"), ("E", "p"))),))
+LAYOUT_CASES = [  # (curve, r, d): a star, a two-noded and a one-noded elliptic pivot
+    ("septic_star", 3, 20), ("septic_star", 1, 12), ("chain_9torsion", 2, 17),
+    ("chain_9torsion", 3, 20), ("chain_12torsion", 1, 12), ("one_node", 1, 3), ("one_node", 2, 3),
+]
+
+
+@pytest.mark.parametrize("name,r,d", LAYOUT_CASES)
+def test_survivor_layout_is_built_only_to_list_a_survivor(monkeypatch, name, r, d):
+    # refute lays out its survivor slots at the first survivor it lists: never with
+    # survivor_cap=0 or on a refuted verdict, once per call otherwise
+    built = []
+    layout = limit_checker._layout
+    monkeypatch.setattr(limit_checker, "_layout", lambda *args: built.append(args[1]) or layout(*args))
+    curve = ONE_NODE if name == "one_node" else load_fixture(name).curve
+    for prune in (True, False):
+        for cap in (0, 1, 100):
+            built.clear()
+            report = refute(curve, SeriesType(curve.genus, r, d), prune=prune, survivor_cap=cap)
+            assert len(built) == (report.verdict == "survivors" and cap > 0), (prune, cap)
+            assert len(report.survivors) == min(cap, report.survivor_count)

@@ -3,11 +3,11 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from pair_oracle import brute_force_pairs, pivot_sides
+from pair_oracle import box, brute_force_pairs, pivot_sides, torsion_fails
 
 from bnlimits.curvefile import load_fixture
 from bnlimits.curves import CompactCurve, Component, FactSheet, Node, SeriesDimFact, TorsionPair
-from bnlimits.limit_checker import _analyze, _branch_table, _lattice, refute, verify_witness
+from bnlimits.limit_checker import _analyze, _branch_table, _lattice, _partners, refute, verify_witness
 from bnlimits.numerology import SeriesType
 
 ORACLE_SEQ_CAP = 120  # C(d+1, r+1) up to which the n^2 brute force stays quick
@@ -158,3 +158,39 @@ def test_capped_listing_is_a_prefix_of_the_full_one(drawn, data):
             assert report.survivors == full.survivors[:k], (prune, k)
             assert report.survivor_count == full.survivor_count
             assert report.truncated == (report.survivor_count > k), (prune, k)
+
+
+class _CountedReads(tuple):
+    """A status table that counts the entries read."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        _CountedReads.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+@pytest.mark.parametrize("name,r,d", [("chain_9torsion", 1, 12), ("chain_12torsion", 2, 12),
+                                      ("chain_9torsion_elltail", 2, 14)])
+def test_partners_read_a_few_entries_per_run(name, r, d):
+    # within a run of the box (a fixed prefix b_0..b_{r-1}) the passing b are a suffix,
+    # which _partners finds by bisection: at most ceil(log2(d + 2)) status reads per run,
+    # and fewer than half of the box elements that pass the single-pole rule
+    curve = load_fixture(name).curve
+    pivot, branches = _analyze(curve)
+    torsion = pivot.torsion_between(*curve.node_points(pivot.id))
+    lat = _lattice(r, d)
+    for prune in (True, False):
+        status = _CountedReads(_branch_table(branches[1].key, r, d, prune, True).status)
+        reads = bound = walked = 0
+        for ia, a in enumerate(lat.seqs):
+            b_box = box(lat.seqs[lat.caps[ia]])
+            expected = [lat.index[b] for b in b_box if lat.pole_ok[lat.index[b]]
+                        and status[lat.index[b]] != "fail" and not torsion_fails(a, b, d, torsion)]
+            _CountedReads.reads = 0
+            assert list(_partners(ia, d, lat, status, torsion)) == expected, (prune, a)
+            reads += _CountedReads.reads
+            bound += len({b[:-1] for b in b_box}) * (d + 1).bit_length()
+            walked += sum(lat.pole_ok[lat.index[b]] for b in b_box)
+        assert reads <= bound, prune
+        assert 2 * reads < walked, prune
