@@ -61,7 +61,9 @@ _SHAPES = {int: "an integer", str: "a string", bool: "true or false"}
 
 
 def _bad(value: Any, where: str, shape: str) -> ValueError:
-    return ValueError(f"{where} must be {shape}, got {json.dumps(value)}")
+    """A wrong value's message, the value shown as JSON (other mappings and sequences too)."""
+    shown = json.dumps(value, default=lambda v: dict(v) if isinstance(v, Mapping) else list(v))
+    return ValueError(f"{where} must be {shape}, got {shown}")
 
 
 def _is(value: Any, kind: type, where: str, *args: Any) -> Any:

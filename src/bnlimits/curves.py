@@ -135,19 +135,21 @@ class CompactCurve(NamedTuple("CompactCurve", [
     def __new__(cls, id: str, genus: int, components: tuple[Component, ...],
                 nodes: tuple[Node, ...]) -> "CompactCurve":
         components, nodes = tuple(components), tuple(nodes)
-        by_id = {c.id: c for c in components}
-        if len(by_id) != len(components):
+        # each component's marked points, as a set when there are many, so that checking
+        # a node end does not scan them (a short tuple is scanned faster than a set is built)
+        marked = {c.id: c.points if len(c.points) < 9 else {*c.points} for c in components}
+        if len(marked) != len(components):
             raise ValueError("duplicate component ids")
         # one pass over the nodes: check the ends and join the components they meet,
         # union-find style; with one node fewer than components, a node that joins two
         # components already joined leaves the graph disconnected
-        used, root, cycle = set(), {c: c for c in by_id}, False
+        used, root, cycle = set(), {c: c for c in marked}, False
         for node in nodes:
             for end in node.ends:
                 comp_id, point = end
-                if comp_id not in by_id:
+                if comp_id not in marked:
                     raise ValueError(f"node references unknown component {comp_id}")
-                if point not in by_id[comp_id].points:
+                if point not in marked[comp_id]:
                     raise ValueError(f"node references unknown point {comp_id}.{point}")
                 if end in used:
                     raise ValueError(f"marked point {comp_id}.{point} appears in two nodes")

@@ -12,16 +12,10 @@ found, never confirmed (smoothability is not verified here).
 The dual tree is rooted at a pivot, the component with the most nodes
 (elliptic first).  Behind each pivot node hangs a branch, a flat chain:
 elliptic links, then an end that is a general or fact-sheet leaf, a
-one-noded elliptic tail, or a general bridge ending in a tail.
-_branch_table folds a branch into a status table over the sequences a
-across its node in one loop: the end's table, then one link step per link
-from the far end inward, so the cost is linear in the chain's length.
-Every rule asks for vanishing at least, so the sequences that a branch's
-own component admits at that node form a down-set; the table reads them at
-the least sequence compatible with a, min_complement(a), and a link's own
-table at s is the pair scan's count of the b <= caps(s) that pass the
-single-pole rule, the table beyond and the torsion rule with s.
-"unknown" is kept apart from "pass" and never eliminates.
+one-noded elliptic tail, or a general bridge ending in a tail.  _branch_table
+folds a branch into a status table over the sequences a across its node in
+one loop, from the far end inward, so the cost is linear in the chain's
+length.  "unknown" is kept apart from "pass" and never eliminates.
 
 The pivot enumerates: a two-noded elliptic pivot accounts for all pairs
 (a, b) at its nodes, counting whole boxes of them, torsion failures
@@ -50,9 +44,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter, OrderedDict
-from itertools import combinations, compress, groupby, islice
+from itertools import accumulate, combinations, compress, groupby, islice
 from math import comb
-from operator import add, and_, itemgetter, not_
+from operator import add, and_, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -426,6 +420,7 @@ class _Lattice(NamedTuple):
     pole_ok: tuple[bool, ...]  # passes the elliptic single-pole rule
     box: tuple[int, ...]  # down-set sizes, #{b <= s}
     pole_in: tuple[int, ...]  # #{b <= s failing the single-pole rule}
+    ranks: tuple[tuple[int, ...], ...]  # per axis j, by v: the sum of C(d - 1 - u, r - j) over u < v
 
 
 @_tables
@@ -446,8 +441,14 @@ def _lattice(r: int, d: int) -> _Lattice:
     caps = tuple(map(index.__getitem__, zip(*[map(d.__sub__, col) for col in reversed(cols)])))
     # the rule fails when the orders d - 1 and d both occur, that is when s_{r-1} = d - 1
     pole_ok = tuple(map((d - 1).__ne__, cols[-2])) if r else (True,) * len(seqs)
-    box, pole_in = _down_sums(steps, (1,) * len(seqs), map(not_, pole_ok))
-    return _Lattice(seqs, MappingProxyType(index), cols, tuple(steps), caps, pole_ok, box, pole_in)
+    box = _down_sums(steps, (1,) * len(seqs))
+    # so b <= s fails it iff b_{r-1} = d - 1 = s_{r-1}; the b <= s with b_{r-1} <= d - 2 are
+    # the down-set of steps[r - 1][s] (index -1, none, reads the 0 past the end)
+    below = (*box, 0)
+    pole_in = tuple(0 if ok else n - below[p] for ok, n, p in zip(pole_ok, box, steps[r - 1]))
+    ranks = tuple(tuple(accumulate((comb(d - 1 - u, r - j) for u in range(d)), initial=0))
+                  for j in range(r + 1))
+    return _Lattice(seqs, MappingProxyType(index), cols, tuple(steps), caps, pole_ok, box, pole_in, ranks)
 
 
 class _BranchTable(NamedTuple):
@@ -524,13 +525,13 @@ def _status_table(own: Sequence[bool], passing: str, lat: _Lattice, prune: bool)
     """The table of a branch whose own table is own, read at caps(a) or, naive, above it."""
     ok = map(own.__getitem__, lat.caps)
     if not prune:
-        ok = map(bool, _down_sums(lat.steps, ok)[0])
+        ok = map(bool, _down_sums(lat.steps, ok))
     return _BranchTable(tuple(map(("fail", passing).__getitem__, ok)))
 
 
 def _good_in(status: Sequence[str], lat: _Lattice) -> tuple[int, ...]:
     """Down-set counts of the b that pass the single-pole rule and that status does not fail."""
-    return _down_sums(lat.steps, map(and_, lat.pole_ok, map("fail".__ne__, status)))[0]
+    return _down_sums(lat.steps, map(and_, lat.pole_ok, map("fail".__ne__, status)))
 
 
 def _clamp_columns(cols: Sequence[Sequence[int]], genus: int, d: int, r: int,
@@ -705,45 +706,50 @@ def _partners(ia: int, d: int, lat: _Lattice, status: Sequence[str],
     """Positions of the b <= c = caps(a), in order, that pass the single-pole rule,
     status and, with a = seqs[ia], the torsion rule.
 
-    The box is walked by rank: for each prefix (b_0, ..., b_{r-1}) <= c, in
-    order, the b_r in (b_{r-1}, c_r] have ranks k to top, and raising b_j from
-    v, the later coordinates least, adds C(d - v, r - j) to k.  Exact sums sit
-    where b_j = c_j, so the torsion rule is asked only of a prefix with some
-    b_j = c_j, for the run and for its last b, b_r = c_r.  Within a run only
-    b_r rises: the single-pole rule, which reads b_{r-1}, is fixed, and status
-    passes an up-set (a branch's own table passes a down-set, read at the
-    order-reversing caps(b)), so the passing b are a suffix of the run, found
-    by bisection.
+    status passes an up-set (a branch's own table passes a down-set, read at
+    the order-reversing caps(b)), so the b with a prefix (b_0, ..., b_j) fail
+    it if their largest, the prefix then c_{j+1}, ..., c_r, does; the b_j
+    whose subtrees pass are a suffix of (b_{j-1}, c_j], found by bisection on
+    ranks (raising b_j from v, with c after it, adds C(d - 1 - v, r - j);
+    lat.ranks sums these).  In a run, b_r over (b_{r-1}, c_r], the single-pole
+    rule is fixed and the passing b are again a suffix.  Exact sums sit where
+    b_j = c_j, so the torsion rule is asked only of a run with some b_j = c_j,
+    for the run and for its last b, b_r = c_r.
     """
     a, c = lat.seqs[ia], lat.seqs[lat.caps[ia]]
-    pole_ok = lat.pole_ok
+    if status[lat.caps[ia]] == "fail":
+        return
     r = len(a) - 1
-    pre = list(range(r))  # the prefix, least first
-    ks = [0] * (r + 1)  # ks[j + 1]: the rank with b_0, ..., b_j as in pre, the rest least
-    capped = sum(map(int.__eq__, pre, c))  # the j < r with pre[j] = c[j]
+    pre = [0] * r  # the prefix
+    tops = [*[0] * r, lat.caps[ia]]  # tops[j]: the largest b after b_0, ..., b_j as in pre; c at -1
+    j = capped = 0  # capped: the j < r with pre[j] = c[j]
     while True:
-        k = ks[r]
-        top = k + c[r] - (pre[-1] + 1 if r else 0)
+        for i in range(j, r):  # each level from j on takes the first value whose subtree passes
+            row = lat.ranks[i]
+            base = tops[i - 1] - row[c[i]]  # c_i passes: its subtree is the one above
+            lo = bisect_left(row, True, pre[i - 1] + 1 if i else 0, c[i],
+                             key=lambda x: status[base + x] != "fail")
+            pre[i], tops[i] = lo, base + row[lo]
+            capped += lo == c[i]
+        top = tops[r - 1]
+        k = top - c[r] + (pre[-1] + 1 if r else 0)
         if capped:
             eq = [r - j for j, v in enumerate(pre) if v == c[j]]  # indices of a with exact sums
             if _torsion_fails(a, eq, torsion):  # then b_r = c_r fails as well
                 top = k - 1
             elif _torsion_fails(a, [*eq, 0], torsion):
                 top -= 1
-        if k <= top and pole_ok[k]:
+        if lat.pole_ok[k] and k <= top:
             yield from range(bisect_left(status, True, k, top + 1, key="fail".__ne__), top + 1)
         j = r - 1
         while j >= 0 and pre[j] == c[j]:
             j -= 1
         if j < 0:
             return
-        ks[j + 1] += comb(d - pre[j], r - j)
+        tops[j] += comb(d - 1 - pre[j], r - j)
         pre[j] += 1
         capped += (pre[j] == c[j]) - (r - 1 - j)  # the coordinates after j were capped
-        for i in range(j + 1, r):
-            pre[i] = pre[i - 1] + 1
-            ks[i + 1] = ks[j + 1]
-            capped += pre[i] == c[i]
+        j += 1
 
 
 def _torsion_hits(a: tuple[int, ...], ic: int, steps: tuple[tuple[int, ...], ...],
@@ -752,37 +758,49 @@ def _torsion_hits(a: tuple[int, ...], ic: int, steps: tuple[tuple[int, ...], ...
 
     With T(b) the axes j where b_j = c_j, the rule passes b iff T(b) lies in
     one class of axes with congruent a[r-j] (one axis per class without torsion).
-    The good b with T(b) in K lie below c lowered on each axis outside K, in order.
+    The good b with T(b) in K lie below c lowered on each axis outside K, in order
+    (leaving the corner's walk, c lowered on every axis, at K's first axis); those
+    below the corner, with T(b) empty, are in every class's count.
     """
-    r = len(a) - 1
+    hits, i, classes = good_in[ic], ic, 0
+    if torsion is None:  # one class per axis
+        for j, row in enumerate(steps):  # i: c lowered on the axes before j
+            w = i
+            for later in steps[j + 1:]:
+                if (w := later[w]) < 0:
+                    break
+            else:
+                hits -= good_in[w]
+            if (i := row[i]) < 0:  # no b below the corner, nor in a later class's walk
+                return hits
+        return hits + (len(steps) - 1) * good_in[i]
+    res = tuple(map(torsion.__rmod__, reversed(a)))
+    for j, row in enumerate(steps):
+        if res.index(u := res[j]) == j:  # the class's first axis
+            classes += 1
+            w = i
+            for k in range(j + 1, len(res)):
+                if res[k] != u and (w := steps[k][w]) < 0:
+                    break
+            else:
+                hits -= good_in[w]
+        if (i := row[i]) < 0:
+            return hits
+    return hits + (classes - 1) * good_in[i]
 
-    def within(axes) -> int:
-        i = ic
-        for j in range(r + 1):
-            if j not in axes and i >= 0:
-                i = steps[j][i]
-        return good_in[i] if i >= 0 else 0
 
-    classes: dict[int, list[int]] = {}
-    for j in range(r + 1):
-        classes.setdefault(j if torsion is None else a[r - j] % torsion, []).append(j)
-    empty = within(())
-    return good_in[ic] - empty - sum(within(k) - empty for k in classes.values())
-
-
-def _down_sums(steps: Sequence[Sequence[int]], *weights: Iterable) -> tuple[tuple[int, ...], ...]:
-    """For each weight list, its sums over the down-sets {b <= c} of increasing tuples.
+def _down_sums(steps: Sequence[Sequence[int]], weights: Iterable) -> tuple[int, ...]:
+    """The sums of the weights over the down-sets {b <= c} of increasing tuples.
 
     One lexicographic sweep per axis j adds the sum at the largest increasing
     tuple below c - e_j (c_j lowered by one, earlier coordinates clamped), or
     the 0 kept past the end of the table when there is none (index -1).
     """
-    tables = [[*map(int, ws), 0] for ws in weights]
+    table = [*map(int, weights), 0]
     for axis in steps:
-        for table in tables:
-            for i, p in enumerate(axis):
-                table[i] += table[p]
-    return tuple(tuple(table[:-1]) for table in tables)
+        for i, p in enumerate(axis):
+            table[i] += table[p]
+    return tuple(table[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -799,81 +817,97 @@ def verify_witness(curve: CompactCurve, t: SeriesType,
     every node to match; passes by merely necessary rules (or unknowns on
     fact-sheet components) downgrade to "consistent".  Each sequence is
     checked once, as a VanishingSeq, and the oracles read it or the
-    ramification derived from it; nothing here reads refute's tables, so this
-    stays an independent check of refute's survivors.
+    ramification derived from it.  A curve's survivors repeat aspects, so the
+    plan keeps a memo of this function's own results: the sequences given as
+    tuples of ints, and the node and component audits of a call whose
+    sequences all are.  Every component is validated before any oracle runs.
+    Nothing here reads refute's tables, so it checks refute's survivors independently.
     """
     if t.g != curve.genus:
         raise ValueError(f"series genus {t.g} does not match curve genus {curve.genus}")
     r, d = t.r, t.d
-    comps, nodes, node_points = _verify_plan(curve, t)
+    last, last_t, plan = _tables.plan
+    if last is not curve or last_t != t or sum(map(len, plan[4])) > MAX_SEQUENCES:
+        plan = _verify_plan(curve, t)
+    comps, nodes, node_points, lhs, (known, node_memo, comp_memo) = plan
     seqs: dict[tuple[str, str], VanishingSeq] = {}
-    for comp, need, _, _ in comps:
-        given = dict(assignment.get(comp.id, {}))
-        if not all(map(given.__contains__, need)):
+    for comp, need, names, _, _, _ in comps:
+        given = assignment.get(comp.id, {})
+        if type(given) is not dict:
+            given = dict(given)
+        odd = given.keys() != names  # then check the points one by one
+        if odd and not all(map(given.__contains__, need)):
             raise ValueError(f"assignment incomplete: {comp.id} lacks {[p for p in need if p not in given]}")
         for pt, entries in given.items():
-            if pt not in need:
+            if odd and pt not in need:
                 if pt not in comp.points:
                     raise ValueError(f"assignment names unknown point {comp.id}.{pt}")
                 raise ValueError(f"point {comp.id}.{pt} is not a node; only node points carry witness data")
-            seq = seqs[comp.id, pt] = VanishingSeq(entries, d)
-            if len(seq.entries) != r + 1:
-                raise ValueError(f"sequence at {comp.id}.{pt} has length {len(seq.entries)}, need {r + 1}")
-    for comp_id in assignment:
-        if comp_id not in node_points:
-            raise KeyError(comp_id)
+            if (seq := known.get(id(entries))) is None:  # known holds its seq.entries, so ids are safe
+                seq = VanishingSeq(entries, d)
+                if len(seq.entries) != r + 1:
+                    raise ValueError(f"sequence at {comp.id}.{pt} has length {len(seq.entries)}, need {r + 1}")
+                if type(entries) is tuple and tuple(map(type, entries)) == (int,) * (r + 1):
+                    known[id(entries)] = seq
+                else:  # a list, or other entries than ints: no audit of this call is kept
+                    node_memo, comp_memo = {}, {}
+            seqs[comp.id, pt] = seq
+    if not all(map(node_points.__contains__, assignment)):
+        raise KeyError(next(c for c in assignment if c not in node_points))
 
-    node_audits = []
-    excess = []
+    node_hits = []
     for end, other, name in nodes:
-        sums = tuple(map(add, seqs[end].entries, reversed(seqs[other].entries)))
-        cls = _node_class(sums, d)
-        node_audits.append(NodeAudit(name, sums, cls))
-        excess.append((name, sum(sums) - (r + 1) * d if cls != "incompatible" else 0))
+        key = name, seqs[end], seqs[other]
+        if (hit := node_memo.get(key)) is None:
+            sums = tuple(map(add, key[1].entries, reversed(key[2].entries)))
+            cls = _node_class(sums, d)
+            hit = node_memo[key] = (NodeAudit(name, sums, cls), cls,
+                                    (name, sum(sums) - (r + 1) * d if cls != "incompatible" else 0))
+        node_hits.append(hit)
+    comp_hits = []
+    for comp, pts, _, ends, t_comp, rho_comp in comps:
+        key = comp.id, *map(seqs.__getitem__, ends)
+        if (hit := comp_memo.get(key)) is None:
+            status, rule, exact, grade, detail = _component_oracle(comp, t_comp, pts, key[1:])
+            v = rho_comp - sum(map(sum, map(itemgetter(0), key[1:])))
+            hit = comp_memo[key] = (ComponentAudit(comp.id, status, exact, grade, rule, detail), status,
+                                    (comp.id, v), v, status != "pass" or not exact)
+        comp_hits.append(hit)
 
-    comp_audits = []
-    aspect_rhos = []
-    for comp, pts, t_comp, rho_comp in comps:
-        vans = [seqs[comp.id, p] for p in pts]
-        status, rule, exact, grade, detail = _component_oracle(comp, t_comp, pts, vans)
-        comp_audits.append(ComponentAudit(comp.id, status, exact, grade, rule, detail))
-        aspect_rhos.append((comp.id, rho_comp - sum(map(sum, map(itemgetter(0), vans)))))
-
-    audit = additivity_audit(t, [v for _, v in aspect_rhos])
-    classes = {n.classification for n in node_audits} | {c.status for c in comp_audits}
-    asserted = [c.component for c in comp_audits if c.status != "pass" or not c.exact]
+    node_audits, node_classes, excess = zip(*node_hits) if node_hits else ((), (), ())
+    comp_audits, statuses, aspect_rhos, rhos, asserts = zip(*comp_hits)
+    classes = {*node_classes, *statuses}
+    asserted = [*compress(map(itemgetter(0), aspect_rhos), asserts)]
     verdict = ("rejected" if "incompatible" in classes or "fail" in classes
                else "consistent" if asserted else "confirmed")
-    notes = []
-    if verdict == "consistent":
-        notes.append("component existence asserted, not proven: " + ", ".join(sorted(asserted)))
-    if verdict in ("confirmed", "consistent"):
-        notes.append(SMOOTHABILITY_NOTE)
-    return WitnessReport(curve.id, (r, d), verdict, tuple(node_audits), tuple(comp_audits),
-                         tuple(aspect_rhos), tuple(excess), audit,
-                         all(n.classification == "refined" for n in node_audits), tuple(notes))
+    notes = (("component existence asserted, not proven: " + ", ".join(sorted(asserted)),)
+             if verdict == "consistent" else ()) + ((SMOOTHABILITY_NOTE,) if verdict != "rejected" else ())
+    rhs = sum(rhos)
+    return WitnessReport(curve.id, (r, d), verdict, node_audits, comp_audits, aspect_rhos, excess,
+                         AdditivityAudit(lhs, rhs, lhs >= rhs, lhs == rhs), {*node_classes} <= {"refined"},
+                         notes)
 
 
 def _verify_plan(curve: CompactCurve, t: SeriesType) -> tuple:
-    """What verify_witness reads of a curve: per component, its node points, the series on
-    it and that series' rho plus r(r+1)/2 per point (a ramification weight is the vanishing
-    sum less that); per node, its ends and its name; and each component's node points by id.
-
-    A curve's survivors are verified one after another, so the plan for the last curve (the
-    same object) and series is kept with the tables.
+    """What verify_witness reads of a curve: per component, its node points (a list, a set
+    and as ends), the series on it and that series' rho plus r(r+1)/2 per point (a
+    ramification weight is the vanishing sum less that); per node, its ends and its name;
+    each component's node points by id; rho(t); and an empty memo (sequences by id, node
+    and component audits).  A curve's survivors are verified one after another, so
+    verify_witness keeps the plan for the last curve (the same object) and series with the
+    tables, and builds it afresh when the memo holds more than MAX_SEQUENCES entries.
     """
-    last, last_t, plan = _tables.plan
-    if last is not curve or last_t != t:
-        node_points, _ = _node_map(curve)
-        on = [(c, node_points[c.id], SeriesType(c.genus, t.r, t.d)) for c in curve.components]
-        comps = [(*x, rho(x[2]) + t.r * (t.r + 1) // 2 * len(x[1])) for x in on]
-        plan = comps, [(*node.ends, str(node)) for node in curve.nodes], node_points
-        _tables.plan = curve, t, plan
+    node_points, _ = _node_map(curve)
+    on = [(c, node_points[c.id], SeriesType(c.genus, t.r, t.d)) for c in curve.components]
+    comps = [(c, pts, {*pts}, [(c.id, p) for p in pts], t_c,
+              rho(t_c) + t.r * (t.r + 1) // 2 * len(pts)) for c, pts, t_c in on]
+    plan = comps, [(*node.ends, str(node)) for node in curve.nodes], node_points, rho(t), ({}, {}, {})
+    _tables.plan = curve, t, plan
     return plan
 
 
 def _component_oracle(comp: Component, t: SeriesType, pts: list[str],
-                      vans: list[VanishingSeq]) -> CheckResult:
+                      vans: Sequence[VanishingSeq]) -> CheckResult:
     """The rule of one component on its aspects; t is the series on that component."""
     if comp.kind != KIND_ELLIPTIC:
         rams = list(map(vanishing_to_ramification, vans))

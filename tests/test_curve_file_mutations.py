@@ -187,5 +187,29 @@ def test_read_only_mappings_and_tuples_load():
         assert type(_outcome(doc)) is dict or path.name.startswith("malformed")
 
 
+
+def test_frozen_mutations_report_as_the_plain_ones():
+    # every mutation, read as mappingproxy objects and tuples, loads or fails as the decoded
+    # JSON does, message for message: a wrong value is shown as JSON, other mappings as
+    # objects and other sequences as arrays (the schema and point-reference messages show
+    # the Python repr, so a tuple there reads as one)
+    compared = 0
+    for path in curve_files():
+        text = path.read_text(encoding="utf-8")
+        for label, edit in _mutations(json.loads(text)):
+            doc = json.loads(text)
+            edit(doc)
+            plain = _outcome(doc)
+            if type(plain) is str and plain.startswith(("ValueError: unsupported schema ",
+                                                        "ValueError: point reference ")):
+                continue
+            frozen = _outcome(_frozen(doc))
+            if type(plain) is str and "must be" in plain:
+                compared += 1
+            assert frozen == plain, (path.name, label)
+    assert compared > 1000
+    doc = {"schema": "compact-curve/1", "id": "x", "genus": 0, "components": {}, "nodes": []}
+    assert _outcome(_frozen(doc)) == "ValueError: components must be an array, got {}"
+
 if __name__ == "__main__":
     print("\n".join(mutation_lines()))

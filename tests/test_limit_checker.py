@@ -1,5 +1,7 @@
+import json
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from pair_oracle import box, brute_force_pairs, torsion_fails
 
 from bnlimits import limit_checker
-from bnlimits.curvefile import curve_from_json, curve_to_json, load_fixture
+from bnlimits.curvefile import curve_from_json, curve_to_json, load_curve_file, load_fixture
 from bnlimits.curves import CompactCurve, Component, FactSheet, Node, SeriesDimFact, TorsionPair
 from bnlimits.limit_checker import (
     MAX_CACHED_SEQUENCES,
@@ -348,13 +350,13 @@ def test_naive_table_matches_the_scan(r, d, genera):
             assert "pass" in status and ("fail" in status or r == 0), (kind, genus)
 
 
-@pytest.mark.parametrize("r,d", [(1, 9), (2, 9), (3, 10), (4, 9), (5, 9)])
+@pytest.mark.parametrize("r,d", [(0, 6), (1, 2), (1, 9), (2, 4), (2, 9), (3, 10), (4, 9), (5, 9)])
 def test_torsion_hits_match_the_walked_box(r, d):
     # a pseudo-random set of good b; each count must equal a walk over the box b <= caps(a)
     lat = _lattice(r, d)
     good = [(i * 7919) % 5 != 0 for i in range(len(lat.seqs))]
-    (good_in,) = _down_sums(lat.steps, good)
-    for torsion in (None, 2, 3, 5):
+    good_in = _down_sums(lat.steps, good)
+    for torsion in (None, 2, 3, 4, 5, 6, 7):
         for a, ic in zip(lat.seqs, lat.caps):
             walked = sum(1 for b in box(lat.seqs[ic])
                          if good[lat.index[b]] and torsion_fails(a, b, d, torsion))
@@ -480,6 +482,128 @@ def test_verify_plan_is_one_slot_cleared_with_the_tables(fixtures):
     _lattice.cache_clear()
     assert _tables.plan == (None, None, None)
     assert verify_witness(desc.curve, t, desc.witness("g2_17").aspects_dict()) == first
+
+
+# every fixture series with survivors here, and an elliptic chain with one witness per link
+MEMO_CASES = [("chain_9torsion", (2, 17)), ("chain_9torsion", (2, 18)), ("chain_12torsion", (1, 14)),
+              ("chain_9torsion_elltail", (3, 21)), ("septic_star", (2, 15)), ("septic_star", (3, 20)),
+              ("elliptic_chain_8_3torsion", (2, 7))]
+
+
+def _memo_curve(fixtures, name):
+    if name in fixtures:
+        return fixtures[name].curve
+    return load_curve_file(Path(__file__).parent / "curves" / f"{name}.json").curve
+
+
+def _memo_sizes():
+    return tuple(map(len, _tables.plan[2][4]))
+
+
+@pytest.mark.parametrize("name,series", MEMO_CASES)
+def test_warm_verify_memo_matches_a_cold_call(fixtures, name, series):
+    # each listed survivor, verified after the ones before it (the memo warm), reports exactly
+    # what it reports after cache_clear (the memo empty); repeated aspects are audited once
+    curve = _memo_curve(fixtures, name)
+    t = SeriesType(curve.genus, *series)
+    for prune in (True, False):
+        assignments = [s.assignment_dict() for s in refute(curve, t, prune=prune).survivors]
+        assert assignments
+        _lattice.cache_clear()
+        warm = [verify_witness(curve, t, a) for a in assignments]
+        audited = sum(_memo_sizes()[1:])
+        for assignment, report in zip(assignments, warm):
+            _lattice.cache_clear()
+            cold = verify_witness(curve, t, assignment)
+            assert cold == report and repr(cold) == repr(report), (prune, assignment)
+        checks = len(assignments) * (len(curve.nodes) + len(curve.components))
+        assert audited <= checks and (audited < checks or len(assignments) == 1), (prune, audited)
+
+
+def test_verify_memo_keeps_the_first_error(fixtures):
+    # with every component's aspects in the memo, a fault in a later component (plan order
+    # C1, E, C2) raises the message of a cold call, before any oracle runs; the earlier fault
+    # wins when there are two; a failed call leaves the memo as it was
+    desc = fixtures["chain_9torsion"]
+    t = SeriesType(23, 2, 17)
+    aspects = desc.witness("g2_17").aspects_dict()
+    cases = [
+        (_with(aspects, "C2", "p2", (4, 9, 9)), ValueError,
+         "vanishing sequence (4, 9, 9) is not strictly increasing"),
+        (_with(aspects, "C2", "p2", (4, 9)), ValueError, "sequence at C2.p2 has length 2, need 3"),
+        (_with(aspects, "C2", "zz", (4, 9, 13)), ValueError, "assignment names unknown point C2.zz"),
+        ({k: v for k, v in aspects.items() if k != "C2"}, ValueError,
+         "assignment incomplete: C2 lacks ['p2']"),
+        (_with(_with(aspects, "E", "p2", (4, 8, 18)), "C2", "p2", (4, 9, 9)), ValueError,
+         "vanishing sequence (4, 8, 18) out of range [0, 17]"),
+        ({**aspects, "X": {}}, KeyError, "'X'"),
+    ]
+    for assignment, error, message in cases:
+        for warm in (True, False):
+            _lattice.cache_clear()
+            if warm:
+                first = verify_witness(desc.curve, t, aspects)
+                sizes = _memo_sizes()
+            with pytest.raises(error) as err:
+                verify_witness(desc.curve, t, assignment)
+            assert str(err.value) == message, warm
+            if warm:
+                assert _memo_sizes() == sizes
+                assert verify_witness(desc.curve, t, aspects) == first
+
+
+def test_verify_memo_keeps_lists_floats_and_bools_apart(fixtures):
+    # entries that are not a tuple of ints are checked afresh and keep no audit: with the
+    # int tuple of equal value in the memo, each reports what it reports cold, byte for byte
+    desc = fixtures["chain_9torsion"]
+    t = SeriesType(23, 2, 17)
+    aspects = desc.witness("g2_17").aspects_dict()
+    entries = aspects["C2"]["p2"]  # (4, 9, 13)
+    ints = {"list": entries, "float": entries, "bool": (1, *entries[1:])}
+    variants = {"list": list(entries), "float": tuple(map(float, entries)),
+                "bool": (True, *entries[1:])}
+    warm = {}
+    for kind, variant in variants.items():
+        _lattice.cache_clear()
+        verify_witness(desc.curve, t, _with(aspects, "C2", "p2", ints[kind]))
+        sizes = _memo_sizes()
+        warm[kind] = verify_witness(desc.curve, t, _with(aspects, "C2", "p2", variant))
+        assert _memo_sizes() == sizes, kind
+        _lattice.cache_clear()
+        cold = verify_witness(desc.curve, t, _with(aspects, "C2", "p2", variant))
+        assert json.dumps(warm[kind].to_json()) == json.dumps(cold.to_json()), kind
+        assert repr(warm[kind]) == repr(cold), kind
+    assert warm["float"].nodes[1].sums == (17.0, 17.0, 17.0)
+    assert "17.0" in json.dumps(warm["float"].to_json())
+
+
+def test_verify_memo_lives_and_dies_with_the_plan(fixtures, monkeypatch):
+    # the memo sits in the plan: another curve or series, or cache_clear, starts an empty
+    # one, and one above MAX_SEQUENCES entries is emptied before the next call
+    desc, other = fixtures["chain_12torsion"], fixtures["chain_9torsion"]
+    t = SeriesType(23, 1, 14)
+    assignments = [s.assignment_dict() for s in refute(desc.curve, t).survivors]
+    verify_witness(desc.curve, t, assignments[0])
+    memo = _tables.plan[2][4]
+    assert all(_memo_sizes())
+    t13 = SeriesType(23, 1, 13)
+    verify_witness(desc.curve, t13, refute(desc.curve, t13).survivors[0].assignment_dict())
+    assert _tables.plan[2][4] is not memo
+    verify_witness(other.curve, SeriesType(23, 2, 17), other.witness("g2_17").aspects_dict())
+    assert _tables.plan[0] is other.curve and _memo_sizes() == (4, 2, 3)
+    _lattice.cache_clear()
+    assert _tables.plan == (None, None, None)
+    # one call on this chain holds at most 4 sequences, 2 node and 3 component audits
+    monkeypatch.setattr(limit_checker, "MAX_SEQUENCES", 9)
+    cold = []
+    for assignment in assignments:
+        _lattice.cache_clear()
+        cold.append(verify_witness(desc.curve, t, assignment))
+    _lattice.cache_clear()
+    for assignment, report in zip(assignments, cold):
+        before = sum(_memo_sizes()) if _tables.plan[2] else 0
+        assert verify_witness(desc.curve, t, assignment) == report
+        assert sum(_memo_sizes()) <= (before if before <= 9 else 0) + 9
 
 
 def test_additivity_identity_on_witnesses(fixtures):

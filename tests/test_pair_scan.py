@@ -194,3 +194,43 @@ def test_partners_read_a_few_entries_per_run(name, r, d):
             walked += sum(lat.pole_ok[lat.index[b]] for b in b_box)
         assert reads <= bound, prune
         assert 2 * reads < walked, prune
+
+
+@pytest.mark.parametrize("name,r,d", [("chain_9torsion", 1, 12), ("chain_12torsion", 2, 12),
+                                      ("chain_9torsion_elltail", 2, 14), ("chain_9torsion", 3, 12),
+                                      ("chain_12torsion", 2, 17)])
+def test_partners_skip_the_subtrees_that_fail(name, r, d):
+    # a prefix whose largest b (c after it) fails the status table is skipped with all of its
+    # subtree, so over the walks of every a the runs read (one single-pole read each) number
+    # at most the partners yielded plus one per walk; a walk of every prefix of each box
+    # reads 4,499 runs for 271 partners on the g^2_12, and 27,607 for 1 on the g^3_12
+    curve = load_fixture(name).curve
+    pivot, branches = _analyze(curve)
+    torsion = pivot.torsion_between(*curve.node_points(pivot.id))
+    lat = _lattice(r, d)
+    counted = lat._replace(pole_ok=_CountedReads(lat.pole_ok))
+    for prune in (True, False):
+        status = _branch_table(branches[1].key, r, d, prune, True).status
+        _CountedReads.reads = yielded = 0
+        for ia in range(len(lat.seqs)):
+            partners = list(_partners(ia, d, counted, status, torsion))
+            assert partners == list(_partners(ia, d, lat, status, torsion))
+            yielded += len(partners)
+        assert _CountedReads.reads <= yielded + len(lat.seqs), (prune, _CountedReads.reads, yielded)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair_curves())
+@example((SHARED_BOX[0], 2, 6))
+def test_warm_verify_memo_matches_a_cold_call_on_listed_survivors(drawn):
+    # verify_witness keeps a memo per curve and series; each listed survivor, verified after
+    # the ones before it, reports what it reports after cache_clear, in both modes
+    curve, r, d = drawn
+    t = SeriesType(curve.genus, r, d)
+    for prune in (True, False):
+        assignments = [s.assignment_dict() for s in refute(curve, t, prune=prune).survivors]
+        _lattice.cache_clear()
+        warm = [verify_witness(curve, t, a) for a in assignments]
+        for assignment, report in zip(assignments, warm):
+            _lattice.cache_clear()
+            assert verify_witness(curve, t, assignment) == report, (prune, assignment)
