@@ -541,10 +541,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("g", type=int)
     p.add_argument("r", type=int)
     p.add_argument("d", type=int)
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_rho)
 
     p = sub.add_parser("triples", help="divisorial (r, s, d) triples of a genus")
     p.add_argument("g", type=int)
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_triples)
 
     p = sub.add_parser("exist", help="existence of a series with prescribed ramification "
@@ -555,6 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ram", action="append", metavar="A0,A1,...",
                    help="ramification sequence; repeatable, one per marked point")
     p.add_argument("--cusps", type=int, default=0, help="number of additional cusped points")
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_exist)
 
     p = sub.add_parser("schubert", help="product of Schubert classes in G(r+1, d+1)")
@@ -563,17 +566,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", action="append", metavar="A0,A1,...",
                    help="ramification index of a factor; repeatable")
     p.add_argument("--cusp-power", type=int, default=0, dest="cusp_power")
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_schubert)
 
     p = sub.add_parser("class", help="divisorial or canonical class on moduli of curves")
     p.add_argument("g", type=int)
     p.add_argument("--canonical", action="store_true")
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_class)
 
     p = sub.add_parser("decompose", help="canonical class over the divisorial class")
     p.add_argument("g", type=int)
     p.add_argument("r", type=int, nargs="?", default=None)
     p.add_argument("d", type=int, nargs="?", default=None)
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("slope", help="slope computations")
@@ -590,6 +596,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = slope_sub.add_parser("plane-pencil")
     q.add_argument("degree", type=int)
     slope_sub.add_parser("boundary-table")
+    for q in slope_sub.choices.values():
+        q.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_slope)
 
     p = sub.add_parser("limit", help="refute or verify limit series on a curve file")
@@ -601,20 +609,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect", help="expected verdict; exit 1 on mismatch")
     p.add_argument("--naive", action="store_true", help="disable minimal-complement pruning")
     p.add_argument("--cap", type=int, default=100, help="survivor listing cap")
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_limit)
 
     p = sub.add_parser("fixtures", help="list bundled curve descriptions")
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_fixtures)
 
     p = sub.add_parser("report", help="full verification report")
     p.add_argument("target", help="only 'g23'")
     p.add_argument("--include-tail-variant", action="store_true", dest="include_tail_variant",
                    help="also run the boundary chain with the elliptic tail")
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_report)
 
-    for q in (*sub.choices.values(), *slope_sub.choices.values()):  # every command but slope
-        if q is not sub.choices["slope"]:
-            q.add_argument("--json", action="store_true")
     return parser
 
 

@@ -135,9 +135,8 @@ class CompactCurve(NamedTuple("CompactCurve", [
     def __new__(cls, id: str, genus: int, components: tuple[Component, ...],
                 nodes: tuple[Node, ...]) -> "CompactCurve":
         components, nodes = tuple(components), tuple(nodes)
-        # each component's marked points, as a set when there are many, so that checking
-        # a node end does not scan them (a short tuple is scanned faster than a set is built)
-        marked = {c.id: c.points if len(c.points) < 9 else {*c.points} for c in components}
+        # each component's marked points as a set, so that checking a node end does not scan them
+        marked = {c.id: {*c.points} for c in components}
         if len(marked) != len(components):
             raise ValueError("duplicate component ids")
         # one pass over the nodes: check the ends and join the components they meet,

@@ -12,10 +12,16 @@ found, never confirmed (smoothability is not verified here).
 The dual tree is rooted at a pivot, the component with the most nodes
 (elliptic first).  Behind each pivot node hangs a branch, a flat chain:
 elliptic links, then an end that is a general or fact-sheet leaf, a
-one-noded elliptic tail, or a general bridge ending in a tail.  _branch_table
-folds a branch into a status table over the sequences a across its node in
-one loop, from the far end inward, so the cost is linear in the chain's
-length.  "unknown" is kept apart from "pass" and never eliminates.
+one-noded elliptic tail, or a general bridge ending in a tail.
+_branch_table folds a branch into a status table over the sequences a
+across its node in one loop: the end's table, then one link step per link
+from the far end inward, so the cost is linear in the chain's length.
+Every rule asks for vanishing at least, so the sequences that a branch's
+own component admits at that node form a down-set; the table reads them at
+the least sequence compatible with a, min_complement(a), and a link's own
+table at s is the pair scan's count of the b <= caps(s) that pass the
+single-pole rule, the table beyond and the torsion rule with s.
+"unknown" is kept apart from "pass" and never eliminates.
 
 The pivot enumerates: a two-noded elliptic pivot accounts for all pairs
 (a, b) at its nodes, counting whole boxes of them, torsion failures
@@ -82,6 +88,10 @@ MAX_SEQUENCES = 100_000
 # or the 190,000 entries of the 850 tables that 900 seeded curves of every
 # supported shape visit (perfbench refute-sweep).
 MAX_CACHED_SEQUENCES = 4 * MAX_SEQUENCES
+# Most entries (sequences, node and component audits) that verify_witness keeps
+# for its last curve after a call: twice the 504 that the largest of those 900
+# curves needs for its 100 listed survivors.  A call that leaves more drops it.
+MAX_VERIFY_MEMO = 1024
 
 
 class UnsupportedCurveError(ValueError):
@@ -562,7 +572,8 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
     unconfirmed.  The first survivor_cap survivors are listed, in candidate
     order, as positions in the lattice, one slot per node end laid out at the
     first survivor listed (_layout); a branch's witness is filled in once per
-    aspect across its node, from the tables of its fold.
+    aspect across its node, from the tables of its fold, and a component's
+    aspects are built once per listing, shared by the survivors that repeat them.
     """
     if t.g != curve.genus:
         raise ValueError(f"series genus {t.g} does not match curve genus {curve.genus}")
@@ -574,14 +585,14 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
     seqs, caps, pole_ok = lat.seqs, lat.caps, lat.pole_ok
     n = len(seqs)
     points = curve.node_points(pivot.id)
-    layout: list = []  # slot, groups, names, at_pivot and filled, once a survivor is listed
+    layout: list = []  # slot, groups, at_pivot, filled and shared, once a survivor is listed
     walks: list = [None] * len(branches)
 
     def extend(i: int, ia: int) -> tuple[str, ...]:
         """Fill branch i's slots with its witness against ia at the pivot; the end's id if unknown."""
         if not layout:
             layout.extend(_layout(curve, pivot.id, points))
-        slot, _, _, at_pivot, filled = layout
+        slot, _, at_pivot, filled, _ = layout
         filled[at_pivot[i]] = ia
         if walks[i] is None:
             walks[i] = _walk(branches[i], slot, lat, r, d, prune)
@@ -593,10 +604,13 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
         return (end_id,) if end_status[ia] == "unknown" else ()
 
     def survivor(flagged: tuple[str, ...]) -> Survivor:
-        _, groups, names, _, filled = layout
-        aspects = zip(names, map(seqs.__getitem__, filled))
-        return Survivor(tuple([(comp_id, tuple(islice(aspects, k))) for comp_id, k in groups]),
-                        tuple(sorted(flagged)))
+        _, groups, _, filled, shared = layout
+        parts = []  # survivors repeat a component's aspects: each is built once per listing
+        for (comp_id, span, names), memo in zip(groups, shared):
+            if (part := memo.get(key := tuple(filled[span]))) is None:
+                part = memo[key] = comp_id, tuple(zip(names, map(seqs.__getitem__, key)))
+            parts.append(part)
+        return Survivor(tuple(parts), tuple(sorted(flagged)))
 
     if pivot.kind != KIND_ELLIPTIC:
         # a star: the one candidate is the floors that the tails force on the hub
@@ -668,11 +682,13 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
 
 def _layout(curve: CompactCurve, pivot_id: str, points: list[str]) -> tuple:
     """refute's survivor slots, one per node end in Survivor.assignment's order: the slot of
-    each end, (component, slot count) runs, the points, the pivot's slots, positions to fill."""
+    each end; per component its id, its slots and its points; the pivot's slots; positions to
+    fill; and per component a dict of its aspects as listed, by positions."""
     ends = sorted(end for node in curve.nodes for end in node.ends)
     slot = {end: k for k, end in enumerate(ends)}
-    groups = [(comp_id, len(list(pts))) for comp_id, pts in groupby(ends, itemgetter(0))]
-    return slot, groups, [p for _, p in ends], [slot[pivot_id, p] for p in points], [0] * len(ends)
+    groups = [(comp_id, slice(slot[pts[0]], slot[pts[-1]] + 1), tuple(p for _, p in pts))
+              for comp_id, pts in ((c, [*g]) for c, g in groupby(ends, itemgetter(0)))]
+    return slot, groups, [slot[pivot_id, p] for p in points], [0] * len(ends), [{} for _ in groups]
 
 
 def _walk(branch: _Branch, slot: Mapping[tuple[str, str], int], lat: _Lattice, r: int, d: int,
@@ -820,16 +836,19 @@ def verify_witness(curve: CompactCurve, t: SeriesType,
     ramification derived from it.  A curve's survivors repeat aspects, so the
     plan keeps a memo of this function's own results: the sequences given as
     tuples of ints, and the node and component audits of a call whose
-    sequences all are.  Every component is validated before any oracle runs.
+    sequences all are; a call that leaves more than MAX_VERIFY_MEMO entries
+    drops the plan.  Every component is validated before any oracle runs.
     Nothing here reads refute's tables, so it checks refute's survivors independently.
     """
     if t.g != curve.genus:
         raise ValueError(f"series genus {t.g} does not match curve genus {curve.genus}")
     r, d = t.r, t.d
     last, last_t, plan = _tables.plan
-    if last is not curve or last_t != t or sum(map(len, plan[4])) > MAX_SEQUENCES:
+    # the memo holds more than MAX_VERIFY_MEMO entries only after a call that raised
+    if last is not curve or last_t != t or sum(map(len, plan[3])) > MAX_VERIFY_MEMO:
         plan = _verify_plan(curve, t)
-    comps, nodes, node_points, lhs, (known, node_memo, comp_memo) = plan
+    comps, nodes, node_points, memo = plan
+    known, node_memo, comp_memo = memo
     seqs: dict[tuple[str, str], VanishingSeq] = {}
     for comp, need, names, _, _, _ in comps:
         given = assignment.get(comp.id, {})
@@ -882,26 +901,27 @@ def verify_witness(curve: CompactCurve, t: SeriesType,
                else "consistent" if asserted else "confirmed")
     notes = (("component existence asserted, not proven: " + ", ".join(sorted(asserted)),)
              if verdict == "consistent" else ()) + ((SMOOTHABILITY_NOTE,) if verdict != "rejected" else ())
-    rhs = sum(rhos)
-    return WitnessReport(curve.id, (r, d), verdict, node_audits, comp_audits, aspect_rhos, excess,
-                         AdditivityAudit(lhs, rhs, lhs >= rhs, lhs == rhs), {*node_classes} <= {"refined"},
-                         notes)
+    report = WitnessReport(curve.id, (r, d), verdict, node_audits, comp_audits, aspect_rhos, excess,
+                           additivity_audit(t, rhos), {*node_classes} <= {"refined"}, notes)
+    if sum(map(len, memo)) > MAX_VERIFY_MEMO:  # a large curve's audits are not kept
+        _tables.plan = None, None, None
+    return report
 
 
 def _verify_plan(curve: CompactCurve, t: SeriesType) -> tuple:
     """What verify_witness reads of a curve: per component, its node points (a list, a set
     and as ends), the series on it and that series' rho plus r(r+1)/2 per point (a
     ramification weight is the vanishing sum less that); per node, its ends and its name;
-    each component's node points by id; rho(t); and an empty memo (sequences by id, node
-    and component audits).  A curve's survivors are verified one after another, so
+    each component's node points by id; and an empty memo (sequences by id, node and
+    component audits).  A curve's survivors are verified one after another, so
     verify_witness keeps the plan for the last curve (the same object) and series with the
-    tables, and builds it afresh when the memo holds more than MAX_SEQUENCES entries.
+    tables.
     """
     node_points, _ = _node_map(curve)
     on = [(c, node_points[c.id], SeriesType(c.genus, t.r, t.d)) for c in curve.components]
     comps = [(c, pts, {*pts}, [(c.id, p) for p in pts], t_c,
               rho(t_c) + t.r * (t.r + 1) // 2 * len(pts)) for c, pts, t_c in on]
-    plan = comps, [(*node.ends, str(node)) for node in curve.nodes], node_points, rho(t), ({}, {}, {})
+    plan = comps, [(*node.ends, str(node)) for node in curve.nodes], node_points, ({}, {}, {})
     _tables.plan = curve, t, plan
     return plan
 

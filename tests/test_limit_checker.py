@@ -497,7 +497,7 @@ def _memo_curve(fixtures, name):
 
 
 def _memo_sizes():
-    return tuple(map(len, _tables.plan[2][4]))
+    return tuple(map(len, _tables.plan[2][3]))
 
 
 @pytest.mark.parametrize("name,series", MEMO_CASES)
@@ -518,6 +518,20 @@ def test_warm_verify_memo_matches_a_cold_call(fixtures, name, series):
             assert cold == report and repr(cold) == repr(report), (prune, assignment)
         checks = len(assignments) * (len(curve.nodes) + len(curve.components))
         assert audited <= checks and (audited < checks or len(assignments) == 1), (prune, audited)
+
+
+@pytest.mark.parametrize("name,series", MEMO_CASES)
+def test_listed_survivors_share_equal_component_aspects(fixtures, name, series):
+    # a listing builds each component's aspects once: survivors that agree on a component
+    # hold one object for it, and some component repeats in every listing of two or more
+    curve = _memo_curve(fixtures, name)
+    t = SeriesType(curve.genus, *series)
+    for prune in (True, False):
+        parts = [part for s in refute(curve, t, prune=prune).survivors for part in s.assignment]
+        by_value = {}
+        for part in parts:
+            assert by_value.setdefault(part, part) is part, (prune, part)
+        assert len(by_value) < len(parts) or len(parts) == len(curve.components), prune
 
 
 def test_verify_memo_keeps_the_first_error(fixtures):
@@ -579,31 +593,52 @@ def test_verify_memo_keeps_lists_floats_and_bools_apart(fixtures):
 
 def test_verify_memo_lives_and_dies_with_the_plan(fixtures, monkeypatch):
     # the memo sits in the plan: another curve or series, or cache_clear, starts an empty
-    # one, and one above MAX_SEQUENCES entries is emptied before the next call
+    # one, and a call that leaves more than MAX_VERIFY_MEMO entries drops the plan
     desc, other = fixtures["chain_12torsion"], fixtures["chain_9torsion"]
     t = SeriesType(23, 1, 14)
     assignments = [s.assignment_dict() for s in refute(desc.curve, t).survivors]
     verify_witness(desc.curve, t, assignments[0])
-    memo = _tables.plan[2][4]
+    memo = _tables.plan[2][3]
     assert all(_memo_sizes())
     t13 = SeriesType(23, 1, 13)
     verify_witness(desc.curve, t13, refute(desc.curve, t13).survivors[0].assignment_dict())
-    assert _tables.plan[2][4] is not memo
+    assert _tables.plan[2][3] is not memo
     verify_witness(other.curve, SeriesType(23, 2, 17), other.witness("g2_17").aspects_dict())
     assert _tables.plan[0] is other.curve and _memo_sizes() == (4, 2, 3)
     _lattice.cache_clear()
     assert _tables.plan == (None, None, None)
     # one call on this chain holds at most 4 sequences, 2 node and 3 component audits
-    monkeypatch.setattr(limit_checker, "MAX_SEQUENCES", 9)
+    monkeypatch.setattr(limit_checker, "MAX_VERIFY_MEMO", 9)
     cold = []
     for assignment in assignments:
         _lattice.cache_clear()
         cold.append(verify_witness(desc.curve, t, assignment))
     _lattice.cache_clear()
+    dropped = 0
     for assignment, report in zip(assignments, cold):
-        before = sum(_memo_sizes()) if _tables.plan[2] else 0
         assert verify_witness(desc.curve, t, assignment) == report
-        assert sum(_memo_sizes()) <= (before if before <= 9 else 0) + 9
+        if _tables.plan[0] is None:
+            dropped += 1
+        else:
+            assert sum(_memo_sizes()) <= 9
+    assert 0 < dropped < len(assignments)
+
+
+def test_verify_memo_keeps_nothing_of_a_large_curve():
+    # one call on a star of 1,000 elliptic tails audits 1,000 nodes and 1,001 components,
+    # beyond MAX_VERIFY_MEMO: nothing of it is kept once the call returns
+    n = 1_000
+    curve = CompactCurve("star", 3 + n, (Component("H", 3, "general", tuple(f"p{i}" for i in range(n))),
+                                         *(Component(f"E{i}", 1, "elliptic", ("q",)) for i in range(n))),
+                         tuple(Node((("H", f"p{i}"), (f"E{i}", "q"))) for i in range(n)))
+    t = SeriesType(curve.genus, 1, 3)
+    assignment = {"H": {f"p{i}": (0, 1) for i in range(n)}, **{f"E{i}": {"q": (2, 3)} for i in range(n)}}
+    _lattice.cache_clear()
+    report = verify_witness(curve, t, assignment)
+    assert _tables.plan == (None, None, None)
+    assert verify_witness(curve, t, assignment) == report
+    assert _tables.plan == (None, None, None)
+    assert len(report.nodes) == n and len(report.components) == n + 1
 
 
 def test_additivity_identity_on_witnesses(fixtures):
