@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from . import curvefile, limit_checker, modspace, schubert
+from . import curvefile, limit_checker, modspace
 from .curvefile import CurveDescription
 from .curves import RULE_GENERAL_CUSP, RULE_GENERAL_POINTED, RULE_SCHUBERT, general_pointed_check
 from .limit_checker import series_name
@@ -105,6 +105,8 @@ def cmd_exist(args) -> int:
 
 
 def cmd_schubert(args) -> int:
+    from . import schubert  # on first use: the other commands compile it only if a check asks
+
     rect = schubert.rect_for(args.r, args.d)
     acc = schubert.identity_class(rect)
     for s in args.index or []:

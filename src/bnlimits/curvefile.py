@@ -60,10 +60,14 @@ _WITNESS, _WITNESS_NEEDS = frozenset({"series", "aspects", "description"}), froz
 _SHAPES = {int: "an integer", str: "a string", bool: "true or false"}
 
 
+def _shown(value: Any) -> str:
+    """value as JSON, other mappings as objects and other sequences as arrays."""
+    return json.dumps(value, default=lambda v: dict(v) if isinstance(v, Mapping) else list(v))
+
+
 def _bad(value: Any, where: str, shape: str) -> ValueError:
-    """A wrong value's message, the value shown as JSON (other mappings and sequences too)."""
-    shown = json.dumps(value, default=lambda v: dict(v) if isinstance(v, Mapping) else list(v))
-    return ValueError(f"{where} must be {shape}, got {shown}")
+    """A wrong value's message, the value shown as JSON."""
+    return ValueError(f"{where} must be {shape}, got {_shown(value)}")
 
 
 def _is(value: Any, kind: type, where: str, *args: Any) -> Any:
@@ -141,7 +145,7 @@ def _node(pair: Any) -> Node:
     ends = []
     for ref in _array(pair, 2, "node"):
         if type(ref) is not str or ref.count(".") != 1:
-            raise ValueError(f"point reference {ref!r} must look like component.point")
+            raise ValueError(f"point reference {_shown(ref)} must look like component.point")
         ends.append(tuple(ref.split(".")))
     return Node(ends)
 
@@ -164,7 +168,7 @@ def curve_from_json(doc: Any) -> CurveDescription:
     first that fails raises ValueError."""
     _object(doc, _CURVE, _CURVE_NEEDS, "curve document")
     if doc["schema"] != SCHEMA:
-        raise ValueError(f"unsupported schema {doc['schema']!r}, expected {SCHEMA!r}")
+        raise ValueError(f"unsupported schema {_shown(doc['schema'])}, expected {_shown(SCHEMA)}")
     comps = tuple(map(_component, _array(doc["components"], None, "components")))
     nodes = tuple(map(_node, _array(doc["nodes"], None, "nodes")))
     curve = CompactCurve(_is(doc["id"], str, "curve id"), _is(doc["genus"], int, "curve genus"),

@@ -13,7 +13,6 @@ from __future__ import annotations
 from operator import add
 from typing import NamedTuple, Sequence
 
-from . import schubert
 from .numerology import (
     RamificationSeq,
     SeriesType,
@@ -22,6 +21,8 @@ from .numerology import (
     pointed_exists,
     weight,
 )
+
+schubert = None  # the Schubert calculus module, imported by general_pointed_check when needed
 
 KIND_GENERAL = "general"
 KIND_ELLIPTIC = "elliptic"
@@ -299,6 +300,9 @@ def general_pointed_check(t: SeriesType, rams: list[RamificationSeq] | tuple[Ram
         zero = RamificationSeq((0,) * (t.r + 1), t.r, t.d)
         ok = pointed_exists(t, zero)
         return CheckResult("pass" if ok else "fail", RULE_GENERAL_POINTED, exact=True)
+    global schubert
+    if schubert is None:  # imported on first use: few checks reach it
+        from . import schubert
     ok = schubert.bn_condition(SeriesType(t.g + extra_cusps, t.r, t.d), rams)
     return CheckResult("pass" if ok else "fail", RULE_SCHUBERT, exact=True)
 

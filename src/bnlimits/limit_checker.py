@@ -35,11 +35,13 @@ elliptic component with three nodes.  Setting prune=False asks whether any
 compatible sequence passes instead of the least one (down-set sums over the
 whole lattice), the reference mode the pruning is validated against.
 
-The sequences of each (r, d) with their index tables and down-set counts,
-and each branch table (keyed by the end's kind, genus and fact sheet, the
-links' torsion orders, r, d and prune mode), are immutable tuples kept between
-refutations in one LRU cache, bounded by the number of sequences its tables
-index in all (MAX_CACHED_SEQUENCES).
+Each (r, d) lattice is built from its blocks (the sequences from s_0 = v
+are v before a suffix of the shorter ones) with no index of its sequences:
+a position is a closed-form rank.  Its tables and each branch table (keyed
+by the end's kind, genus and fact sheet, the links' torsion orders, r, d
+and prune mode) are immutable tuples kept between refutations in one LRU
+cache, bounded by the number of sequences its tables index in all
+(MAX_CACHED_SEQUENCES).
 
 Reports are deterministic: candidates are ordered lexicographically and
 repeated runs produce identical output.  A series with more than
@@ -50,32 +52,17 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter, OrderedDict
-from itertools import accumulate, combinations, compress, groupby, islice
+from functools import cached_property, partial, reduce
+from itertools import accumulate, chain, compress, groupby, islice, repeat
 from math import comb
-from operator import add, and_, itemgetter
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from operator import add, and_, itemgetter, mul, not_, sub
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .curves import (
-    KIND_ELLIPTIC,
-    KIND_FACTSHEET,
-    KIND_GENERAL,
-    RULE_ELLIPTIC_LINK,
-    RULE_ELLIPTIC_PAIR_BOUND,
-    RULE_ELLIPTIC_SINGLE_POLE,
-    RULE_ELLIPTIC_TORSION,
-    RULE_FACTSHEET_COUNT,
-    RULE_GENERAL_CUSP,
-    RULE_GENERAL_POINTED,
-    CheckResult,
-    CompactCurve,
-    Component,
-    _torsion_fails,
-    elliptic_single_point_check,
-    elliptic_two_point_check,
-    factsheet_check,
-    general_pointed_check,
-)
+from .curves import (KIND_ELLIPTIC, KIND_FACTSHEET, KIND_GENERAL, RULE_ELLIPTIC_LINK,
+                     RULE_ELLIPTIC_PAIR_BOUND, RULE_ELLIPTIC_SINGLE_POLE, RULE_ELLIPTIC_TORSION,
+                     RULE_FACTSHEET_COUNT, RULE_GENERAL_CUSP, RULE_GENERAL_POINTED, CheckResult,
+                     CompactCurve, Component, _torsion_fails, elliptic_single_point_check,
+                     elliptic_two_point_check, factsheet_check, general_pointed_check)
 from .numerology import SeriesType, VanishingSeq, rho, vanishing_to_ramification
 
 SMOOTHABILITY_NOTE = "smoothability not verified"
@@ -175,18 +162,11 @@ class RefutationReport(NamedTuple):
     notes: tuple[str, ...]
 
     def to_json(self) -> dict:
-        return {
-            "curve": self.curve,
-            "series": {"r": self.series[0], "d": self.series[1]},
-            "verdict": self.verdict,
-            "candidates_examined": self.candidates_examined,
-            "rule_hits": dict(self.rule_hits),
-            "survivor_count": self.survivor_count,
-            "survivors": [s.to_json() for s in self.survivors],
-            "survivors_truncated": self.truncated,
-            "pruned": self.pruned,
-            "notes": list(self.notes),
-        }
+        return {"curve": self.curve, "series": {"r": self.series[0], "d": self.series[1]},
+                "verdict": self.verdict, "candidates_examined": self.candidates_examined,
+                "rule_hits": dict(self.rule_hits), "survivor_count": self.survivor_count,
+                "survivors": [s.to_json() for s in self.survivors], "survivors_truncated": self.truncated,
+                "pruned": self.pruned, "notes": list(self.notes)}
 
     def render(self) -> str:
         r, d = self.series
@@ -235,18 +215,11 @@ class WitnessReport(NamedTuple):
     notes: tuple[str, ...]
 
     def to_json(self) -> dict:
-        return {
-            "curve": self.curve,
-            "series": {"r": self.series[0], "d": self.series[1]},
-            "verdict": self.verdict,
-            "nodes": [n._asdict() | {"sums": list(n.sums)} for n in self.nodes],
-            "components": [c._asdict() for c in self.components],
-            "aspect_rhos": dict(self.aspect_rhos),
-            "node_excess": dict(self.node_excess),
-            "additivity": self.additivity._asdict(),
-            "refined": self.refined,
-            "notes": list(self.notes),
-        }
+        return {"curve": self.curve, "series": {"r": self.series[0], "d": self.series[1]},
+                "verdict": self.verdict, "nodes": [n._asdict() | {"sums": list(n.sums)} for n in self.nodes],
+                "components": [c._asdict() for c in self.components], "aspect_rhos": dict(self.aspect_rhos),
+                "node_excess": dict(self.node_excess), "additivity": self.additivity._asdict(),
+                "refined": self.refined, "notes": list(self.notes)}
 
     def render(self) -> str:
         r, d = self.series
@@ -312,6 +285,7 @@ _BRANCH_RULES = {KIND_GENERAL: RULE_GENERAL_POINTED, KIND_FACTSHEET: RULE_FACTSH
                  "tail": RULE_ELLIPTIC_SINGLE_POLE, "bridge": RULE_GENERAL_CUSP,
                  "link": RULE_ELLIPTIC_LINK}
 _KIND_PRIORITY = {KIND_ELLIPTIC: 0, KIND_FACTSHEET: 1, KIND_GENERAL: 2}
+_LIVE = {"fail": False, "pass": True, "unknown": True}  # a status that eliminates nothing
 
 
 def _node_map(curve: CompactCurve) -> tuple[dict[str, list[str]], dict[tuple[str, str], tuple[str, str]]]:
@@ -364,14 +338,6 @@ def _analyze(curve: CompactCurve) -> tuple[Component, tuple[_Branch, ...]]:
 # shared sequence helpers (hot paths work on bare tuples)
 
 
-def _all_seqs(r: int, d: int) -> list[tuple[int, ...]]:
-    size = comb(d + 1, r + 1)
-    if size > MAX_SEQUENCES:
-        raise ValueError(f"{series_name(r, d)} has C({d + 1}, {r + 1}) = {size} vanishing sequences"
-                         f" per point, above the engine's limit of {MAX_SEQUENCES}")
-    return list(combinations(range(d + 1), r + 1))
-
-
 class _TableCache:
     """LRU store of the tables that refutations share, least recently used first.
 
@@ -383,8 +349,7 @@ class _TableCache:
 
     def __init__(self) -> None:
         self.tables: OrderedDict = OrderedDict()
-        self.held = 0
-        self.plan: tuple = (None, None, None)
+        self.clear()
 
     def clear(self) -> None:
         self.tables.clear()
@@ -393,9 +358,7 @@ class _TableCache:
 
     def __call__(self, build):
         def lookup(*args):
-            key = build, args
-            table = self.tables.get(key)
-            if table is not None:
+            if (table := self.tables.get(key := (build, args))) is not None:
                 self.tables.move_to_end(key)
                 return table
             table = self.tables[key] = build(*args)
@@ -416,49 +379,94 @@ def _entries(table: tuple) -> int:
 _tables = _TableCache()
 
 
-class _Lattice(NamedTuple):
-    """The vanishing sequences of a g^r_d at one point, in lexicographic order.
+class _LatticeTables(NamedTuple):
+    """The vanishing sequences of a g^r_d at one point in lexicographic order, as tables by
+    position that hold positions or counts; a position is found by arithmetic (_rank)."""
 
-    The tables are indexed by position in seqs and hold positions or counts.
-    """
-
-    seqs: tuple[tuple[int, ...], ...]
-    index: Mapping[tuple[int, ...], int]
+    caps: tuple[int, ...]  # the pairwise bound's caps (d - s[r], ..., d - s[0]) = min_complement(s)
     cols: tuple[tuple[int, ...], ...]  # cols[i][k] = seqs[k][i]
     steps: tuple[tuple[int, ...], ...]  # per axis j: largest sequence below s - e_j, or -1
-    caps: tuple[int, ...]  # the pairwise bound's caps (d - s[r], ..., d - s[0]) = min_complement(s)
     pole_ok: tuple[bool, ...]  # passes the elliptic single-pole rule
     box: tuple[int, ...]  # down-set sizes, #{b <= s}
     pole_in: tuple[int, ...]  # #{b <= s failing the single-pole rule}
     ranks: tuple[tuple[int, ...], ...]  # per axis j, by v: the sum of C(d - 1 - u, r - j) over u < v
 
 
+class _Lattice(_LatticeTables):
+    """The sequences as tuples are built on first read, when a witness is listed."""
+
+    seqs = cached_property(lambda self: tuple(zip(*self.cols)))
+
+
+def _rank(seq: Sequence[int], d: int) -> int:
+    """The position of seq: C(d+1, r+1) - 1 less the colex rank of caps(seq)."""
+    r = len(seq) - 1
+    return comb(d + 1, r + 1) - 1 - sum(comb(d - v, r + 1 - i) for i, v in enumerate(seq))
+
+
+def _reader(positions: tuple[int, ...]) -> Callable[[Sequence], tuple]:
+    """Reads a sequence at positions in one C call (itemgetter needs two to return a tuple)."""
+    return itemgetter(*positions) if len(positions) > 1 else lambda s: tuple(s[p] for p in positions)
+
+
+def _column_sums(r: int, d: int, tables: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """sum_i tables[i][s_i] for every sequence s, in order: as in _lattice, block v of the
+    suffixes from s_{r-k} on adds tables[r - k][v] to the last C(d - v, k) from s_{r-k+1} on."""
+    sums = tuple(tables[r][r:])
+    for k in range(1, r + 1):
+        sums = tuple(chain.from_iterable(map(add, sums[len(sums) - comb(d - v, k):], repeat(tables[r - k][v]))
+                                         for v in range(r - k, d - k + 1)))
+    return sums
+
+
 @_tables
 def _lattice(r: int, d: int) -> _Lattice:
-    seqs = tuple(_all_seqs(r, d))
-    ids = tuple(range(len(seqs)))  # one int object per position, shared by every table
-    index = dict(zip(seqs, ids))
-    cols = tuple(zip(*seqs))
-    steps = []
-    row = (-1,) * len(seqs)  # axis -1: every s_0 is above s_{-1} = -1, with no step
-    for j, (above, col) in enumerate(zip((row,) + cols, cols)):
-        # lowering s_j by one lowers the lex rank by C(d - s_j, r - j); if s_{j-1} = s_j - 1
-        # that clamps s_{j-1}, so the step starts from the one on axis j - 1
-        drop = [comb(d - v, r - j) for v in range(d + 1)]
-        start = [i if u < v - 1 else p for i, u, v, p in zip(ids, above, col, row)]
-        row = tuple(-1 if k < 0 else ids[k - drop[v]] for k, v in zip(start, col))
-        steps.append(row)
-    caps = tuple(map(index.__getitem__, zip(*[map(d.__sub__, col) for col in reversed(cols)])))
+    n = comb(d + 1, r + 1)
+    if n > MAX_SEQUENCES:
+        raise ValueError(f"{series_name(r, d)} has C({d + 1}, {r + 1}) = {n} vanishing sequences"
+                         f" per point, above the engine's limit of {MAX_SEQUENCES}")
+    ids, vals = tuple(range(n)), tuple(range(d + 1))  # ids: one int object per position
+    # The suffixes (s_{r-k}, ..., s_r) for k = 0, ..., r, each from the one before: block v,
+    # s_{r-k} = v, is v before the last m = C(d - v, k) suffixes, those with s_{r-k+1} > v.
+    cols, steps, box, size = (vals[r:],), ((-1, *ids[:d - r]),), (*range(1, d - r + 2),), d - r + 1
+    for k in range(1, r + 1):
+        blocks = [(v, comb(d - v, k)) for v in range(r - k, d - k + 1)]
+        starts = [*accumulate((m for _, m in blocks), initial=0)]
+        cols = (tuple(chain.from_iterable(repeat(vals[v], m) for v, m in blocks)),
+                *(tuple(chain.from_iterable(col[size - m:] for _, m in blocks)) for col in cols))
+        # axis 0 lowers v: the same suffix, at the end of the block before (none in the first);
+        # axis j steps the suffix on its axis j - 1 within the block, but the first
+        # C(d - v - j, k - j) suffixes, v + 1, ..., v + j, ..., clamp v into the block before.
+        # A suffix at p before is at b - (size - m) + p in block v, read from ids shifted so.
+        rows = [[(-1,) * blocks[0][1], *(ids[b - m:b] for b, (_, m) in zip(starts[1:], blocks[1:]))]]
+        shifted = [ids[b - size + m:b + m] for b, (_, m) in zip(starts, blocks)]
+        for j, row in enumerate(steps, 1):
+            parts = []
+            for i, (v, m) in enumerate(blocks):
+                o, run = size - m, comb(d - v - j, k - j)
+                parts += (_reader(row[o:o + run])(shifted[i - 1]) if i else (-1,) * run,
+                          _reader(row[o + run:])(shifted[i]))
+            rows.append(parts)
+        steps = tuple(tuple(chain.from_iterable(parts)) for parts in rows)
+        # the b <= (v, t) are those <= (v - 1, t) and those (v, t') with t' <= t but not
+        # t' <= (v, t_1, ...), which lies as far from the end of block v of the suffixes,
+        # the block before the last m, as t from the end of its own block
+        parts = [box]
+        for v, m in blocks[1:]:
+            o = size - m
+            below = chain.from_iterable(box[o - comb(d - w, k - 1):o] for w in range(v + 1, d - k + 2))
+            parts.append(tuple(map(sub, map(add, parts[-1][-m:], box[o:]), below)))
+        box, size = tuple(chain.from_iterable(parts)), starts[-1]
+    # caps(s), the complement of s reversed, is n - 1 less the colex rank sum_j C(s_j, j + 1)
+    caps = _reader(_column_sums(r, d, [[comb(v, j + 1) for v in vals] for j in range(r + 1)]))(ids[::-1])
     # the rule fails when the orders d - 1 and d both occur, that is when s_{r-1} = d - 1
-    pole_ok = tuple(map((d - 1).__ne__, cols[-2])) if r else (True,) * len(seqs)
-    box = _down_sums(steps, (1,) * len(seqs))
+    fails = _reader(cols[-2])((0,) * (d - 1) + (1, 0)) if r else (0,) * n
     # so b <= s fails it iff b_{r-1} = d - 1 = s_{r-1}; the b <= s with b_{r-1} <= d - 2 are
     # the down-set of steps[r - 1][s] (index -1, none, reads the 0 past the end)
-    below = (*box, 0)
-    pole_in = tuple(0 if ok else n - below[p] for ok, n, p in zip(pole_ok, box, steps[r - 1]))
+    pole_in = tuple(map(mul, fails, map(sub, box, _reader(steps[r - 1])((*box, 0)))))
     ranks = tuple(tuple(accumulate((comb(d - 1 - u, r - j) for u in range(d)), initial=0))
                   for j in range(r + 1))
-    return _Lattice(seqs, MappingProxyType(index), cols, tuple(steps), caps, pole_ok, box, pole_in, ranks)
+    return _Lattice(caps, cols, steps, tuple(map(not_, fails)), box, pole_in, ranks)
 
 
 class _BranchTable(NamedTuple):
@@ -509,10 +517,10 @@ def _branch_table(key: tuple, r: int, d: int, prune: bool, far: bool = False) ->
             factsheet_check(facts, t, [vanishing_to_ramification(VanishingSeq(lat.seqs[c], d))]).status
             for c in lat.caps))
     if kind != "tail":
-        own = _clamp_columns(lat.cols, genus, d, r, 1 if kind == "bridge" else 0)
+        own = _clamp_columns(genus, d, r, 1 if kind == "bridge" else 0)
         return _status_table(own, "pass", lat, prune)
     table = _status_table(lat.pole_ok, "pass", lat, prune)
-    live = list(map("fail".__ne__, table.status))
+    live = _reader(table.status)(_LIVE)
     return table._replace(floor=tuple(map(min, (compress(col, live) for col in lat.cols)))
                           if any(live) else None)
 
@@ -525,36 +533,32 @@ def _link_table(beyond: _BranchTable, torsion: int | None, lat: _Lattice,
     caps(s) that the torsion rule leaves, read from the branch's table.
     """
     good_in = _good_in(beyond.status, lat)
-    own = [ok and good_in[c] > _torsion_hits(s, c, lat.steps, good_in, torsion)
-           for s, c, ok in zip(lat.seqs, lat.caps, lat.pole_ok)]
+    own = [ok and good_in[c] > _torsion_hits(i, c, lat, good_in, torsion)
+           for i, (c, ok) in enumerate(zip(lat.caps, lat.pole_ok))]
     # only fact-sheet leaves abstain, and they never pass
     return _status_table(own, "unknown" if "unknown" in beyond.status else "pass", lat, prune)
 
 
 def _status_table(own: Sequence[bool], passing: str, lat: _Lattice, prune: bool) -> _BranchTable:
     """The table of a branch whose own table is own, read at caps(a) or, naive, above it."""
-    ok = map(own.__getitem__, lat.caps)
+    ok = _reader(lat.caps)(own)
     if not prune:
-        ok = map(bool, _down_sums(lat.steps, ok))
-    return _BranchTable(tuple(map(("fail", passing).__getitem__, ok)))
+        ok = tuple(map(bool, _down_sums(lat.steps, ok)))
+    return _BranchTable(_reader(ok)(("fail", passing)))
 
 
 def _good_in(status: Sequence[str], lat: _Lattice) -> tuple[int, ...]:
     """Down-set counts of the b that pass the single-pole rule and that status does not fail."""
-    return _down_sums(lat.steps, map(and_, lat.pole_ok, map("fail".__ne__, status)))
+    return _down_sums(lat.steps, map(and_, lat.pole_ok, _reader(status)(_LIVE)))
 
 
-def _clamp_columns(cols: Sequence[Sequence[int]], genus: int, d: int, r: int,
-                   cusps: int) -> list[bool]:
-    """The clamp criterion, with `cusps` extra cusp powers, on every sequence of a lattice.
-
-    Summed column by column: a sequence c passes when the terms
-    max(c_i - i + genus + cusps - d + r, 0) sum to at most genus + cusps.
-    """
+def _clamp_columns(genus: int, d: int, r: int, cusps: int) -> tuple[bool, ...]:
+    """The clamp criterion, with `cusps` extra cusp powers, on every sequence c of a lattice:
+    the terms max(c_i - i + genus + cusps - d + r, 0), summed by _column_sums, are at most
+    genus + cusps."""
     shift = genus + cusps - d + r
-    terms = [map([max(v - i + shift, 0) for v in range(d + 1)].__getitem__, col)
-             for i, col in enumerate(cols)]
-    return list(map((genus + cusps).__ge__, map(sum, zip(*terms))))
+    terms = [[max(v - i + shift, 0) for v in range(d + 1)] for i in range(r + 1)]
+    return tuple(map((genus + cusps).__ge__, _column_sums(r, d, terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +586,8 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
     pivot, branches = _analyze(curve)
     r, d = t.r, t.d
     lat = _lattice(r, d)
-    seqs, caps, pole_ok = lat.seqs, lat.caps, lat.pole_ok
-    n = len(seqs)
+    caps, pole_ok = lat.caps, lat.pole_ok
+    n = len(caps)
     points = curve.node_points(pivot.id)
     layout: list = []  # slot, groups, at_pivot, filled and shared, once a survivor is listed
     walks: list = [None] * len(branches)
@@ -608,7 +612,7 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
         parts = []  # survivors repeat a component's aspects: each is built once per listing
         for (comp_id, span, names), memo in zip(groups, shared):
             if (part := memo.get(key := tuple(filled[span]))) is None:
-                part = memo[key] = comp_id, tuple(zip(names, map(seqs.__getitem__, key)))
+                part = memo[key] = comp_id, tuple(zip(names, map(lat.seqs.__getitem__, key)))
             parts.append(part)
         return Survivor(tuple(parts), tuple(sorted(flagged)))
 
@@ -619,10 +623,8 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
             return _finish(curve, t, 1, {branches[floors.index(None)].rule: 1}, [], 0, prune)
         t_hub = SeriesType(pivot.genus, r, d)
         floor_rams = [vanishing_to_ramification(VanishingSeq(f, d)) for f in floors]
-        if pivot.kind == KIND_FACTSHEET:
-            result = factsheet_check(pivot.facts, t_hub, floor_rams)
-        else:
-            result = general_pointed_check(t_hub, floor_rams)
+        result = (factsheet_check(pivot.facts, t_hub, floor_rams) if pivot.kind == KIND_FACTSHEET
+                  else general_pointed_check(t_hub, floor_rams))
         notes = ["hub evaluated on the ramification floors forced by the tails"]
         if result.failed:
             return _finish(curve, t, 1, {f"{result.rule}@{pivot.id}": 1}, [], 0, prune, notes)
@@ -630,7 +632,7 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
         if survivor_cap:
             flagged = (pivot.id,) if result.status == "unknown" else ()
             for i, floor in enumerate(floors):
-                flagged += extend(i, lat.index[floor])
+                flagged += extend(i, _rank(floor, d))
             listed.append(survivor(flagged))
         return _finish(curve, t, 1, {}, listed, 1, prune, notes + [
             "survivor lists the floor assignment; larger ramification may also survive"])
@@ -639,7 +641,7 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
     # the branch behind that node, or is open
     key_pole = f"{RULE_ELLIPTIC_SINGLE_POLE}@{pivot.id}"
     status_u = _branch_table(branches[0].key, r, d, prune).status
-    opened = list(compress(range(n), map(and_, pole_ok, map("fail".__ne__, status_u))))
+    opened = list(compress(range(n), map(and_, pole_ok, _reader(status_u)(_LIVE))))
     pole_fails = n - sum(pole_ok)
     if len(branches) == 1:
         hits = Counter({key_pole: pole_fails, branches[0].rule: n - pole_fails - len(opened)})
@@ -653,26 +655,22 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
     branch_v = branches[1]
     torsion = pivot.torsion_between(*points)
     status_v, good_in, *_ = _branch_table(branch_v.key, r, d, prune, True)
-    tops = list(map(caps.__getitem__, opened))
-    in_box, pole, good = (sum(map(table.__getitem__, tops))
-                          for table in (lat.box, lat.pole_in, good_in))
-    hits = Counter()
-    for key, by in ((key_pole, n * pole_fails + pole),
-                    (branches[0].rule, n * (n - pole_fails - len(opened))),
-                    (f"{RULE_ELLIPTIC_PAIR_BOUND}@{pivot.id}", n * len(opened) - in_box),
-                    (branch_v.rule, in_box - pole - good)):
-        hits[key] += by
+    tops = _reader(opened)(caps)
+    in_box, pole, goods = map(_reader(tops), (lat.box, lat.pole_in, good_in))
+    in_box, pole, good = sum(in_box), sum(pole), sum(goods)
+    hits = Counter({key_pole: n * pole_fails + pole,  # the keys name distinct components
+                    branches[0].rule: n * (n - pole_fails - len(opened)),
+                    f"{RULE_ELLIPTIC_PAIR_BOUND}@{pivot.id}": n * len(opened) - in_box,
+                    branch_v.rule: in_box - pole - good})
 
     key_tor = f"{RULE_ELLIPTIC_TORSION}@{pivot.id}"
     survivors: list[Survivor] = []
     count = good
-    for i, ic in zip(opened, tops):
-        if not good_in[ic]:
-            continue
-        tor = _torsion_hits(seqs[i], ic, lat.steps, good_in, torsion)
+    for i, ic, g in compress(zip(opened, tops, goods), goods):
+        tor = _torsion_hits(i, ic, lat, good_in, torsion)
         hits[key_tor] += tor
         count -= tor
-        if good_in[ic] == tor or len(survivors) >= survivor_cap:
+        if g == tor or len(survivors) >= survivor_cap:
             continue
         flagged = extend(0, i)
         for ib in islice(_partners(i, d, lat, status_v, torsion), survivor_cap - len(survivors)):
@@ -702,7 +700,7 @@ def _walk(branch: _Branch, slot: Mapping[tuple[str, str], int], lat: _Lattice, r
         beyond.append(_branch_table(("tail", 1, None, ()), r, d, prune))
     steps = [(slot[comp.id, point], slot[comp.id, far], after.status,
               comp.torsion_between(point, far),
-              lat.index[after.floor] if comp.kind == KIND_GENERAL else None)
+              _rank(after.floor, d) if comp.kind == KIND_GENERAL else None)
              for (comp, point, far), after in zip(branch.parts, beyond)]
     end, point, _ = branch.parts[-1]
     return steps, slot[end.id, point], (beyond or [table])[-1].status, end.id
@@ -768,9 +766,9 @@ def _partners(ia: int, d: int, lat: _Lattice, status: Sequence[str],
         j += 1
 
 
-def _torsion_hits(a: tuple[int, ...], ic: int, steps: tuple[tuple[int, ...], ...],
-                  good_in: tuple[int, ...], torsion: int | None) -> int:
-    """How many good b in the box b <= c = caps(a) the torsion rule eliminates.
+def _torsion_hits(ia: int, ic: int, lat: _Lattice, good_in: tuple[int, ...],
+                  torsion: int | None) -> int:
+    """How many good b in the box b <= c = caps(a) the torsion rule eliminates, a = seqs[ia].
 
     With T(b) the axes j where b_j = c_j, the rule passes b iff T(b) lies in
     one class of axes with congruent a[r-j] (one axis per class without torsion).
@@ -778,7 +776,7 @@ def _torsion_hits(a: tuple[int, ...], ic: int, steps: tuple[tuple[int, ...], ...
     (leaving the corner's walk, c lowered on every axis, at K's first axis); those
     below the corner, with T(b) empty, are in every class's count.
     """
-    hits, i, classes = good_in[ic], ic, 0
+    hits, i, classes, steps = good_in[ic], ic, 0, lat.steps
     if torsion is None:  # one class per axis
         for j, row in enumerate(steps):  # i: c lowered on the axes before j
             w = i
@@ -790,7 +788,7 @@ def _torsion_hits(a: tuple[int, ...], ic: int, steps: tuple[tuple[int, ...], ...
             if (i := row[i]) < 0:  # no b below the corner, nor in a later class's walk
                 return hits
         return hits + (len(steps) - 1) * good_in[i]
-    res = tuple(map(torsion.__rmod__, reversed(a)))
+    res = [col[ia] % torsion for col in reversed(lat.cols)]
     for j, row in enumerate(steps):
         if res.index(u := res[j]) == j:  # the class's first axis
             classes += 1

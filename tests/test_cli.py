@@ -462,6 +462,21 @@ def test_closed_stdout_exits_quietly(tmp_path):
     assert err == ""
 
 
+def test_default_g23_report_does_not_import_schubert():
+    # the default audit makes no Schubert nonvanishing call, so it neither compiles nor
+    # holds the Schubert calculus; the tail variant's one call imports it
+    src = str(Path(curvefile.__file__).resolve().parents[1])
+    probe = ("import contextlib, io, sys\n"
+             "from bnlimits import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = cli.main(sys.argv[1:])\n"
+             "print(code, 'bnlimits.schubert' in sys.modules)")
+    for tail, imported in (([], False), (["--include-tail-variant"], True)):
+        out = subprocess.run([sys.executable, "-c", probe, "report", "g23", *tail], capture_output=True,
+                             text=True, check=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert out.stdout == f"0 {imported}\n", tail
+
+
 def test_fixture_round_trip(tmp_path):
     for name in ("chain_9torsion", "chain_12torsion", "chain_9torsion_elltail", "septic_star"):
         desc = curvefile.load_fixture(name)

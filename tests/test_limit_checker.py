@@ -18,6 +18,8 @@ from bnlimits.limit_checker import (
     _branch_table,
     _down_sums,
     _lattice,
+    _rank,
+    _reader,
     _tables,
     _torsion_hits,
     additivity_audit,
@@ -238,15 +240,18 @@ def test_cached_tables_are_immutable():
     for part in (lat.seqs, lat.cols, *lat.cols, lat.steps, *lat.steps, lat.caps, lat.pole_ok,
                  lat.box, lat.pole_in, table.status, table.good_in, tail.status, tail.floor):
         assert isinstance(part, tuple)
-    with pytest.raises(TypeError):
-        lat.index[(0, 1, 2)] = 1
     with pytest.raises(AttributeError):
         table.status = ()
     with pytest.raises(AttributeError):
         lat.box = ()
 
 
-def _clamped_steps(lat, r):
+def _positions(r, d):
+    """Each sequence's position, by the order of combinations."""
+    return {s: k for k, s in enumerate(combinations(range(d + 1), r + 1))}
+
+
+def _clamped_steps(lat, r, index):
     """Per axis j: the index of s - e_j with earlier coordinates clamped below it, or -1."""
     steps = []
     for j in range(r + 1):
@@ -258,7 +263,7 @@ def _clamped_steps(lat, r):
             while k > 0 and c[k - 1] >= c[k]:
                 c[k - 1] = c[k] - 1
                 k -= 1
-            row.append(lat.index[tuple(c)] if c[0] >= 0 else -1)
+            row.append(index[tuple(c)] if c[0] >= 0 else -1)
         steps.append(tuple(row))
     return tuple(steps)
 
@@ -282,30 +287,41 @@ def _dominated(lat):
     return out
 
 
-def test_lattice_steps_and_caps_match_clamping():
-    # every lattice of degree up to 2g - 2 = 44 at genus 23 with at most 2,000 sequences
-    checked = 0
+def _oracle_lattices():
+    # every lattice of degree up to 2g - 2 = 44 at genus 23 with at most 2,000 sequences,
+    # and the audit's g^3_20 (5,985)
     for r in range(45):
         for d in range(r, 45):
             if comb(d + 1, r + 1) > 2000:
                 break
-            lat = _lattice.__wrapped__(r, d)
-            assert lat.steps == _clamped_steps(lat, r), (r, d)
-            assert lat.caps == tuple(lat.index[min_complement(s, d)] for s in lat.seqs), (r, d)
-            assert lat.cols == tuple(zip(*lat.seqs)), (r, d)
-            pole_ok = tuple(s[-2:] != (d - 1, d) for s in lat.seqs)
-            assert lat.pole_ok == pole_ok, (r, d)
-            fails = sum(1 << k for k, ok in enumerate(pole_ok) if not ok)
-            below = _dominated(lat)
-            assert lat.box == tuple(m.bit_count() for m in below), (r, d)
-            assert lat.pole_in == tuple((m & fails).bit_count() for m in below), (r, d)
-            if len(lat.seqs) <= 300:  # walking every box of the larger lattices takes a minute
-                boxes = [box(s) for s in lat.seqs]
-                assert lat.box == tuple(map(len, boxes)), (r, d)
-                assert lat.pole_in == tuple(sum(b[-2:] == (d - 1, d) for b in box)
-                                            for box in boxes), (r, d)
-            checked += 1
-    assert checked == 277
+            yield r, d
+    yield 3, 20
+
+
+def test_lattice_steps_and_caps_match_clamping():
+    checked = 0
+    for r, d in _oracle_lattices():
+        lat = _lattice.__wrapped__(r, d)
+        index = _positions(r, d)
+        assert lat.seqs == tuple(index), (r, d)
+        assert all(_rank(s, d) == k for s, k in index.items()), (r, d)
+        assert lat.steps == _clamped_steps(lat, r, index), (r, d)
+        assert lat.caps == tuple(index[min_complement(s, d)] for s in lat.seqs), (r, d)
+        assert _reader(lat.caps)(lat.seqs) == tuple(map(lat.seqs.__getitem__, lat.caps)), (r, d)
+        assert lat.cols == tuple(zip(*lat.seqs)), (r, d)
+        pole_ok = tuple(s[-2:] != (d - 1, d) for s in lat.seqs)
+        assert lat.pole_ok == pole_ok, (r, d)
+        fails = sum(1 << k for k, ok in enumerate(pole_ok) if not ok)
+        below = _dominated(lat)
+        assert lat.box == tuple(m.bit_count() for m in below), (r, d)
+        assert lat.pole_in == tuple((m & fails).bit_count() for m in below), (r, d)
+        if len(lat.seqs) <= 300:  # walking every box of the larger lattices takes a minute
+            boxes = [box(s) for s in lat.seqs]
+            assert lat.box == tuple(map(len, boxes)), (r, d)
+            assert lat.pole_in == tuple(sum(b[-2:] == (d - 1, d) for b in box)
+                                        for box in boxes), (r, d)
+        checked += 1
+    assert checked == 278
 
 
 def _scanned_status(lat, feasible):
@@ -354,13 +370,14 @@ def test_naive_table_matches_the_scan(r, d, genera):
 def test_torsion_hits_match_the_walked_box(r, d):
     # a pseudo-random set of good b; each count must equal a walk over the box b <= caps(a)
     lat = _lattice(r, d)
+    index = _positions(r, d)
     good = [(i * 7919) % 5 != 0 for i in range(len(lat.seqs))]
     good_in = _down_sums(lat.steps, good)
     for torsion in (None, 2, 3, 4, 5, 6, 7):
-        for a, ic in zip(lat.seqs, lat.caps):
+        for ia, (a, ic) in enumerate(zip(lat.seqs, lat.caps)):
             walked = sum(1 for b in box(lat.seqs[ic])
-                         if good[lat.index[b]] and torsion_fails(a, b, d, torsion))
-            assert _torsion_hits(a, ic, lat.steps, good_in, torsion) == walked, (a, torsion)
+                         if good[index[b]] and torsion_fails(a, b, d, torsion))
+            assert _torsion_hits(ia, ic, lat, good_in, torsion) == walked, (a, torsion)
 
 
 def test_star_points_not_general_never_refutes(fixtures):

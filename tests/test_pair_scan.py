@@ -180,18 +180,19 @@ def test_partners_read_a_few_entries_per_run(name, r, d):
     pivot, branches = _analyze(curve)
     torsion = pivot.torsion_between(*curve.node_points(pivot.id))
     lat = _lattice(r, d)
+    index = {s: k for k, s in enumerate(lat.seqs)}
     for prune in (True, False):
         status = _CountedReads(_branch_table(branches[1].key, r, d, prune, True).status)
         reads = bound = walked = 0
         for ia, a in enumerate(lat.seqs):
             b_box = box(lat.seqs[lat.caps[ia]])
-            expected = [lat.index[b] for b in b_box if lat.pole_ok[lat.index[b]]
-                        and status[lat.index[b]] != "fail" and not torsion_fails(a, b, d, torsion)]
+            expected = [index[b] for b in b_box if lat.pole_ok[index[b]]
+                        and status[index[b]] != "fail" and not torsion_fails(a, b, d, torsion)]
             _CountedReads.reads = 0
             assert list(_partners(ia, d, lat, status, torsion)) == expected, (prune, a)
             reads += _CountedReads.reads
             bound += len({b[:-1] for b in b_box}) * (d + 1).bit_length()
-            walked += sum(lat.pole_ok[lat.index[b]] for b in b_box)
+            walked += sum(lat.pole_ok[index[b]] for b in b_box)
         assert reads <= bound, prune
         assert 2 * reads < walked, prune
 
