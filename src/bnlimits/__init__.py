@@ -22,7 +22,7 @@ _HOMES = {name: module for module, names in {
                 " decompose_canonical gonal_family_slope plane_pencil_slope slope_bound"
                 " slope_of_class",
     "numerology": "RamificationSeq SeriesType VanishingSeq adjusted_rho bn_divisor_pairs"
-                  " bn_divisor_triples cusp_pointed_exists pointed_exists"
+                  " bn_divisor_triples pointed_exists"
                   " ramification_to_vanishing residual rho vanishing_to_ramification weight",
     "schubert": "CohomologyClass bn_condition cusp_class_power identity_class index_to_partition"
                 " lr_product multiply_by_column rect_for schubert_class",

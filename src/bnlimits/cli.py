@@ -1,11 +1,13 @@
 """Command-line interface.
 
-Thin wrappers over the library plus the genus-23 audit report.  All
-commands take --json for machine-readable output; text and JSON output are
-deterministic, so repeated runs are byte-identical.  Exit codes: 0 on
-success (and on matching --expect), 1 when a verdict differs from the
-expectation, 2 on input errors, and 141 without a message when the reader
-closes stdout early, as for a process ended by SIGPIPE.
+Thin wrappers over the library plus the genus-23 audit report.  Each
+command returns its JSON payload, its text and its exit code, and `main`
+prints one of the two: the payload with --json, which every command takes,
+the text otherwise.  Both are deterministic, so repeated runs are
+byte-identical.  Exit codes: 0 on success (and on matching --expect), 1 when
+a verdict differs from the expectation, 2 on input errors, and 141 without a
+message when the reader closes stdout early, as for a process ended by
+SIGPIPE.
 """
 
 from __future__ import annotations
@@ -29,10 +31,6 @@ REGENERATION_NOTE = "asserted per Regeneration Theorem, not verified"
 EXIST_CRITERIA = {RULE_GENERAL_POINTED: "clamp", RULE_GENERAL_CUSP: "cusp-clamp",
                   RULE_SCHUBERT: "schubert-nonvanishing"}
 EXIT_BROKEN_PIPE = 128 + 13  # what a shell reports for a process ended by SIGPIPE
-
-
-def _emit_json(payload: Any) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True, default=_json_default))
 
 
 def _json_default(value: Any) -> Any:
@@ -59,52 +57,40 @@ def _resolve_curve(ref: str) -> CurveDescription:
 # simple numerology / divisor-class commands
 
 
-def cmd_rho(args) -> int:
+def cmd_rho(args) -> tuple[dict, str, int]:
     value = rho(SeriesType(args.g, args.r, args.d))
-    if args.json:
-        _emit_json({"g": args.g, "r": args.r, "d": args.d, "rho": value})
-    else:
-        print(value)
-    return 0
+    return {"g": args.g, "r": args.r, "d": args.d, "rho": value}, str(value), 0
 
 
-def cmd_triples(args) -> int:
+def cmd_triples(args) -> tuple[dict, str, int]:
     triples = bn_divisor_triples(args.g)
     pairs = bn_divisor_pairs(args.g)
-    if args.json:
-        _emit_json({
-            "g": args.g,
-            "triples": [list(t) for t in triples],
-            "residual_pairs": [[list(a), list(b)] for a, b in pairs],
-        })
-        return 0
+    payload = {
+        "g": args.g,
+        "triples": [list(t) for t in triples],
+        "residual_pairs": [[list(a), list(b)] for a, b in pairs],
+    }
     if not triples:
-        print(f"no divisorial triples for genus {args.g} (g+1 has no admissible factorization)")
-        return 0
-    for r, s, d in triples:
-        print(f"(r={r}, s={s}, d={d})  rho={rho(SeriesType(args.g, r, d))}")
-    for a, b in pairs:
-        print(f"residual pair: {a} <-> {b}")
-    return 0
+        return payload, f"no divisorial triples for genus {args.g} (g+1 has no admissible factorization)", 0
+    lines = [f"(r={r}, s={s}, d={d})  rho={rho(SeriesType(args.g, r, d))}" for r, s, d in triples]
+    lines += [f"residual pair: {a} <-> {b}" for a, b in pairs]
+    return payload, "\n".join(lines), 0
 
 
-def cmd_exist(args) -> int:
+def cmd_exist(args) -> tuple[dict, str, int]:
     t = SeriesType(args.g, args.r, args.d)
     rams = [RamificationSeq(_parse_seq(s), args.r, args.d) for s in args.ram or []]
     result = general_pointed_check(t, rams, extra_cusps=args.cusps)
     exists, criterion = result.passed, EXIST_CRITERIA[result.rule]
-    if args.json:
-        _emit_json({
-            "g": args.g, "r": args.r, "d": args.d,
-            "ramification": [list(r.entries) for r in rams],
-            "cusps": args.cusps, "exists": exists, "criterion": criterion,
-        })
-    else:
-        print(f"exists: {'yes' if exists else 'no'} (criterion: {criterion})")
-    return 0
+    payload = {
+        "g": args.g, "r": args.r, "d": args.d,
+        "ramification": [list(r.entries) for r in rams],
+        "cusps": args.cusps, "exists": exists, "criterion": criterion,
+    }
+    return payload, f"exists: {'yes' if exists else 'no'} (criterion: {criterion})", 0
 
 
-def cmd_schubert(args) -> int:
+def cmd_schubert(args) -> tuple[dict, str, int]:
     from . import schubert  # on first use: the other commands compile it only if a check asks
 
     rect = schubert.rect_for(args.r, args.d)
@@ -113,19 +99,17 @@ def cmd_schubert(args) -> int:
         ram = RamificationSeq(_parse_seq(s), args.r, args.d)
         acc = schubert.lr_product(acc, schubert.schubert_class(schubert.index_to_partition(ram), rect))
     acc = schubert.lr_product(acc, schubert.cusp_class_power(args.cusp_power, rect))
-    if args.json:
-        _emit_json({
-            "rect": list(rect),
-            "terms": {",".join(map(str, p)): c for p, c in sorted(acc.terms.items())},
-            "nonzero": not acc.is_zero(),
-        })
-    else:
-        print(f"class in G({args.r + 1},{args.d + 1}): {acc}")
-        print(f"nonzero: {'yes' if not acc.is_zero() else 'no'}")
-    return 0
+    payload = {
+        "rect": list(rect),
+        "terms": {",".join(map(str, p)): c for p, c in sorted(acc.terms.items())},
+        "nonzero": not acc.is_zero(),
+    }
+    text = "\n".join([f"class in G({args.r + 1},{args.d + 1}): {acc}",
+                      f"nonzero: {'yes' if not acc.is_zero() else 'no'}"])
+    return payload, text, 0
 
 
-def cmd_class(args) -> int:
+def cmd_class(args) -> tuple[dict, str, int]:
     if args.canonical:
         cls = modspace.canonical_class(args.g)
         label = "canonical class"
@@ -136,15 +120,12 @@ def cmd_class(args) -> int:
         r, _, d = triples[0]
         cls = modspace.bn_class(args.g, r, d)
         label = "divisorial class (up to positive scale)"
-    if args.json:
-        _emit_json({"g": args.g, "label": label, "lambda": cls.lam,
-                    "delta": list(cls.delta), "text": str(cls)})
-    else:
-        print(f"{label}: {cls}")
-    return 0
+    payload = {"g": args.g, "label": label, "lambda": cls.lam,
+               "delta": list(cls.delta), "text": str(cls)}
+    return payload, f"{label}: {cls}", 0
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> tuple[dict, str, int]:
     triples = bn_divisor_triples(args.g)
     if args.r is not None and args.d is not None:
         r, d = args.r, args.d
@@ -153,18 +134,18 @@ def cmd_decompose(args) -> int:
     else:
         raise ValueError(f"genus {args.g} has no divisorial triple; pass --r and --d")
     dec = modspace.decompose_canonical(args.g, r, d)
-    if args.json:
-        _emit_json({"g": args.g, "r": r, "d": d, "a": dec.a, "b": dec.b,
-                    "c": list(dec.c), "boundary_nonnegative": dec.boundary_nonnegative})
-    else:
-        print(f"K = a*BN + b*lambda + sum c_i delta_i  (genus {args.g}, via g^{r}_{d})")
-        print(f"a = {dec.a}")
-        print(f"b = {dec.b}")
-        print("c = " + ", ".join(f"c{i}={v}" for i, v in enumerate(dec.c)))
-    return 0
+    payload = {"g": args.g, "r": r, "d": d, "a": dec.a, "b": dec.b,
+               "c": list(dec.c), "boundary_nonnegative": dec.boundary_nonnegative}
+    text = "\n".join([
+        f"K = a*BN + b*lambda + sum c_i delta_i  (genus {args.g}, via g^{r}_{d})",
+        f"a = {dec.a}",
+        f"b = {dec.b}",
+        "c = " + ", ".join(f"c{i}={v}" for i, v in enumerate(dec.c)),
+    ])
+    return payload, text, 0
 
 
-def cmd_slope(args) -> int:
+def cmd_slope(args) -> tuple[dict, str, int]:
     payload: dict[str, Any]
     if args.which == "bound":
         val = modspace.slope_bound(args.g)
@@ -208,11 +189,7 @@ def cmd_slope(args) -> int:
             + ("  (coincide)" if row.coincide else "")
             for row in rows
         ]
-    if args.json:
-        _emit_json(payload)
-    else:
-        print("\n".join(text))
-    return 0
+    return payload, "\n".join(text), 0
 
 
 # ---------------------------------------------------------------------------
@@ -232,32 +209,23 @@ def _check(desc: CurveDescription, r: int, d: int, witness: str | None, **refute
     return limit_checker.verify_witness(desc.curve, t, found.aspects_dict())
 
 
-def cmd_limit(args) -> int:
+def cmd_limit(args) -> tuple[dict, str, int]:
     desc = _resolve_curve(args.curve)
     if args.action == "verify" and not args.witness:
         raise ValueError("verify needs --witness NAME")
     report = _check(desc, args.r, args.d, args.witness if args.action == "verify" else None,
                     prune=not args.naive, survivor_cap=args.cap)
-    if args.json:
-        _emit_json(report.to_json())
-    else:
-        print(report.render())
+    text, code = report.render(), 0
     if args.expect is not None and args.expect != report.verdict:
-        if not args.json:
-            print(f"expected verdict {args.expect!r}, got {report.verdict!r}")
-        return 1
-    return 0
+        text, code = f"{text}\nexpected verdict {args.expect!r}, got {report.verdict!r}", 1
+    return report.to_json(), text, code
 
 
-def cmd_fixtures(args) -> int:
+def cmd_fixtures(args) -> tuple[dict, str, int]:
     names = sorted(p.stem for p in curvefile.fixture_dir().glob("*.json"))
-    if args.json:
-        _emit_json({"directory": str(curvefile.fixture_dir()), "fixtures": names})
-    else:
-        print(f"bundled curve descriptions in {curvefile.fixture_dir()}:")
-        for name in names:
-            print(f"  {name}")
-    return 0
+    text = "\n".join([f"bundled curve descriptions in {curvefile.fixture_dir()}:"]
+                     + [f"  {name}" for name in names])
+    return {"directory": str(curvefile.fixture_dir()), "fixtures": names}, text, 0
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +412,10 @@ def _report_g23(include_tail_variant: bool) -> tuple[dict, str, int]:
         "pass": audit_pass,
     }
 
-    text = _render_report(payload, refutes, verifies)
-    return payload, text, 0 if audit_pass else 1
+    return payload, _render_report(payload), 0 if audit_pass else 1
 
 
-def _render_report(payload, refutes, verifies) -> str:
+def _render_report(payload: dict) -> str:
     lines = ["=== genus-23 audit ===", "", "[1] divisorial triples (rho = -1)"]
     for t in payload["triples"]:
         lines.append(f"  (r={t[0]}, s={t[1]}, d={t[2]})")
@@ -464,13 +431,14 @@ def _render_report(payload, refutes, verifies) -> str:
     lines.append(f"  canonical over divisorial (delta_0 pinned): a = {dec['a']}, b = {dec['b']}")
     lines.append("  boundary part: " + ", ".join(f"c{i}={v}" for i, v in enumerate(dec["c"])))
     lines += ["", "[3] limit-series checks"]
-    for (cid, srd), rep in refutes.items():
-        lines.append(f"  refute {series_name(*srd)} on {cid}: {rep.verdict}"
-                     f" (candidates {rep.candidates_examined}, survivors {rep.survivor_count})")
-    for (cid, srd), rep in verifies.items():
-        refined = ", refined" if rep.refined else ""
-        eq = ", additivity equality" if rep.additivity.equality else ""
-        lines.append(f"  verify {series_name(*srd)} on {cid}: {rep.verdict}{refined}{eq}")
+    for rep in payload["limit_checks"].values():
+        lines.append(f"  refute {series_name(**rep['series'])} on {rep['curve']}: {rep['verdict']}"
+                     f" (candidates {rep['candidates_examined']}, survivors {rep['survivor_count']})")
+    for rep in payload["witness_checks"].values():
+        refined = ", refined" if rep["refined"] else ""
+        eq = ", additivity equality" if rep["additivity"]["equality"] else ""
+        lines.append(f"  verify {series_name(**rep['series'])} on {rep['curve']}: "
+                     f"{rep['verdict']}{refined}{eq}")
         lines.append(f"    smoothability: {REGENERATION_NOTE}")
     lines += ["", "[4] membership audit"]
     for row in payload["membership_audit"]["distinctness"]:
@@ -517,15 +485,10 @@ def _render_report(payload, refutes, verifies) -> str:
     return "\n".join(lines)
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> tuple[dict, str, int]:
     if args.target != "g23":
         raise ValueError(f"unknown report target {args.target!r}; only 'g23' is available")
-    payload, text, code = _report_g23(args.include_tail_variant)
-    if args.json:
-        _emit_json(payload)
-    else:
-        print(text)
-    return code
+    return _report_g23(args.include_tail_variant)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +595,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        payload, text, code = args.func(args)
+        print(json.dumps(payload, indent=2, sort_keys=True, default=_json_default) if args.json else text)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

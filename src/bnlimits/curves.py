@@ -17,7 +17,6 @@ from .numerology import (
     RamificationSeq,
     SeriesType,
     VanishingSeq,
-    cusp_pointed_exists,
     pointed_exists,
     weight,
 )
@@ -210,7 +209,9 @@ class CheckResult(NamedTuple):
 _SINGLE_POLE_PASS = CheckResult("pass", RULE_ELLIPTIC_SINGLE_POLE, exact=True)
 _PAIR_PASS = (CheckResult("pass", RULE_ELLIPTIC_PAIR_BOUND),  # by witness grade
               CheckResult("pass", RULE_ELLIPTIC_PAIR_BOUND, exact=True, witness_grade=True))
-_CLAMP = tuple(CheckResult(status, RULE_GENERAL_POINTED, exact=True) for status in ("fail", "pass"))
+# by number of cusps, then by the clamp's answer
+_CLAMP = tuple(tuple(CheckResult(status, rule, exact=True) for status in ("fail", "pass"))
+               for rule in (RULE_GENERAL_POINTED, RULE_GENERAL_CUSP))
 
 
 def elliptic_single_point_check(d: int, a: VanishingSeq) -> CheckResult:
@@ -282,28 +283,26 @@ def general_pointed_check(t: SeriesType, rams: list[RamificationSeq] | tuple[Ram
                           extra_cusps: int = 0) -> CheckResult:
     """Exact existence test on a general pointed curve of genus t.g.
 
-    One ramification condition goes through the clamp criterion, one
-    condition plus one cusp through the cusp clamp criterion, and anything
-    else through the Schubert nonvanishing criterion, where each extra cusp
-    is one more power of the cusp class, as on a curve of genus one higher.
-    All three are if-and-only-if statements, so both pass and fail are exact.
+    Each extra cusp is one more power of the cusp class, as on a curve of
+    genus one higher, so every criterion is asked at that shifted genus.
+    One ramification condition with at most one cusp goes through the clamp
+    criterion (the cusp clamp with the cusp), and anything else through the
+    Schubert nonvanishing criterion.  Both are if-and-only-if statements, so
+    both pass and fail are exact.
     """
     if extra_cusps < 0:
         raise ValueError(f"number of extra cusps must be nonnegative, got {extra_cusps}")
+    shifted = SeriesType(t.g + extra_cusps, t.r, t.d)
     rams = list(rams)
-    if len(rams) == 1 and extra_cusps == 0:
-        return _CLAMP[pointed_exists(t, rams[0])]
-    if len(rams) == 1 and extra_cusps == 1:
-        ok = cusp_pointed_exists(t, rams[0])
-        return CheckResult("pass" if ok else "fail", RULE_GENERAL_CUSP, exact=True)
+    if len(rams) == 1 and extra_cusps <= 1:
+        return _CLAMP[extra_cusps][pointed_exists(shifted, rams[0])]
     if not rams and extra_cusps == 0:
         zero = RamificationSeq((0,) * (t.r + 1), t.r, t.d)
-        ok = pointed_exists(t, zero)
-        return CheckResult("pass" if ok else "fail", RULE_GENERAL_POINTED, exact=True)
+        return _CLAMP[0][pointed_exists(t, zero)]
     global schubert
     if schubert is None:  # imported on first use: few checks reach it
         from . import schubert
-    ok = schubert.bn_condition(SeriesType(t.g + extra_cusps, t.r, t.d), rams)
+    ok = schubert.bn_condition(shifted, rams)
     return CheckResult("pass" if ok else "fail", RULE_SCHUBERT, exact=True)
 
 

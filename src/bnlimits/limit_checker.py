@@ -517,7 +517,7 @@ def _branch_table(key: tuple, r: int, d: int, prune: bool, far: bool = False) ->
             factsheet_check(facts, t, [vanishing_to_ramification(VanishingSeq(lat.seqs[c], d))]).status
             for c in lat.caps))
     if kind != "tail":
-        own = _clamp_columns(genus, d, r, 1 if kind == "bridge" else 0)
+        own = _clamp_columns(genus + 1 if kind == "bridge" else genus, d, r)
         return _status_table(own, "pass", lat, prune)
     table = _status_table(lat.pole_ok, "pass", lat, prune)
     live = _reader(table.status)(_LIVE)
@@ -552,13 +552,13 @@ def _good_in(status: Sequence[str], lat: _Lattice) -> tuple[int, ...]:
     return _down_sums(lat.steps, map(and_, lat.pole_ok, _reader(status)(_LIVE)))
 
 
-def _clamp_columns(genus: int, d: int, r: int, cusps: int) -> tuple[bool, ...]:
-    """The clamp criterion, with `cusps` extra cusp powers, on every sequence c of a lattice:
-    the terms max(c_i - i + genus + cusps - d + r, 0), summed by _column_sums, are at most
-    genus + cusps."""
-    shift = genus + cusps - d + r
+def _clamp_columns(genus: int, d: int, r: int) -> tuple[bool, ...]:
+    """The clamp criterion of numerology.pointed_exists on every sequence c of a lattice:
+    the terms max(c_i - i + genus - d + r, 0), summed by _column_sums, are at most genus.
+    A bridge's forced cusp is one more genus, so it passes genus + 1."""
+    shift = genus - d + r
     terms = [[max(v - i + shift, 0) for v in range(d + 1)] for i in range(r + 1)]
-    return tuple(map((genus + cusps).__ge__, _column_sums(r, d, terms)))
+    return tuple(map(genus.__ge__, _column_sums(r, d, terms)))
 
 
 # ---------------------------------------------------------------------------
@@ -777,19 +777,8 @@ def _torsion_hits(ia: int, ic: int, lat: _Lattice, good_in: tuple[int, ...],
     below the corner, with T(b) empty, are in every class's count.
     """
     hits, i, classes, steps = good_in[ic], ic, 0, lat.steps
-    if torsion is None:  # one class per axis
-        for j, row in enumerate(steps):  # i: c lowered on the axes before j
-            w = i
-            for later in steps[j + 1:]:
-                if (w := later[w]) < 0:
-                    break
-            else:
-                hits -= good_in[w]
-            if (i := row[i]) < 0:  # no b below the corner, nor in a later class's walk
-                return hits
-        return hits + (len(steps) - 1) * good_in[i]
-    res = [col[ia] % torsion for col in reversed(lat.cols)]
-    for j, row in enumerate(steps):
+    res = range(len(steps)) if torsion is None else [col[ia] % torsion for col in reversed(lat.cols)]
+    for j, row in enumerate(steps):  # i: c lowered on the axes before j
         if res.index(u := res[j]) == j:  # the class's first axis
             classes += 1
             w = i
@@ -798,7 +787,7 @@ def _torsion_hits(ia: int, ic: int, lat: _Lattice, good_in: tuple[int, ...],
                     break
             else:
                 hits -= good_in[w]
-        if (i := row[i]) < 0:
+        if (i := row[i]) < 0:  # no b below the corner, nor in a later class's walk
             return hits
     return hits + (classes - 1) * good_in[i]
 
