@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bnlimits.curves import RULE_GENERAL_CUSP, general_pointed_check
 from bnlimits.numerology import (
     RamificationSeq,
     SeriesType,
@@ -145,9 +146,21 @@ def test_pointed_exists_goldens():
     assert pointed_exists(SeriesType(11, 1, 12), RamificationSeq((0, 11), 1, 12))
     # all clamps vanish once d >= g + r
     assert pointed_exists(SeriesType(4, 2, 6), RamificationSeq((0, 0, 0), 2, 6))
-    # one extra cusp is one more genus: the cusp clamp of a genus-10 curve is the
-    # genus-11 clamp above, and that of a genus-4 curve is the genus-5 clamp
-    assert pointed_exists(SeriesType(5, 2, 7), RamificationSeq((0, 0, 0), 2, 7))
+
+
+def test_cusp_pointed_exists_goldens():
+    # one extra cusp is one more genus: the cusp clamp of a genus-g curve is
+    # pointed_exists at genus g + 1, and the curve-level check with one cusp agrees
+    cases = [
+        (SeriesType(10, 2, 17), RamificationSeq((4, 8, 11), 2, 17), True),
+        (SeriesType(10, 2, 17), RamificationSeq((4, 8, 12), 2, 17), False),
+        (SeriesType(4, 2, 7), RamificationSeq((0, 0, 0), 2, 7), True),
+    ]
+    for t, alpha, expected in cases:
+        assert pointed_exists(SeriesType(t.g + 1, t.r, t.d), alpha) is expected
+        res = general_pointed_check(t, [alpha], extra_cusps=1)
+        assert res.passed is expected and res.failed is not expected
+        assert res.rule == RULE_GENERAL_CUSP
 
 
 def test_pointed_exists_monotone_small():
