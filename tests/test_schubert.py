@@ -222,6 +222,34 @@ def test_cusp_class_power_in_one_row_is_the_identity():
         assert cusp_class_power(3, rect) == multiply_by_column(identity_class(rect), 0)
 
 
+def _oracle_cusp_power(t, rect):
+    """The t-fold product of the column class 1^(k-1), expanded bilinearly by the Schur oracle."""
+    column = (1,) * (rect[0] - 1)
+    acc = {(): 1}
+    for _ in range(t):
+        step = {}
+        for lam, a in acc.items():
+            for nu, c in oracle_product(lam, column, rect).items():
+                step[nu] = step.get(nu, 0) + a * c
+        acc = {nu: c for nu, c in step.items() if c}
+    return acc
+
+
+def test_cusp_class_power_matches_the_schur_oracle():
+    # the oracle multiplies Schur polynomials and shares no code with the Littlewood-Richardson
+    # rule; a zero-width rectangle (d = r) is included, where the column does not fit
+    for k in range(1, 4):
+        for m in range(0, 5):
+            for t in range(7):
+                assert cusp_class_power(t, (k, m)).terms == _oracle_cusp_power(t, (k, m)), (k, m, t)
+    for t in (0, 1, 2, 7, 10**9):
+        for m in range(0, 5):  # one row: the cusp class 1^0 is the identity
+            assert cusp_class_power(t, (1, m)) == identity_class((1, m))
+        for k in range(2, 5):  # zero width: the identity at t = 0, then 0
+            expected = identity_class((k, 0)) if t == 0 else zero_class((k, 0))
+            assert cusp_class_power(t, (k, 0)) == expected, (k, t)
+
+
 def test_bn_condition_cost_does_not_grow_with_genus(monkeypatch):
     # with r = 0 the cusp class is the identity, so g Pieri steps would never stop early
     def refuse(*args):
