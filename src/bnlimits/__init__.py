@@ -25,7 +25,7 @@ _HOMES = {name: module for module, names in {
                   " bn_divisor_triples pointed_exists"
                   " ramification_to_vanishing residual rho vanishing_to_ramification weight",
     "schubert": "CohomologyClass bn_condition cusp_class_power identity_class index_to_partition"
-                " lr_product multiply_by_column rect_for schubert_class",
+                " lr_product rect_for schubert_class",
 }.items() for name in names.split()}
 __all__ = sorted(_HOMES)
 __version__ = "0.1.0"

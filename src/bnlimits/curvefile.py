@@ -125,9 +125,7 @@ def _facts(doc: Any) -> FactSheet:
 
 
 def _component(doc: Any) -> Component:
-    # a dict with the right keys skips _object, whose messages name the component (_where)
-    if type(doc) is not dict or not doc.keys() <= _COMPONENT or not doc.keys() >= _COMPONENT_NEEDS:
-        _object(doc, _COMPONENT, _COMPONENT_NEEDS, "{}", _where(doc))
+    _object(doc, _COMPONENT, _COMPONENT_NEEDS, "{}", _where(doc))
     torsion = doc.get("torsion", ())
     if not isinstance(torsion, (list, tuple)):
         raise _bad(torsion, f"torsion of {_where(doc)}", "an array")

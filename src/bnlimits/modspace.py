@@ -100,9 +100,7 @@ def decompose_canonical(g: int, r: int, d: int) -> Decomposition:
     bn = bn_class(g, r, d)
     a = kan.delta[0] / bn.delta[0]  # c_0 = 0 pinned
     b = kan.lam - a * bn.lam
-    p, q = a.numerator, a.denominator  # c_i = k - a * n as one Fraction over the denominators
-    c = tuple(Fraction(k.numerator * n.denominator * q - p * n.numerator * k.denominator,
-                       k.denominator * n.denominator * q) for k, n in zip(kan.delta, bn.delta))
+    c = tuple(k - a * n for k, n in zip(kan.delta, bn.delta))
     assert c[0] == 0
     return Decomposition(g, a, b, c)
 
@@ -173,7 +171,7 @@ class BoundaryRow(NamedTuple):
     coincide: bool
 
 
-def boundary_multiplicity_table(g: int = 23) -> list[BoundaryRow]:
+def boundary_multiplicity_table() -> list[BoundaryRow]:
     """Compare the forced boundary multiplicities with the decomposition at genus 23.
 
     The cited lower bounds are 16 at i=1, 19 at i=2, 21-i for i = 3..9 and
@@ -181,12 +179,10 @@ def boundary_multiplicity_table(g: int = 23) -> list[BoundaryRow]:
     converted with the factor 2 at i = 1 since that boundary class is twice
     delta_1.
     """
-    if g != 23:
-        raise ValueError("boundary multiplicity comparison is specific to genus 23")
-    r, _, d = bn_divisor_triples(g)[0]
-    dec = decompose_canonical(g, r, d)
+    r, _, d = bn_divisor_triples(23)[0]
+    dec = decompose_canonical(23, r, d)
     rows = []
-    for i in range(1, g // 2 + 1):
+    for i in range(1, len(dec.c)):
         coeff = dec.c[i]
         mult = coeff * 2 if i == 1 else coeff
         if i == 1:

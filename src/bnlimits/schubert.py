@@ -1,15 +1,14 @@
 """Exact Schubert calculus in the cohomology of a Grassmannian G(r+1, d+1).
 
 Classes live in the quotient ring spanned by partitions inside the
-(r+1) x (d-r) rectangle.  Products are computed by the Littlewood-Richardson
-rule (enumeration of lattice skew tableaux, organized as chains of
-horizontal strips); powers of the cusp class, a single column 1^r, go
-through the vertical-strip Pieri rule instead.  Truncation to the rectangle
-happens inside every single multiplication, so intermediate classes never
-leave the ring.
+(r+1) x (d-r) rectangle.  Every product, powers of the cusp class (a single
+column 1^r) included, is computed by the Littlewood-Richardson rule
+(enumeration of lattice skew tableaux, organized as chains of horizontal
+strips).  Truncation to the rectangle happens inside every single
+multiplication, so intermediate classes never leave the ring.
 
 The existence criterion bn_condition never forms the g-th cusp power, nor
-the full product of the marked classes: all Littlewood-Richardson and Pieri
+the full product of the marked classes: all Littlewood-Richardson
 coefficients are nonnegative, so the product is nonzero iff one Schubert
 class in the support of the marked points' product survives the power,
 which is the one-point clamp.  The clamp holds on a down-set of partitions
@@ -20,7 +19,7 @@ searched depth first, factor by factor, keeping only partitions that pass.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate
 from operator import add
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -82,9 +81,6 @@ class CohomologyClass(NamedTuple("CohomologyClass", [
 
     def support(self) -> list[Partition]:
         return sorted(self.terms)
-
-    def __mul__(self, other: "CohomologyClass") -> "CohomologyClass":
-        return lr_product(self, other)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -184,43 +180,21 @@ def lr_product(x: CohomologyClass, y: CohomologyClass) -> CohomologyClass:
     return CohomologyClass(x.rect, acc)
 
 
-def _vertical_strips(lam: Partition, p: int, rect: Rect) -> list[Partition]:
-    k, m = rect
-    rows = list(lam) + [0] * (k - len(lam))
-    out = []
-    for chosen in combinations(range(k), p):
-        new = rows[:]
-        for j in chosen:
-            new[j] += 1
-        if new[0] <= m and all(new[j] <= new[j - 1] for j in range(1, k)):
-            out.append(_trim(new))
-    return out
-
-
-def multiply_by_column(x: CohomologyClass, p: int) -> CohomologyClass:
-    """Multiply by the single-column class 1^p via the vertical-strip rule."""
-    k, _ = x.rect
-    if p < 0 or p > k:
-        raise ValueError(f"column height {p} out of range for {k} rows")
-    acc: dict[Partition, int] = {}
-    for lam, a in x.terms.items():
-        for nu in _vertical_strips(lam, p, x.rect):
-            acc[nu] = acc.get(nu, 0) + a
-    return CohomologyClass(x.rect, acc)
-
-
 def cusp_class_power(t: int, rect: Rect) -> CohomologyClass:
     """t-th power of the cusp class, the column 1^r in an (r+1)-row rectangle."""
     if t < 0:
         raise ValueError("power must be nonnegative")
-    k, _ = rect
+    k, m = rect
     acc = identity_class(rect)
     if k == 1:
         return acc  # one row: the cusp class 1^0 is the identity
+    if m == 0:  # zero width (d = r): the column does not fit, so the cusp class is 0
+        return acc if t == 0 else zero_class(rect)
+    column = schubert_class((1,) * (k - 1), rect)
     for _ in range(t):
         if acc.is_zero():
             break
-        acc = multiply_by_column(acc, k - 1)
+        acc = lr_product(acc, column)
     return acc
 
 

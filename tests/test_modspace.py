@@ -140,8 +140,6 @@ def test_boundary_multiplicity_table():
     assert rows[10].cited_bound is None and not rows[10].coincide
     assert rows[11].cited_bound == 10
     assert {i for i, row in rows.items() if row.coincide} == {1, 2}
-    with pytest.raises(ValueError):
-        boundary_multiplicity_table(24)
 
 
 def test_rho_consistency_of_triples():
