@@ -2,8 +2,9 @@
 
 Each invocation runs in process through `cli.main` with an 80-column
 terminal, so `--help` wraps the same everywhere; the bundled fixture
-directory is written as <fixtures>.  Run this file as a script to rewrite
-tests/golden/cli_commands.json from the current code.
+directory is written as <fixtures>, and the curve files under tests/curves are
+named relative to the repository root, where every invocation runs.  Run this
+file as a script to rewrite tests/golden/cli_commands.json from the current code.
 """
 
 import contextlib
@@ -18,7 +19,10 @@ import pytest
 from bnlimits import curvefile
 from bnlimits.cli import main
 
-GOLDEN = Path(__file__).parent / "golden" / "cli_commands.json"
+ROOT = Path(__file__).parent.parent
+GOLDEN = ROOT / "tests" / "golden" / "cli_commands.json"
+# a fact-sheet leaf behind an elliptic link: its survivors are flagged unconfirmed
+LINK_TO_FACTSHEET = "tests/curves/link_to_factsheet.json"
 SLOPES = (("bound", "23"), ("bn", "23"), ("canonical", "23"), ("gonal", "23", "3"),
           ("plane-pencil", "10"), ("boundary-table",))
 COMMANDS = [
@@ -43,16 +47,20 @@ COMMANDS = [
         ("limit", "refute", "chain-12torsion", "1", "12", "--expect", "refuted"),  # exit 1
         ("limit", "refute", "chain-9torsion", "2", "17", "--expect", "refuted"),
         ("limit", "verify", "chain-12torsion", "1", "12", "--witness", "g1_12"),
+        ("limit", "refute", LINK_TO_FACTSHEET, "1", "4"),  # 16 survivors, each unconfirmed
         ("fixtures",),
         ("report", "g23"),
     )],
+    ("limit", "refute", LINK_TO_FACTSHEET, "1", "3"),  # refuted behind the link
     # input errors exit 2 with one line on stderr
     ("class", "4"),
     ("decompose", "4", "--json"),
     ("slope", "bn", "4"),
     ("limit", "verify", "septic-star", "3", "20"),
     ("limit", "verify", "septic-star", "3", "20", "--witness", "g2_15", "--json"),
+    ("limit", "verify", "chain-12torsion", "1", "12", "--witness", "nosuch"),
     ("report", "g24", "--json"),
+    ("exist", "11", "2", "17", "--ram", "4,x,11"),
     # argparse: help exits 0 on stdout, a usage error exits 2 on stderr
     ("--help",),
     ("limit", "--help"),
@@ -86,10 +94,12 @@ def test_golden_lists_every_command_once():
 @pytest.mark.parametrize("args", COMMANDS, ids=" ".join)
 def test_command_bytes_match_golden(monkeypatch, args):
     monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(ROOT)
     assert _run(args) == _golden()[" ".join(args)]
 
 
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
+    os.chdir(ROOT)
     cases = [_run(args) for args in COMMANDS]
     GOLDEN.write_text(json.dumps(cases, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
