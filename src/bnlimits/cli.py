@@ -259,68 +259,62 @@ G23_DISTINCT = (
 
 def _report_g23(include_tail_variant: bool) -> tuple[dict, str, int]:
     g = 23
-    mismatches: list[str] = []
-    findings: list[str] = []
 
-    def expect(label: str, ok: bool) -> None:
-        if not ok:
-            mismatches.append(label)
-
-    # (i) triples and residual pairing
+    # (i) triples and residual pairing, (ii) classes and the pinned decomposition
     triples = bn_divisor_triples(g)
     pairs = bn_divisor_pairs(g)
-    expect("six divisorial triples",
-           triples == [(1, 13, 12), (2, 9, 17), (3, 7, 20), (5, 5, 24), (7, 4, 27), (11, 3, 32)])
-    expect("all triples have rho = -1",
-           all(rho(SeriesType(g, r, d)) == -1 for r, _, d in triples))
-    expect("residual pairing has three classes", len(pairs) == 3)
-
-    # (ii) classes and the pinned decomposition
     bn_cls = modspace.bn_class(g, 1, 12)
     kan = modspace.canonical_class(g)
     dec = modspace.decompose_canonical(g, 1, 12)
-    expect("decomposition a = 1/2", dec.a == Fraction(1, 2))
-    expect("decomposition b = 0", dec.b == 0)
-    expect("decomposition c1 = 8", dec.c[1] == 8)
-    expect("decomposition c_i = (i(23-i)-4)/2",
-           all(dec.c[i] == Fraction(i * (23 - i) - 4, 2) for i in range(2, 12)))
-    expect("boundary part nonnegative", dec.boundary_nonnegative)
+    # the audit's claims as (label, holds), in report order
+    claims = [
+        ("six divisorial triples",
+         triples == [(1, 13, 12), (2, 9, 17), (3, 7, 20), (5, 5, 24), (7, 4, 27), (11, 3, 32)]),
+        ("all triples have rho = -1", all(rho(SeriesType(g, r, d)) == -1 for r, _, d in triples)),
+        ("residual pairing has three classes", len(pairs) == 3),
+        ("decomposition a = 1/2", dec.a == Fraction(1, 2)),
+        ("decomposition b = 0", dec.b == 0),
+        ("decomposition c1 = 8", dec.c[1] == 8),
+        ("decomposition c_i = (i(23-i)-4)/2",
+         all(dec.c[i] == Fraction(i * (23 - i) - 4, 2) for i in range(2, 12))),
+        ("boundary part nonnegative", dec.boundary_nonnegative),
+    ]
 
     # (iii) limit-series checks
     checks = G23_CHECKS + (G23_TAIL_CHECKS if include_tail_variant else ())
     descs = {name: curvefile.load_fixture(name) for name in dict.fromkeys(row[0] for row in checks)}
-    refutes: dict = {}
-    verifies: dict = {}
-    tail_results: dict = {}
-    for row in checks:
-        name, r, d, witness, expected = row
+    reports = {row: _check(descs[row[0]], *row[1:4]) for row in checks}
+    refutes = {(descs[name].curve.id, (r, d)): rep
+               for (name, r, d, witness, _), rep in reports.items() if witness is None}
+    verifies = {(descs[name].curve.id, (r, d)): rep
+                for (name, r, d, witness, _), rep in reports.items() if witness is not None}
+    tail_results = {f"{'verify' if row[3] else 'refute'}_g{row[1]}_{row[2]}": reports[row].verdict
+                    for row in G23_TAIL_CHECKS if include_tail_variant}
+    findings = []
+    for (name, r, d, witness, expected), rep in reports.items():
         cid, series = descs[name].curve.id, series_name(r, d)
-        rep = _check(descs[name], r, d, witness)
-        (verifies if witness else refutes)[(cid, (r, d))] = rep
-        if row in G23_TAIL_CHECKS:
-            tail_results[f"{'verify' if witness else 'refute'}_g{r}_{d}"] = rep.verdict
-        if expected is None:
-            if rep.verdict != "refuted":
-                findings.append(
-                    f"{cid} {series}: {rep.survivor_count} candidates survive the necessary rules; "
-                    "refutation is cited to the literature, survivors listed as findings"
-                )
-        elif witness is None:
-            expect(f"{cid} has no limit {series}", rep.verdict == expected)
-        else:
-            expect(f"{cid} limit {series} witness {expected}", rep.verdict == expected)
+        if expected is not None:
+            claims.append((f"{cid} has no limit {series}" if witness is None
+                           else f"{cid} limit {series} witness {expected}", rep.verdict == expected))
+        elif rep.verdict != "refuted":
+            findings.append(
+                f"{cid} {series}: {rep.survivor_count} candidates survive the necessary rules; "
+                "refutation is cited to the literature, survivors listed as findings"
+            )
 
     net = verifies[("chain-9torsion", (2, 17))]
-    expect("chain-9torsion g^2_17 witness refined with additivity equality",
-           net.refined and net.additivity.equality)
     star_pencil = refutes[("septic-star", (1, 12))]
-    expect("septic-star g^1_12 refuted by the counting rule",
-           any(k.startswith("factsheet-ramification-count") for k, _ in star_pencil.rule_hits))
-    for (r, d), aspect_rho, total in (((2, 15), -15, -7), ((3, 20), -9, -1)):
-        ver = verifies[("septic-star", (r, d))]
-        expect(f"septic-star {series_name(r, d)} additivity {aspect_rho} + 8 = {total} with equality",
-               dict(ver.aspect_rhos)["G"] == aspect_rho and ver.additivity.equality
-               and ver.additivity.lhs == total)
+    star_nets = {s: verifies[("septic-star", s)] for s in ((2, 15), (3, 20))}
+    claims += [
+        ("chain-9torsion g^2_17 witness refined with additivity equality",
+         net.refined and net.additivity.equality),
+        ("septic-star g^1_12 refuted by the counting rule",
+         any(k.startswith("factsheet-ramification-count") for k, _ in star_pencil.rule_hits)),
+        *((f"septic-star {series_name(*s)} additivity {aspect_rho} + 8 = {total} with equality",
+           dict(star_nets[s].aspect_rhos)["G"] == aspect_rho and star_nets[s].additivity.equality
+           and star_nets[s].additivity.lhs == total)
+          for s, aspect_rho, total in (((2, 15), -15, -7), ((3, 20), -9, -1))),
+    ]
 
     # (iv) the membership audit
     distinctness = [
@@ -331,12 +325,11 @@ def _report_g23(include_tail_variant: bool) -> tuple[dict, str, int]:
                    and refutes[(cid, lacks)].verdict == "refuted")}
         for cid, has, lacks in G23_DISTINCT
     ]
-    for claim in distinctness:
-        expect(f"distinctness {claim['pair']}", claim["holds"])
     beta_ok = (star_pencil.verdict == "refuted"
-               and all(verifies[("septic-star", s)].verdict in ("confirmed", "consistent")
-                       for s in ((2, 15), (3, 20))))
-    expect("septic-star lies in exactly two of the three divisors", beta_ok)
+               and all(v.verdict in ("confirmed", "consistent") for v in star_nets.values()))
+    claims += [(f"distinctness {claim['pair']}", claim["holds"]) for claim in distinctness]
+    claims.append(("septic-star lies in exactly two of the three divisors", beta_ok))
+    mismatches = [label for label, holds in claims if not holds]
 
     audit_pass = not mismatches
 

@@ -46,7 +46,7 @@ class CurveDescription(NamedTuple):
         for w in self.witnesses:
             if w.name == name:
                 return w
-        raise KeyError(f"no witness named {name!r}; have {[w.name for w in self.witnesses]}")
+        raise ValueError(f"no witness named {name!r}; have {[w.name for w in self.witnesses]}")
 
 
 # the keys each kind of object allows, and those it requires

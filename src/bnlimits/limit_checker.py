@@ -13,7 +13,7 @@ The dual tree is rooted at a pivot, the component with the most nodes
 (elliptic first).  Behind each pivot node hangs a branch, a flat chain:
 elliptic links, then an end that is a general or fact-sheet leaf, a
 one-noded elliptic tail, or a general bridge ending in a tail.
-_branch_table folds a branch into a status table over the sequences a
+_branch_table folds a branch into a table of admit bits over the sequences a
 across its node in one loop: the end's table, then one link step per link
 from the far end inward, so the cost is linear in the chain's length.
 Every rule asks for vanishing at least, so the sequences that a branch's
@@ -21,7 +21,8 @@ own component admits at that node form a down-set; the table reads them at
 the least sequence compatible with a, min_complement(a), and a link's own
 table at s is the pair scan's count of the b <= caps(s) that pass the
 single-pole rule, the table beyond and the torsion rule with s.
-"unknown" is kept apart from "pass" and never eliminates.
+A fact-sheet leaf admits what its counting rule does not fail: it abstains,
+and a survivor is flagged unconfirmed when its branch ends in a fact sheet.
 
 The pivot enumerates: a two-noded elliptic pivot accounts for all pairs
 (a, b) at its nodes, counting whole boxes of them, torsion failures
@@ -39,8 +40,8 @@ Each (r, d) lattice is built from its blocks (the sequences from s_0 = v
 are v before a suffix of the shorter ones) with no index of its sequences:
 a position is a closed-form rank.  Its tables and each branch table (keyed
 by the end's kind, genus and fact sheet, the links' torsion orders, r, d
-and prune mode) are immutable tuples kept between refutations in one LRU
-cache, bounded by the number of sequences its tables index in all
+and prune mode) are immutable tuples and bytes kept between refutations in
+one LRU cache, bounded by the number of sequences its tables index in all
 (MAX_CACHED_SEQUENCES).
 
 Reports are deterministic: candidates are ordered lexicographically and
@@ -285,7 +286,6 @@ _BRANCH_RULES = {KIND_GENERAL: RULE_GENERAL_POINTED, KIND_FACTSHEET: RULE_FACTSH
                  "tail": RULE_ELLIPTIC_SINGLE_POLE, "bridge": RULE_GENERAL_CUSP,
                  "link": RULE_ELLIPTIC_LINK}
 _KIND_PRIORITY = {KIND_ELLIPTIC: 0, KIND_FACTSHEET: 1, KIND_GENERAL: 2}
-_LIVE = {"fail": False, "pass": True, "unknown": True}  # a status that eliminates nothing
 
 
 def _node_map(curve: CompactCurve) -> tuple[dict[str, list[str]], dict[tuple[str, str], tuple[str, str]]]:
@@ -373,7 +373,7 @@ class _TableCache:
 
 
 def _entries(table: tuple) -> int:
-    return len(table[0]) + sum(len(t.status) for t in getattr(table, "beyond", ()))
+    return len(table[0]) + sum(len(t.live) for t in getattr(table, "beyond", ()))
 
 
 _tables = _TableCache()
@@ -470,16 +470,17 @@ def _lattice(r: int, d: int) -> _Lattice:
 
 
 class _BranchTable(NamedTuple):
-    """Status ("pass"/"fail"/"unknown") of a branch by the sequence across its node.
+    """A branch's admit bits (1: not failed) by the sequence across its node.
 
-    A table read as the far node of a two-noded elliptic curve also holds
-    the down-set counts of the good b, those that pass the single-pole rule
-    and that the branch does not fail; a tail's table keeps its floor, the
-    pointwise least sequence it does not fail (None if it fails them all); a
-    branch with links keeps the table beyond each link, from the pivot out.
+    What it admits passes, or abstains if the branch ends in a fact sheet.  A
+    table read as the far node of a two-noded elliptic curve also holds the
+    down-set counts of the good b, those that pass the single-pole rule and
+    that the branch admits; a tail's table keeps its floor, the pointwise
+    least sequence it admits (None if none); a branch with links keeps the
+    table beyond each link, from the pivot out.
     """
 
-    status: tuple[str, ...]
+    live: bytes
     good_in: tuple[int, ...] = ()
     floor: tuple[int, ...] | None = None
     beyond: tuple["_BranchTable", ...] = ()
@@ -487,7 +488,7 @@ class _BranchTable(NamedTuple):
 
 @_tables
 def _branch_table(key: tuple, r: int, d: int, prune: bool, far: bool = False) -> _BranchTable:
-    """Status table of the branch named by key (see _Branch.key); far adds good_in.
+    """Admit bits of the branch named by key (see _Branch.key); far adds good_in.
 
     The end's own table, by the sequence s at its node, is the clamp
     criterion on a general leaf (a bridge adds the cusp its tail forces) and
@@ -505,7 +506,7 @@ def _branch_table(key: tuple, r: int, d: int, prune: bool, far: bool = False) ->
     kind, genus, facts, links = key
     if far:
         table = _branch_table(key, r, d, prune)
-        return table._replace(good_in=_good_in(table.status, lat))
+        return table._replace(good_in=_good_in(table.live, lat))
     if links:
         tables = [_branch_table((kind, genus, facts, ()), r, d, prune)]
         for torsion in reversed(links):
@@ -513,16 +514,15 @@ def _branch_table(key: tuple, r: int, d: int, prune: bool, far: bool = False) ->
         return tables.pop()._replace(beyond=tuple(reversed(tables)))
     if kind == KIND_FACTSHEET:
         t = SeriesType(genus, r, d)
-        return _BranchTable(tuple(
-            factsheet_check(facts, t, [vanishing_to_ramification(VanishingSeq(lat.seqs[c], d))]).status
+        return _BranchTable(bytes(
+            not factsheet_check(facts, t, [vanishing_to_ramification(VanishingSeq(lat.seqs[c], d))]).failed
             for c in lat.caps))
     if kind != "tail":
         own = _clamp_columns(genus + 1 if kind == "bridge" else genus, d, r)
-        return _status_table(own, "pass", lat, prune)
-    table = _status_table(lat.pole_ok, "pass", lat, prune)
-    live = _reader(table.status)(_LIVE)
-    return table._replace(floor=tuple(map(min, (compress(col, live) for col in lat.cols)))
-                          if any(live) else None)
+        return _status_table(own, lat, prune)
+    table = _status_table(lat.pole_ok, lat, prune)
+    return table._replace(floor=tuple(map(min, (compress(col, table.live) for col in lat.cols)))
+                          if any(table.live) else None)
 
 
 def _link_table(beyond: _BranchTable, torsion: int | None, lat: _Lattice,
@@ -532,24 +532,23 @@ def _link_table(beyond: _BranchTable, torsion: int | None, lat: _Lattice,
     The link's own table at s is the pair scan's count of the good b <=
     caps(s) that the torsion rule leaves, read from the branch's table.
     """
-    good_in = _good_in(beyond.status, lat)
+    good_in = _good_in(beyond.live, lat)
     own = [ok and good_in[c] > _torsion_hits(i, c, lat, good_in, torsion)
            for i, (c, ok) in enumerate(zip(lat.caps, lat.pole_ok))]
-    # only fact-sheet leaves abstain, and they never pass
-    return _status_table(own, "unknown" if "unknown" in beyond.status else "pass", lat, prune)
+    return _status_table(own, lat, prune)
 
 
-def _status_table(own: Sequence[bool], passing: str, lat: _Lattice, prune: bool) -> _BranchTable:
-    """The table of a branch whose own table is own, read at caps(a) or, naive, above it."""
+def _status_table(own: Sequence[bool], lat: _Lattice, prune: bool) -> _BranchTable:
+    """The admit bits of a branch whose own table is own, read at caps(a) or, naive, above it."""
     ok = _reader(lat.caps)(own)
     if not prune:
-        ok = tuple(map(bool, _down_sums(lat.steps, ok)))
-    return _BranchTable(_reader(ok)(("fail", passing)))
+        ok = map(bool, _down_sums(lat.steps, ok))
+    return _BranchTable(bytes(ok))
 
 
-def _good_in(status: Sequence[str], lat: _Lattice) -> tuple[int, ...]:
-    """Down-set counts of the b that pass the single-pole rule and that status does not fail."""
-    return _down_sums(lat.steps, map(and_, lat.pole_ok, _reader(status)(_LIVE)))
+def _good_in(live: bytes, lat: _Lattice) -> tuple[int, ...]:
+    """Down-set counts of the b that pass the single-pole rule and that live admits."""
+    return _down_sums(lat.steps, map(and_, lat.pole_ok, live))
 
 
 def _clamp_columns(genus: int, d: int, r: int) -> tuple[bool, ...]:
@@ -593,19 +592,19 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
     walks: list = [None] * len(branches)
 
     def extend(i: int, ia: int) -> tuple[str, ...]:
-        """Fill branch i's slots with its witness against ia at the pivot; the end's id if unknown."""
+        """Fill branch i's slots with its witness against ia at the pivot; a fact-sheet end's id."""
         if not layout:
             layout.extend(_layout(curve, pivot.id, points))
         slot, _, at_pivot, filled, _ = layout
         filled[at_pivot[i]] = ia
         if walks[i] is None:
             walks[i] = _walk(branches[i], slot, lat, r, d, prune)
-        steps, end_slot, end_status, end_id = walks[i]
+        steps, end_slot, flagged = walks[i]
         for near, far, beyond, torsion, floor in steps:  # a link's first partner, a bridge's floor
             filled[near] = ia = caps[ia]
             filled[far] = ia = next(_partners(ia, d, lat, beyond, torsion)) if floor is None else floor
         filled[end_slot] = caps[ia]
-        return (end_id,) if end_status[ia] == "unknown" else ()
+        return flagged
 
     def survivor(flagged: tuple[str, ...]) -> Survivor:
         _, groups, _, filled, shared = layout
@@ -640,8 +639,8 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
     # an elliptic pivot: a sequence a at its first node fails the single-pole rule or
     # the branch behind that node, or is open
     key_pole = f"{RULE_ELLIPTIC_SINGLE_POLE}@{pivot.id}"
-    status_u = _branch_table(branches[0].key, r, d, prune).status
-    opened = list(compress(range(n), map(and_, pole_ok, _reader(status_u)(_LIVE))))
+    live_u = _branch_table(branches[0].key, r, d, prune).live
+    opened = list(compress(range(n), map(and_, pole_ok, live_u)))
     pole_fails = n - sum(pole_ok)
     if len(branches) == 1:
         hits = Counter({key_pole: pole_fails, branches[0].rule: n - pole_fails - len(opened)})
@@ -654,7 +653,7 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
     # counted and its survivors walked.
     branch_v = branches[1]
     torsion = pivot.torsion_between(*points)
-    status_v, good_in, *_ = _branch_table(branch_v.key, r, d, prune, True)
+    live_v, good_in, *_ = _branch_table(branch_v.key, r, d, prune, True)
     tops = _reader(opened)(caps)
     in_box, pole, goods = map(_reader(tops), (lat.box, lat.pole_in, good_in))
     in_box, pole, good = sum(in_box), sum(pole), sum(goods)
@@ -673,7 +672,7 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
         if g == tor or len(survivors) >= survivor_cap:
             continue
         flagged = extend(0, i)
-        for ib in islice(_partners(i, d, lat, status_v, torsion), survivor_cap - len(survivors)):
+        for ib in islice(_partners(i, d, lat, live_v, torsion), survivor_cap - len(survivors)):
             survivors.append(survivor(flagged + extend(1, ib)))
     return _finish(curve, t, n * n, +hits, survivors, count, prune)
 
@@ -692,18 +691,18 @@ def _layout(curve: CompactCurve, pivot_id: str, points: list[str]) -> tuple:
 def _walk(branch: _Branch, slot: Mapping[tuple[str, str], int], lat: _Lattice, r: int, d: int,
           prune: bool) -> tuple:
     """How refute fills a branch's slots: per link or bridge, its near and far slots,
-    the status table beyond it, its torsion and (a bridge) the position of its tail's
-    floor; then the end's slot, its table's status and its id."""
+    the admit bits beyond it, its torsion and (a bridge) the position of its tail's
+    floor; then the end's slot, and (its id,) if it is a fact sheet, else ()."""
     table = _branch_table(branch.key, r, d, prune)
     beyond = [*table.beyond]
     if branch.kind == "bridge":
         beyond.append(_branch_table(("tail", 1, None, ()), r, d, prune))
-    steps = [(slot[comp.id, point], slot[comp.id, far], after.status,
+    steps = [(slot[comp.id, point], slot[comp.id, far], after.live,
               comp.torsion_between(point, far),
               _rank(after.floor, d) if comp.kind == KIND_GENERAL else None)
              for (comp, point, far), after in zip(branch.parts, beyond)]
     end, point, _ = branch.parts[-1]
-    return steps, slot[end.id, point], (beyond or [table])[-1].status, end.id
+    return steps, slot[end.id, point], (end.id,) if branch.kind == KIND_FACTSHEET else ()
 
 
 def _finish(curve, t, candidates, hits, survivors, count, prune, extra_notes=()) -> RefutationReport:
@@ -715,34 +714,35 @@ def _finish(curve, t, candidates, hits, survivors, count, prune, extra_notes=())
                             count > len(survivors), prune, (*notes, *extra_notes))
 
 
-def _partners(ia: int, d: int, lat: _Lattice, status: Sequence[str],
+def _partners(ia: int, d: int, lat: _Lattice, live: Sequence[int],
               torsion: int | None) -> Iterator[int]:
     """Positions of the b <= c = caps(a), in order, that pass the single-pole rule,
-    status and, with a = seqs[ia], the torsion rule.
+    that live admits and, with a = seqs[ia], that pass the torsion rule.
 
-    status passes an up-set (a branch's own table passes a down-set, read at
-    the order-reversing caps(b)), so the b with a prefix (b_0, ..., b_j) fail
-    it if their largest, the prefix then c_{j+1}, ..., c_r, does; the b_j
-    whose subtrees pass are a suffix of (b_{j-1}, c_j], found by bisection on
-    ranks (raising b_j from v, with c after it, adds C(d - 1 - v, r - j);
-    lat.ranks sums these).  In a run, b_r over (b_{r-1}, c_r], the single-pole
-    rule is fixed and the passing b are again a suffix.  Exact sums sit where
-    b_j = c_j, so the torsion rule is asked only of a run with some b_j = c_j,
-    for the run and for its last b, b_r = c_r.
+    live admits an up-set (a branch's own table passes a down-set, read at
+    the order-reversing caps(b)), so the b with a prefix (b_0, ..., b_j) are
+    out if their largest, the prefix then c_{j+1}, ..., c_r, is; the b_j
+    whose subtrees are admitted are a suffix of (b_{j-1}, c_j], found by
+    bisection on ranks (raising b_j from v, with c after it, adds
+    C(d - 1 - v, r - j); lat.ranks sums these).  In a run, b_r over
+    (b_{r-1}, c_r], the single-pole rule is fixed and the admitted b are
+    again a suffix.  Exact sums sit where b_j = c_j, so the torsion rule is
+    asked only of a run with some b_j = c_j, for the run and for its last b,
+    b_r = c_r.
     """
     a, c = lat.seqs[ia], lat.seqs[lat.caps[ia]]
-    if status[lat.caps[ia]] == "fail":
+    if not live[lat.caps[ia]]:
         return
     r = len(a) - 1
     pre = [0] * r  # the prefix
     tops = [*[0] * r, lat.caps[ia]]  # tops[j]: the largest b after b_0, ..., b_j as in pre; c at -1
     j = capped = 0  # capped: the j < r with pre[j] = c[j]
     while True:
-        for i in range(j, r):  # each level from j on takes the first value whose subtree passes
+        for i in range(j, r):  # each level from j on takes the first value whose subtree is admitted
             row = lat.ranks[i]
-            base = tops[i - 1] - row[c[i]]  # c_i passes: its subtree is the one above
-            lo = bisect_left(row, True, pre[i - 1] + 1 if i else 0, c[i],
-                             key=lambda x: status[base + x] != "fail")
+            base = tops[i - 1] - row[c[i]]  # c_i is admitted: its subtree is the one above
+            lo = bisect_left(row, 1, pre[i - 1] + 1 if i else 0, c[i],
+                             key=lambda x: live[base + x])
             pre[i], tops[i] = lo, base + row[lo]
             capped += lo == c[i]
         top = tops[r - 1]
@@ -754,7 +754,7 @@ def _partners(ia: int, d: int, lat: _Lattice, status: Sequence[str],
             elif _torsion_fails(a, [*eq, 0], torsion):
                 top -= 1
         if lat.pole_ok[k] and k <= top:
-            yield from range(bisect_left(status, True, k, top + 1, key="fail".__ne__), top + 1)
+            yield from range(bisect_left(live, 1, k, top + 1), top + 1)
         j = r - 1
         while j >= 0 and pre[j] == c[j]:
             j -= 1

@@ -372,6 +372,8 @@ SHAPE_CASES = [
     ("chain_12torsion", ("components", 0, "points"), 5,
      "points of component C1 must be an array, got 5"),
     ("chain_12torsion", ("components", 0), 3, "component must be an object, got 3"),
+    ("chain_12torsion", ("components", 1, "torsion"), 5,
+     "torsion of component E must be an array, got 5"),
     ("chain_12torsion", ("components", 1, "torsion", 0, "points"), 7,
      "points of torsion entry must be an array of 2, got 7"),
     ("septic_star", ("components", 0, "facts", "series_dims"), 3,

@@ -68,6 +68,9 @@ def test_curve_validation():
         )
     with pytest.raises(ValueError):  # self node
         Node((("E", "p1"), ("E", "p2")))
+    with pytest.raises(KeyError) as err:  # no such component
+        curve.component("C3")
+    assert err.value.args == ("C3",)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +120,14 @@ def test_elliptic_single_point():
     assert elliptic_single_point_check(12, _v((10, 12), 12)).passed
     assert elliptic_single_point_check(3, _v((1, 2, 3), 3)).failed
     assert elliptic_single_point_check(15, _v((12, 13, 14), 15)).passed
+    with pytest.raises(ValueError, match="^sequence bound 12 does not match degree 11$"):
+        elliptic_single_point_check(11, _v((10, 12), 12))
+
+
+def test_elliptic_two_point_bounds_must_match():
+    for b in (_v((0, 11), 11), _v((0, 1, 12), 12)):
+        with pytest.raises(ValueError, match="^sequence bounds .* differ$"):
+            elliptic_two_point_check(_v((0, 12), 12), b, None)
 
 
 # ---------------------------------------------------------------------------

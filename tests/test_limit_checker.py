@@ -2,6 +2,7 @@ import json
 from itertools import combinations
 from math import comb
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +62,9 @@ def test_node_compatible():
     assert node_compatible(_v((0, 12), 12), _v((0, 12), 12), 12) == "refined"
     assert node_compatible(_v((0, 1), 12), _v((0, 1), 12), 12) == "incompatible"
     assert node_compatible(_v((0, 12), 12), _v((1, 12), 12), 12) == "crude"
+    for a, b, d in (((0, 12), (1, 12), 13), ((0, 12), (0, 11), 12), ((0, 1, 12), (0, 12), 12)):
+        with pytest.raises(ValueError, match="^sequence bounds do not match the node degree$"):
+            node_compatible(_v(a, max(a)), _v(b, max(b)), d)
 
 
 def test_min_complement_is_minimal_compatible():
@@ -185,7 +189,7 @@ def _clear_caches():
 
 def _held_within_bound():
     # a branch table with links also holds the tables beyond them
-    held = sum(len(table[0]) + sum(len(b.status) for b in getattr(table, "beyond", ()))
+    held = sum(len(table[0]) + sum(len(b.live) for b in getattr(table, "beyond", ()))
                for table in _tables.tables.values())
     return held == _tables.held <= limit_checker.MAX_CACHED_SEQUENCES
 
@@ -225,7 +229,7 @@ def test_bridge_and_leaf_of_one_genus_get_different_tables(fixtures):
     curve = curve_from_json(doc).curve
     bridge = _branch_table(_key("bridge", 10), 1, 12, True)
     leaf = _branch_table(_key("general", 10), 1, 12, True)
-    assert bridge.status != leaf.status
+    assert bridge.live != leaf.live
     report = refute(curve, SeriesType(22, 1, 12))
     assert report.survivor_count > 0
     expected = brute_force_pairs(curve, 1, 12)
@@ -238,10 +242,11 @@ def test_cached_tables_are_immutable():
     table = _branch_table(_key("general", 11), 2, d, True, True)
     tail = _branch_table(TAIL_KEY, 2, d, True)
     for part in (lat.seqs, lat.cols, *lat.cols, lat.steps, *lat.steps, lat.caps, lat.pole_ok,
-                 lat.box, lat.pole_in, table.status, table.good_in, tail.status, tail.floor):
+                 lat.box, lat.pole_in, table.good_in, tail.floor):
         assert isinstance(part, tuple)
+    assert type(table.live) is type(tail.live) is bytes  # one admit bit per sequence
     with pytest.raises(AttributeError):
-        table.status = ()
+        table.live = b""
     with pytest.raises(AttributeError):
         lat.box = ()
 
@@ -324,11 +329,11 @@ def test_lattice_steps_and_caps_match_clamping():
     assert checked == 278
 
 
-def _scanned_status(lat, feasible):
-    """Naive status by a scan: does any clamp-feasible s lie above caps(a)?"""
+def _scanned_live(lat, feasible):
+    """Naive admit bits by a scan: does any clamp-feasible s lie above caps(a)?"""
     listed = [s for s, f in zip(lat.seqs, feasible) if f]
-    return tuple("pass" if any(all(x >= y for x, y in zip(s, lat.seqs[c])) for s in listed)
-                 else "fail" for c in lat.caps)
+    return bytes(any(all(x >= y for x, y in zip(s, lat.seqs[c])) for s in listed)
+                 for c in lat.caps)
 
 
 def test_pruned_status_tables_match_clamp_feasible():
@@ -343,9 +348,8 @@ def test_pruned_status_tables_match_clamp_feasible():
             for kind, cusps in (("general", 0), ("bridge", 1)):
                 for genus in range(0, 13, 2):
                     feasible = [_clamp_feasible(s, genus, d, r, cusps) for s in lat.seqs]
-                    status = _branch_table.__wrapped__(_key(kind, genus), r, d, True).status
-                    assert status == tuple("pass" if feasible[c] else "fail" for c in lat.caps), \
-                        (kind, genus, r, d)
+                    live = _branch_table.__wrapped__(_key(kind, genus), r, d, True).live
+                    assert live == bytes(feasible[c] for c in lat.caps), (kind, genus, r, d)
                     checked += 1
     assert checked == 938
 
@@ -361,9 +365,9 @@ def test_naive_table_matches_the_scan(r, d, genera):
     for kind, cusps in (("general", 0), ("bridge", 1)):
         for genus in genera:
             feasible = [_clamp_feasible(s, genus, d, r, cusps) for s in lat.seqs]
-            status = _branch_table.__wrapped__(_key(kind, genus), r, d, False).status
-            assert status == _scanned_status(lat, feasible), (kind, genus)
-            assert "pass" in status and ("fail" in status or r == 0), (kind, genus)
+            live = _branch_table.__wrapped__(_key(kind, genus), r, d, False).live
+            assert live == _scanned_live(lat, feasible), (kind, genus)
+            assert 1 in live and (0 in live or r == 0), (kind, genus)
 
 
 @pytest.mark.parametrize("r,d", [(0, 6), (1, 2), (1, 9), (2, 4), (2, 9), (3, 10), (4, 9), (5, 9)])
@@ -395,6 +399,8 @@ def test_refute_rejects_bad_sizes(fixtures):
     curve = fixtures["chain_9torsion"].curve
     with pytest.raises(ValueError, match="survivor cap"):
         refute(curve, SeriesType(23, 1, 12), survivor_cap=-1)
+    with pytest.raises(ValueError, match="^series genus 22 does not match curve genus 23$"):
+        refute(curve, SeriesType(22, 1, 12))
     # g^5_24 and g^11_32 are refused before any sequence is built
     for r, d in ((5, 24), (11, 32)):
         with pytest.raises(ValueError, match="vanishing sequences per point"):
@@ -411,6 +417,12 @@ def test_verify_witness_confirmed(fixtures):
     assert dict(report.aspect_rhos) == {"C1": 0, "C2": 0, "E": -1}
     assert report.additivity.equality and report.additivity.lhs == -1
     assert any("smoothability" in note for note in report.notes)
+    # each component's points as a read-only mapping, cold and warm: the same report
+    frozen = {comp: MappingProxyType(pts)
+              for comp, pts in desc.witness("g2_17").aspects_dict().items()}
+    for _ in range(2):
+        assert verify_witness(desc.curve, SeriesType(23, 2, 17), frozen) == report
+        _lattice.cache_clear()
 
 
 def test_verify_witness_pencil(fixtures):
@@ -478,6 +490,10 @@ def test_verify_witness_input_errors(fixtures):
         (desc.curve, t, _with(aspects, "C2", "p2", (4, 9, 9)),
          "vanishing sequence (4, 9, 9) is not strictly increasing"),
         (desc.curve, t, _with(aspects, "C2", "p2", ()), "vanishing sequence must be nonempty"),
+        # an UnsupportedCurveError, raised by the elliptic oracle after every check above
+        (_three_noded_elliptic(), SeriesType(4, 1, 3),
+         {"X": dict.fromkeys("abc", (1, 3)), **{f"T{p}": {p: (0, 2)} for p in "abc"}},
+         "elliptic component X has more than two nodes"),
     ]
     for curve, series, assignment, message in cases:
         with pytest.raises(ValueError) as err:
@@ -874,6 +890,18 @@ def _three_noded_elliptic() -> CompactCurve:
     return CompactCurve("three-noded", 4, tuple(comps), tuple(nodes))
 
 
+def _three_noded_off_the_pivot() -> CompactCurve:
+    """A general hub H with three elliptic tails and a general M, the pivot's fourth arm,
+    that holds two elliptic tails of its own: M has three nodes but is not the pivot."""
+    comps = [Component("H", 2, "general", ("a", "b", "c", "m")),
+             Component("M", 2, "general", ("m", "x", "y"))]
+    nodes = [Node((("H", "m"), ("M", "m")))]
+    for comp, p in (("H", "a"), ("H", "b"), ("H", "c"), ("M", "x"), ("M", "y")):
+        comps.append(Component(f"T{p}", 1, "elliptic", (p,)))
+        nodes.append(Node(((comp, p), (f"T{p}", p))))
+    return CompactCurve("three-noded-arm", 9, tuple(comps), tuple(nodes))
+
+
 @pytest.mark.parametrize("curve,message", [
     (_star_with_arm("general-leaf"), "star around H requires one-noded elliptic tails, got C"),
     (_star_with_arm("link"), "star around H requires one-noded elliptic tails, got L"),
@@ -884,11 +912,12 @@ def _three_noded_elliptic() -> CompactCurve:
     (_three_noded_elliptic(), "elliptic component X has more than two nodes"),
     (CompactCurve("one", 3, (Component("C", 3, "general", ("p",)),), ()),
      "need at least two components joined at a node"),
+    (_three_noded_off_the_pivot(), "component M off the pivot has more than two nodes"),
 ])
 def test_refused_shapes(curve, message):
     # the shapes outside the fold: a hub arm that is not a one-noded elliptic tail, a
     # two-noded component that is not a general bridge to a tail, three nodes on an
-    # elliptic curve, and a curve without nodes
+    # elliptic curve or on a component off the pivot, and a curve without nodes
     with pytest.raises(UnsupportedCurveError) as err:
         refute(curve, SeriesType(curve.genus, 1, 3))
     assert str(err.value) == message

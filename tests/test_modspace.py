@@ -96,6 +96,8 @@ def test_slope_bound():
     assert slope_bound(23) == Fraction(13, 2)
     assert slope_bound(3) == 9
     assert slope_bound(5) == 8
+    with pytest.raises(ValueError, match="^need genus >= 3, got 2$"):
+        slope_bound(2)
 
 
 def test_slope_matches_bound_for_divisorial_classes():
@@ -114,6 +116,8 @@ def test_gonal_family_slopes():
     assert all(gonal_family_slope(23, k) > SLOPE_THRESHOLD for k in (2, 3, 4))
     with pytest.raises(ValueError):
         gonal_family_slope(23, 5)
+    with pytest.raises(ValueError, match="^need genus >= 2, got 1$"):
+        gonal_family_slope(1, 2)
 
 
 def test_plane_pencils():

@@ -10,6 +10,7 @@ from bnlimits.numerology import (
     adjusted_rho,
     bn_divisor_pairs,
     bn_divisor_triples,
+    cusp_pointed_exists,
     pointed_exists,
     ramification_to_vanishing,
     residual,
@@ -146,11 +147,14 @@ def test_pointed_exists_goldens():
     assert pointed_exists(SeriesType(11, 1, 12), RamificationSeq((0, 11), 1, 12))
     # all clamps vanish once d >= g + r
     assert pointed_exists(SeriesType(4, 2, 6), RamificationSeq((0, 0, 0), 2, 6))
+    with pytest.raises(ValueError, match=r"^ramification bound \(2, 16\) does not match series"):
+        pointed_exists(t, RamificationSeq((4, 8, 11), 2, 16))
 
 
 def test_cusp_pointed_exists_goldens():
     # one extra cusp is one more genus: the cusp clamp of a genus-g curve is
-    # pointed_exists at genus g + 1, and the curve-level check with one cusp agrees
+    # pointed_exists at genus g + 1, as cusp_pointed_exists asks it, and the curve-level
+    # check with one cusp agrees
     cases = [
         (SeriesType(10, 2, 17), RamificationSeq((4, 8, 11), 2, 17), True),
         (SeriesType(10, 2, 17), RamificationSeq((4, 8, 12), 2, 17), False),
@@ -158,6 +162,7 @@ def test_cusp_pointed_exists_goldens():
     ]
     for t, alpha, expected in cases:
         assert pointed_exists(SeriesType(t.g + 1, t.r, t.d), alpha) is expected
+        assert cusp_pointed_exists(t, alpha) is expected
         res = general_pointed_check(t, [alpha], extra_cusps=1)
         assert res.passed is expected and res.failed is not expected
         assert res.rule == RULE_GENERAL_CUSP

@@ -1,11 +1,12 @@
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from pair_oracle import box, brute_force_pairs, pivot_sides, torsion_fails
 
-from bnlimits.curvefile import load_fixture
+from bnlimits.curvefile import load_curve_file, load_fixture
 from bnlimits.curves import CompactCurve, Component, FactSheet, Node, SeriesDimFact, TorsionPair
 from bnlimits.limit_checker import _analyze, _branch_table, _lattice, _partners, refute, verify_witness
 from bnlimits.numerology import SeriesType
@@ -37,6 +38,20 @@ def test_fixture_series_match_brute_force(name, series, cap):
     for prune in (True, False):
         report = refute(curve, SeriesType(curve.genus, r, d), prune=prune, survivor_cap=cap)
         assert _scan_fields(report) == expected
+
+
+@pytest.mark.parametrize("series,count", [((1, 3), 0), ((1, 4), 16)])
+def test_fact_sheet_behind_a_link_matches_brute_force(series, count):
+    # C-E-L-F: the fact-sheet leaf F behind the elliptic link L abstains where it does not
+    # fail, so every survivor is flagged unconfirmed at F, in both modes
+    curve = load_curve_file(Path(__file__).parent / "curves" / "link_to_factsheet.json").curve
+    r, d = series
+    expected = brute_force_pairs(curve, r, d)
+    assert expected["survivor_count"] == count
+    for prune in (True, False):
+        report = refute(curve, SeriesType(curve.genus, r, d), prune=prune)
+        assert _scan_fields(report) == expected
+        assert all(s.unconfirmed == ("F",) for s in report.survivors)
 
 
 def _branch(draw, r: int, d: int, name: str, near: tuple[str, str], comps: list,
@@ -111,7 +126,10 @@ def test_random_pair_curves_match_brute_force(drawn, cap):
             for i, (comp, _, _) in enumerate(branch.parts):  # every suffix of the path, by its scan
                 assert side.comp == comp
                 key = (kind, genus, facts, links[i:]) if i <= len(links) else ("tail", 1, None, ())
-                status = _branch_table(key, r, d, prune).status
+                # what a branch admits abstains exactly when it ends in a fact sheet
+                passing = "unknown" if key[0] == "factsheet" else "pass"
+                live = _branch_table(key, r, d, prune).live
+                status = tuple(passing if bit else "fail" for bit in live)
                 assert status == tuple(map(side.status, lat.seqs)), (comp.id, prune)
                 side = side.beyond
             assert side is None
@@ -161,7 +179,7 @@ def test_capped_listing_is_a_prefix_of_the_full_one(drawn, data):
 
 
 class _CountedReads(tuple):
-    """A status table that counts the entries read."""
+    """A table that counts the entries read."""
 
     reads = 0
 
@@ -174,7 +192,7 @@ class _CountedReads(tuple):
                                       ("chain_9torsion_elltail", 2, 14)])
 def test_partners_read_a_few_entries_per_run(name, r, d):
     # within a run of the box (a fixed prefix b_0..b_{r-1}) the passing b are a suffix,
-    # which _partners finds by bisection: at most ceil(log2(d + 2)) status reads per run,
+    # which _partners finds by bisection: at most ceil(log2(d + 2)) admit-bit reads per run,
     # and fewer than half of the box elements that pass the single-pole rule
     curve = load_fixture(name).curve
     pivot, branches = _analyze(curve)
@@ -182,14 +200,14 @@ def test_partners_read_a_few_entries_per_run(name, r, d):
     lat = _lattice(r, d)
     index = {s: k for k, s in enumerate(lat.seqs)}
     for prune in (True, False):
-        status = _CountedReads(_branch_table(branches[1].key, r, d, prune, True).status)
+        live = _CountedReads(_branch_table(branches[1].key, r, d, prune, True).live)
         reads = bound = walked = 0
         for ia, a in enumerate(lat.seqs):
             b_box = box(lat.seqs[lat.caps[ia]])
             expected = [index[b] for b in b_box if lat.pole_ok[index[b]]
-                        and status[index[b]] != "fail" and not torsion_fails(a, b, d, torsion)]
+                        and live[index[b]] and not torsion_fails(a, b, d, torsion)]
             _CountedReads.reads = 0
-            assert list(_partners(ia, d, lat, status, torsion)) == expected, (prune, a)
+            assert list(_partners(ia, d, lat, live, torsion)) == expected, (prune, a)
             reads += _CountedReads.reads
             bound += len({b[:-1] for b in b_box}) * (d + 1).bit_length()
             walked += sum(lat.pole_ok[index[b]] for b in b_box)
@@ -201,7 +219,7 @@ def test_partners_read_a_few_entries_per_run(name, r, d):
                                       ("chain_9torsion_elltail", 2, 14), ("chain_9torsion", 3, 12),
                                       ("chain_12torsion", 2, 17)])
 def test_partners_skip_the_subtrees_that_fail(name, r, d):
-    # a prefix whose largest b (c after it) fails the status table is skipped with all of its
+    # a prefix whose largest b (c after it) the table does not admit is skipped with all of its
     # subtree, so over the walks of every a the runs read (one single-pole read each) number
     # at most the partners yielded plus one per walk; a walk of every prefix of each box
     # reads 4,499 runs for 271 partners on the g^2_12, and 27,607 for 1 on the g^3_12
@@ -211,11 +229,11 @@ def test_partners_skip_the_subtrees_that_fail(name, r, d):
     lat = _lattice(r, d)
     counted = lat._replace(pole_ok=_CountedReads(lat.pole_ok))
     for prune in (True, False):
-        status = _branch_table(branches[1].key, r, d, prune, True).status
+        live = _branch_table(branches[1].key, r, d, prune, True).live
         _CountedReads.reads = yielded = 0
         for ia in range(len(lat.seqs)):
-            partners = list(_partners(ia, d, counted, status, torsion))
-            assert partners == list(_partners(ia, d, lat, status, torsion))
+            partners = list(_partners(ia, d, counted, live, torsion))
+            assert partners == list(_partners(ia, d, lat, live, torsion))
             yielded += len(partners)
         assert _CountedReads.reads <= yielded + len(lat.seqs), (prune, _CountedReads.reads, yielded)
 

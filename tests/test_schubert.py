@@ -54,6 +54,8 @@ def test_zero_and_identity():
 def test_rectangle_mismatch():
     with pytest.raises(ValueError):
         lr_product(identity_class((2, 2)), identity_class((2, 3)))
+    with pytest.raises(ValueError, match="^need r <= d, got r=3, d=2$"):
+        rect_for(3, 2)
 
 
 def test_partition_validation():
@@ -65,6 +67,8 @@ def test_partition_validation():
 
 def test_cusp_power_identity():
     assert cusp_class_power(0, (3, 5)).terms == {(): 1}
+    with pytest.raises(ValueError, match="^power must be nonnegative$"):
+        cusp_class_power(-1, (3, 5))
 
 
 def test_cusp_power_pencils():

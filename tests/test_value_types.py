@@ -68,7 +68,7 @@ def _samples():
         ComponentAudit("E", "pass", True, False, "rule", ""),
         WitnessReport("c", (1, 12), "confirmed", (), (), (), (), audit, True, ()),
         _Branch("tail", ((comp, "p", None),)),
-        _BranchTable(("pass",)),
+        _BranchTable(b"\x01"),
         DivisorClass(2, 1, (0, 0)),
         Decomposition(23, Fraction(1, 2), Fraction(0), ()),
         PlanePencil(11, 22, 33, 23, 146, Fraction(146, 23), False),
@@ -171,7 +171,7 @@ def test_keyword_construction_and_defaults():
     assert CohomologyClass(rect=(1, 1)).is_zero()
     branch = _Branch(kind="general", parts=((comp, "p", None),))
     assert (branch.links, branch.key) == ((), ("general", 3, None, ()))
-    assert _BranchTable(("fail",)) == _BranchTable(status=("fail",), good_in=(), floor=None)
+    assert _BranchTable(b"\x00") == _BranchTable(live=b"\x00", good_in=(), floor=None)
 
 
 def test_value_types_compare_by_field_values():
