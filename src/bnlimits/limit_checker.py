@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter, OrderedDict
-from functools import cached_property, partial, reduce
+from functools import cached_property
 from itertools import accumulate, chain, compress, groupby, islice, repeat
 from math import comb
 from operator import add, and_, itemgetter, mul, not_, sub
