@@ -64,7 +64,15 @@ COMMANDS = [
     # argparse: help exits 0 on stdout, a usage error exits 2 on stderr
     ("--help",),
     ("limit", "--help"),
+    ("report", "--help"),
+    ("slope", "--help"),
+    ("slope", "gonal", "--help"),
+    ("exist", "--help"),
     ("rho", "23", "1"),
+    (),  # no subcommand
+    ("nosuch",),  # an invalid choice
+    ("report", "g23", "--bogus"),
+    ("limit", "refute"),
 ]
 
 
