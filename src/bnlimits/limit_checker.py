@@ -41,7 +41,7 @@ are v before a suffix of the shorter ones) with no index of its sequences:
 a position is a closed-form rank.  Its tables and each branch table (keyed
 by the end's kind, genus and fact sheet, the links' torsion orders, r, d
 and prune mode) are immutable tuples and bytes kept between refutations in
-one LRU cache, bounded by the number of sequences its tables index in all
+one LRU cache, bounded by the per-sequence entries its tables hold in all
 (MAX_CACHED_SEQUENCES).
 
 Reports are deterministic: candidates are ordered lexicographically and
@@ -71,9 +71,9 @@ SMOOTHABILITY_NOTE = "smoothability not verified"
 # Largest number C(d+1, r+1) of vanishing sequences per point that a scan
 # materialises.  The g23 audit needs 5,985; a g^5_24 would need 177,100.
 MAX_SEQUENCES = 100_000
-# Largest number of entries, one per sequence, that the lattices and status
+# Largest number of entries, one per sequence, that the lattices and branch
 # tables kept between refutations hold in all: four lattices at MAX_SEQUENCES,
-# or the 190,000 entries of the 850 tables that 900 seeded curves of every
+# or the 256,000 entries of the 880 tables that 900 seeded curves of every
 # supported shape visit (perfbench refute-sweep).
 MAX_CACHED_SEQUENCES = 4 * MAX_SEQUENCES
 # Most entries (sequences, node and component audits) that verify_witness keeps
@@ -342,9 +342,10 @@ class _TableCache:
     """LRU store of the tables that refutations share, least recently used first.
 
     Each table is a tuple whose first field has one entry per sequence; a
-    branch table also holds the tables beyond its links.  The store drops old
-    tables while all these entries exceed MAX_CACHED_SEQUENCES.  It also keeps
-    the curve, series and plan that verify_witness last used (_verify_plan).
+    far branch table also holds good_in, and a branch table with links the
+    tables beyond them.  The store drops old tables while all these entries
+    exceed MAX_CACHED_SEQUENCES.  It also keeps the curve, series and plan
+    that verify_witness last used (_verify_plan).
     """
 
     def __init__(self) -> None:
@@ -373,7 +374,8 @@ class _TableCache:
 
 
 def _entries(table: tuple) -> int:
-    return len(table[0]) + sum(len(t.live) for t in getattr(table, "beyond", ()))
+    return (len(table[0]) + len(getattr(table, "good_in", ()))
+            + sum(len(t.live) for t in getattr(table, "beyond", ())))
 
 
 _tables = _TableCache()

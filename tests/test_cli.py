@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -477,6 +478,32 @@ def test_default_g23_report_does_not_import_schubert():
         out = subprocess.run([sys.executable, "-c", probe, "report", "g23", *tail], capture_output=True,
                              text=True, check=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
         assert out.stdout == f"0 {imported}\n", tail
+
+
+def test_cold_process_exits_through_entry():
+    # `python -m bnlimits` ends in cli.entry, which freezes the heap before it exits:
+    # stdout, stderr and the exit code read as main leaves them
+    src = str(Path(curvefile.__file__).resolve().parents[1])
+
+    def cold(*args):
+        return subprocess.run([sys.executable, "-m", "bnlimits", *args], capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=60)
+
+    done = cold("report", "g23", "--json")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (GOLDEN / "report_g23.json").read_bytes()
+    done = cold("limit", "refute", "chain-12torsion", "1", "12", "--expect", "refuted")
+    assert (done.returncode, done.stderr) == (1, b"")
+    done = cold("class", "4")
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == b"error: genus 4 has no divisorial triple\n"
+
+
+def test_main_leaves_the_heap_unfrozen(capsys):
+    # callers that run main in process keep collecting their garbage
+    frozen = gc.get_freeze_count()
+    assert main(["report", "g23", "--json"]) == 0
+    assert gc.get_freeze_count() == frozen
 
 
 def test_fixture_round_trip(tmp_path):

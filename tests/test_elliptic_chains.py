@@ -122,6 +122,7 @@ def test_listing_a_linked_branch_builds_no_table(monkeypatch):
             assert len(report.survivors) == min(cap, 1)
             assert built == [2] * (g - 3), (prune, cap)  # one per link, E3 to E(g-1)
             tables = limit_checker._tables
-            held = sum(len(table[0]) + sum(len(b.live) for b in getattr(table, "beyond", ()))
+            held = sum(len(table[0]) + len(getattr(table, "good_in", ()))
+                       + sum(len(b.live) for b in getattr(table, "beyond", ()))
                        for table in tables.tables.values())
             assert held == tables.held

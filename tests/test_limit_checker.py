@@ -188,8 +188,9 @@ def _clear_caches():
 
 
 def _held_within_bound():
-    # a branch table with links also holds the tables beyond them
-    held = sum(len(table[0]) + sum(len(b.live) for b in getattr(table, "beyond", ()))
+    # a far branch table also holds good_in, and one with links the tables beyond them
+    held = sum(len(table[0]) + len(getattr(table, "good_in", ()))
+               + sum(len(b.live) for b in getattr(table, "beyond", ()))
                for table in _tables.tables.values())
     return held == _tables.held <= limit_checker.MAX_CACHED_SEQUENCES
 
