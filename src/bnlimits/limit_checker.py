@@ -73,7 +73,7 @@ SMOOTHABILITY_NOTE = "smoothability not verified"
 MAX_SEQUENCES = 100_000
 # Largest number of entries, one per sequence, that the lattices and branch
 # tables kept between refutations hold in all: four lattices at MAX_SEQUENCES,
-# or the 256,000 entries of the 880 tables that 900 seeded curves of every
+# or the 256,000 entries of the 880 or so tables that 900 seeded curves of every
 # supported shape visit (perfbench refute-sweep).
 MAX_CACHED_SEQUENCES = 4 * MAX_SEQUENCES
 # Most entries (sequences, node and component audits) that verify_witness keeps
