@@ -623,6 +623,36 @@ def test_rows_without_expectation_list_survivors_as_findings(monkeypatch, capsys
     assert code == 1 and "\nfindings:\n  - chain-12torsion g^2_17: 3 candidates" in out
 
 
+def test_report_fails_when_septic_star_pencil_survives(monkeypatch, capsys):
+    # the two-divisor curve rests on septic-star's g^1_12 refutation: survivors leave both
+    # equalities of the chain uncontradicted
+    _force_refutation(monkeypatch, "septic-star", (1, 12), verdict="survivors",
+                      survivor_count=1)
+    code, out, _ = run(capsys, "report", "g23", "--json")
+    payload = json.loads(out)
+    assert code == 1 and payload["pass"] is False
+    assert payload["mismatches"] == ["septic-star has no limit g^1_12",
+                                     "septic-star lies in exactly two of the three divisors"]
+    audit = payload["membership_audit"]
+    assert audit["two_divisor_curve"]["holds"] is False
+    assert [stmt["contradicted"] for stmt in audit["equality_chain"]] == [False, False]
+    code, out, _ = run(capsys, "report", "g23")
+    assert code == 1
+    assert "\n  FAILED: septic-star lies in " in out
+    assert out.count("\n  NOT CONTRADICTED: ") == 2 and "\n  CONTRADICTED: " not in out
+    assert "\nkappa(M_23) >= 2 audit: FAIL\n" in out
+
+
+def test_report_fails_when_tail_web_is_not_refuted(monkeypatch, capsys):
+    _force_refutation(monkeypatch, "chain-9torsion-elliptic-tail", (3, 20), verdict="survivors",
+                      survivor_count=1)
+    code, out, _ = run(capsys, "report", "g23", "--include-tail-variant", "--json")
+    payload = json.loads(out)
+    assert code == 1 and payload["pass"] is False
+    assert payload["tail_variant"]["refute_g3_20"] == "survivors"
+    assert payload["mismatches"] == ["chain-9torsion-elliptic-tail has no limit g^3_20"]
+
+
 @given(st.data())
 def test_random_curve_round_trip(data):
     shape = data.draw(st.sampled_from(["star", "chain"]))

@@ -23,6 +23,8 @@ ROOT = Path(__file__).parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "cli_commands.json"
 # a fact-sheet leaf behind an elliptic link: its survivors are flagged unconfirmed
 LINK_TO_FACTSHEET = "tests/curves/link_to_factsheet.json"
+# the 9-torsion chain without its torsion: every torsion count walks one class per axis
+NO_TORSION = "tests/curves/chain_no_torsion.json"
 SLOPES = (("bound", "23"), ("bn", "23"), ("canonical", "23"), ("gonal", "23", "3"),
           ("plane-pencil", "10"), ("boundary-table",))
 COMMANDS = [
@@ -52,6 +54,8 @@ COMMANDS = [
         ("report", "g23"),
     )],
     ("limit", "refute", LINK_TO_FACTSHEET, "1", "3"),  # refuted behind the link
+    *[("limit", "refute", NO_TORSION, *series) for series in (
+        ("1", "12"), ("2", "17"), ("3", "20"), ("3", "20", "--json"))],
     # input errors exit 2 with one line on stderr
     ("class", "4"),
     ("decompose", "4", "--json"),

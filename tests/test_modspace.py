@@ -78,6 +78,7 @@ def test_decompose_reconstructs_canonical(g):
     dec = decompose_canonical(g, r, d)
     bn = bn_class(g, r, d)
     kan = canonical_class(g)
+    assert all(type(x) is Fraction for x in (dec.a, dec.b, *dec.c))  # printed as fractions
     assert dec.a * bn.lam + dec.b == kan.lam
     for i in range(g // 2 + 1):
         assert dec.a * bn.delta[i] + dec.c[i] == kan.delta[i]

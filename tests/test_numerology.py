@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -138,6 +140,26 @@ def test_bn_divisor_pairs_genus23():
         ((2, 9, 17), (7, 4, 27)),
         ((3, 7, 20), (5, 5, 24)),
     ]
+
+
+def test_bn_divisor_pairs_are_the_residual_classes():
+    # each triple in exactly one pair (a, b): a <= b, b the residual of a, the list sorted;
+    # a triple is its own residual exactly when g + 1 is a square m^2, and then it is
+    # (m - 1, m + 1, g - 1)
+    self_residual = []
+    for g in range(3, 201):
+        triples, pairs = bn_divisor_triples(g), bn_divisor_pairs(g)
+        assert sorted(t for pair in pairs for t in set(pair)) == triples, g
+        assert pairs == sorted(pairs), g
+        for a, b in pairs:
+            res = residual(SeriesType(g, a[0], a[2]))
+            assert a <= b and (b[0], b[2]) == (res.r, res.d), (g, a, b)
+        if selfs := [a for a, b in pairs if a == b]:
+            m = isqrt(g + 1)
+            assert selfs == [(m - 1, m + 1, g - 1)], g
+            self_residual.append(g)
+    assert self_residual[:5] == [3, 8, 15, 24, 35]
+    assert self_residual == [m * m - 1 for m in range(2, 15)]
 
 
 def test_pointed_exists_goldens():
