@@ -285,20 +285,19 @@ def general_pointed_check(t: SeriesType, rams: list[RamificationSeq] | tuple[Ram
 
     Each extra cusp is one more power of the cusp class, as on a curve of
     genus one higher, so every criterion is asked at that shifted genus.
-    One ramification condition with at most one cusp goes through the clamp
-    criterion (the cusp clamp with the cusp), and anything else through the
-    Schubert nonvanishing criterion.  Both are if-and-only-if statements, so
-    both pass and fail are exact.
+    One ramification condition with at most one cusp, or none and no cusp (the
+    zero sequence), goes through the clamp criterion (the cusp clamp with the
+    cusp), and anything else through the Schubert nonvanishing criterion.
+    Both are if-and-only-if statements, so both pass and fail are exact.
     """
     if extra_cusps < 0:
         raise ValueError(f"number of extra cusps must be nonnegative, got {extra_cusps}")
     shifted = SeriesType(t.g + extra_cusps, t.r, t.d)
     rams = list(rams)
+    if not rams and extra_cusps == 0:
+        rams = [RamificationSeq((0,) * (t.r + 1), t.r, t.d)]
     if len(rams) == 1 and extra_cusps <= 1:
         return _CLAMP[extra_cusps][pointed_exists(shifted, rams[0])]
-    if not rams and extra_cusps == 0:
-        zero = RamificationSeq((0,) * (t.r + 1), t.r, t.d)
-        return _CLAMP[0][pointed_exists(t, zero)]
     global schubert
     if schubert is None:  # imported on first use: few checks reach it
         from . import schubert

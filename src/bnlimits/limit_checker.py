@@ -779,20 +779,9 @@ def _torsion_hits(ia: int, ic: int, lat: _Lattice, good_in: tuple[int, ...],
     below the corner, with T(b) empty, are in every class's count.
     """
     hits, i, classes, steps = good_in[ic], ic, 0, lat.steps
-    if torsion is None:  # one class per axis
-        # the general loop below counts the same at about twice the cost per call
-        for j, row in enumerate(steps):  # i: c lowered on the axes before j
-            w = i
-            for later in steps[j + 1:]:
-                if (w := later[w]) < 0:
-                    break
-            else:
-                hits -= good_in[w]
-            if (i := row[i]) < 0:  # no b below the corner, nor in a later class's walk
-                return hits
-        return hits + (len(steps) - 1) * good_in[i]
-    res = [col[ia] % torsion for col in reversed(lat.cols)]
-    for j, row in enumerate(steps):
+    res = (range(len(steps)) if torsion is None  # one class per axis
+           else [col[ia] % torsion for col in reversed(lat.cols)])
+    for j, row in enumerate(steps):  # i: c lowered on the axes before j
         if res.index(u := res[j]) == j:  # the class's first axis
             classes += 1
             w = i
@@ -801,7 +790,7 @@ def _torsion_hits(ia: int, ic: int, lat: _Lattice, good_in: tuple[int, ...],
                     break
             else:
                 hits -= good_in[w]
-        if (i := row[i]) < 0:
+        if (i := row[i]) < 0:  # no b below the corner, nor in a later class's walk
             return hits
     return hits + (classes - 1) * good_in[i]
 

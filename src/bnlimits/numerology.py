@@ -130,15 +130,10 @@ def bn_divisor_pairs(g: int) -> list[tuple[tuple[int, int, int], tuple[int, int,
     triples = bn_divisor_triples(g)
     by_rd = {(r, d): (r, s, d) for r, s, d in triples}
     pairs = []
-    seen: set[tuple[int, int, int]] = set()
-    for tr in triples:
-        if tr in seen:
-            continue
+    for tr in triples:  # sorted, so each pair is met first at its smaller member
         res = residual(SeriesType(g, tr[0], tr[2]))
-        other = by_rd[(res.r, res.d)]
-        seen.add(tr)
-        seen.add(other)
-        pairs.append((tr, other) if tr <= other else (other, tr))
+        if tr <= (other := by_rd[(res.r, res.d)]):
+            pairs.append((tr, other))
     return pairs
 
 
