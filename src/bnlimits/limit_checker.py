@@ -861,8 +861,8 @@ def verify_witness(curve: CompactCurve, t: SeriesType,
                 else:  # a list, or other entries than ints: no audit of this call is kept
                     node_memo, comp_memo = {}, {}
             seqs[comp.id, pt] = seq
-    if not all(map(node_points.__contains__, assignment)):
-        raise KeyError(next(c for c in assignment if c not in node_points))
+    if unknown := [c for c in assignment if c not in node_points]:
+        raise ValueError(f"assignment names unknown component {unknown[0]}")
 
     node_hits = []
     for end, other, name in nodes:

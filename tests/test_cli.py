@@ -313,6 +313,25 @@ def test_curve_file_errors(tmp_path, capsys):
         assert (code, out, err) == (2, "", f"error: {message}\n"), path
 
 
+def test_witness_naming_unknown_component(tmp_path, monkeypatch, capsys):
+    # an input error exits 2 with its message; an internal KeyError is a fault, not an
+    # input error, so main does not turn it into one
+    doc = curvefile.curve_to_json(curvefile.load_fixture("chain_9torsion"))
+    doc["witnesses"]["g2_17"]["aspects"]["Z"] = {"p1": [4, 9, 13]}
+    p = tmp_path / "unknown_component.json"
+    p.write_text(json.dumps(doc))
+    args = ("limit", "verify", str(p), "2", "17", "--witness", "g2_17")
+    code, out, err = run(capsys, *args)
+    assert (code, out, err) == (2, "", "error: assignment names unknown component Z\n")
+
+    def fault(*_args, **_kwargs):
+        raise KeyError("Z")
+
+    monkeypatch.setattr(limit_checker, "verify_witness", fault)
+    with pytest.raises(KeyError):
+        main(list(args))
+
+
 
 def _edit(doc, path, value):
     *head, last = path

@@ -500,9 +500,9 @@ def test_verify_witness_input_errors(fixtures):
         with pytest.raises(ValueError) as err:
             verify_witness(curve, series, assignment)
         assert str(err.value) == message
-    with pytest.raises(KeyError) as err:
+    with pytest.raises(ValueError) as err:
         verify_witness(desc.curve, t, {**aspects, "X": {}})
-    assert err.value.args == ("X",)
+    assert str(err.value) == "assignment names unknown component X"
 
 
 def test_verify_plan_is_one_slot_cleared_with_the_tables(fixtures):
@@ -584,7 +584,7 @@ def test_verify_memo_keeps_the_first_error(fixtures):
          "assignment incomplete: C2 lacks ['p2']"),
         (_with(_with(aspects, "E", "p2", (4, 8, 18)), "C2", "p2", (4, 9, 9)), ValueError,
          "vanishing sequence (4, 8, 18) out of range [0, 17]"),
-        ({**aspects, "X": {}}, KeyError, "'X'"),
+        ({**aspects, "X": {}}, ValueError, "assignment names unknown component X"),
     ]
     for assignment, error, message in cases:
         for warm in (True, False):
