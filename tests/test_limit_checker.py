@@ -16,6 +16,7 @@ from bnlimits.limit_checker import (
     MAX_CACHED_SEQUENCES,
     MAX_SEQUENCES,
     UnsupportedCurveError,
+    _analyze,
     _branch_table,
     _down_sums,
     _lattice,
@@ -862,6 +863,26 @@ def _star_with_arm(arm: str) -> CompactCurve:
         comps += [Component("L", 1, "elliptic", ("q", "x")), Component("U", 1, "elliptic", ("x",))]
         nodes += [Node((("H", "q"), ("L", "q"))), Node((("L", "x"), ("U", "x")))]
     return CompactCurve(f"star-{arm}", sum(c.genus for c in comps), tuple(comps), tuple(nodes))
+
+
+def _star(hub_kind: str) -> CompactCurve:
+    """A hub H of the given kind with three one-noded elliptic tails."""
+    comps = [Component("H", 4, hub_kind, ("a", "b", "c"),
+                       facts=FactSheet() if hub_kind == "factsheet" else None)]
+    nodes = []
+    for p in "abc":
+        comps.append(Component(f"T{p}", 1, "elliptic", (p,)))
+        nodes.append(Node((("H", p), (f"T{p}", p))))
+    return CompactCurve(f"star-{hub_kind}", 7, tuple(comps), tuple(nodes))
+
+
+def test_every_star_arm_is_the_one_tail(fixtures):
+    # refute reads one tail table for all of a star's arms: every arm that _analyze
+    # accepts around a general or fact-sheet hub has the same key, that of a lone tail
+    for curve in (fixtures["septic_star"].curve, _star("general"), _star("factsheet")):
+        pivot, branches = _analyze(curve)
+        assert pivot.kind != "elliptic" and len(branches) >= 2, curve.id
+        assert {b.key for b in branches} == {TAIL_KEY}, curve.id
 
 
 def _pivot_with(far_side: str) -> CompactCurve:
