@@ -24,7 +24,7 @@ from typing import Any, Callable, Sequence
 from . import curvefile, limit_checker, modspace
 from .curvefile import CurveDescription
 from .curves import RULE_GENERAL_CUSP, RULE_GENERAL_POINTED, RULE_SCHUBERT, general_pointed_check
-from .limit_checker import series_name
+from .limit_checker import RefutationReport, series_name
 from .numerology import RamificationSeq, SeriesType, bn_divisor_pairs, bn_divisor_triples, rho
 
 REGENERATION_NOTE = "asserted per Regeneration Theorem, not verified"
@@ -276,16 +276,11 @@ def _report_g23(include_tail_variant: bool) -> Outputs:
     # (iii) limit-series checks
     checks = G23_CHECKS + (G23_TAIL_CHECKS if include_tail_variant else ())
     descs = {name: curvefile.load_fixture(name) for name in dict.fromkeys(row[0] for row in checks)}
-    reports = {row: _check(descs[row[0]], *row[1:4]) for row in checks}
-    refutes = {(descs[name].curve.id, (r, d)): rep
-               for (name, r, d, witness, _), rep in reports.items() if witness is None}
-    verifies = {(descs[name].curve.id, (r, d)): rep
-                for (name, r, d, witness, _), rep in reports.items() if witness is not None}
-    tail_results = {f"{'verify' if row[3] else 'refute'}_g{row[1]}_{row[2]}": reports[row].verdict
-                    for row in G23_TAIL_CHECKS if include_tail_variant}
+    reports = {}  # by (curve id, (r, d)), in row order
     findings = []
-    for (name, r, d, witness, expected), rep in reports.items():
+    for name, r, d, witness, expected in checks:
         cid, series = descs[name].curve.id, series_name(r, d)
+        rep = reports[cid, (r, d)] = _check(descs[name], r, d, witness)
         if expected is not None:
             claims.append((f"{cid} has no limit {series}" if witness is None
                            else f"{cid} limit {series} witness {expected}", rep.verdict == expected))
@@ -295,9 +290,9 @@ def _report_g23(include_tail_variant: bool) -> Outputs:
                 "refutation is cited to the literature, survivors listed as findings"
             )
 
-    net = verifies[("chain-9torsion", (2, 17))]
-    star_pencil = refutes[("septic-star", (1, 12))]
-    star_nets = {s: verifies[("septic-star", s)] for s in ((2, 15), (3, 20))}
+    net = reports["chain-9torsion", (2, 17)]
+    star_pencil = reports["septic-star", (1, 12)]
+    star_nets = {s: reports["septic-star", s] for s in ((2, 15), (3, 20))}
     claims += [
         ("chain-9torsion g^2_17 witness refined with additivity equality",
          net.refined and net.additivity.equality),
@@ -314,8 +309,8 @@ def _report_g23(include_tail_variant: bool) -> Outputs:
         {"pair": f"{series_name(*has)} vs {series_name(*lacks)}", "curve": cid,
          "reason": f"carries a limit {series_name(*has)} (confirmed) "
                    f"but no limit {series_name(*lacks)} (refuted)",
-         "holds": (verifies[(cid, has)].verdict == "confirmed"
-                   and refutes[(cid, lacks)].verdict == "refuted")}
+         "holds": (reports[cid, has].verdict == "confirmed"
+                   and reports[cid, lacks].verdict == "refuted")}
         for cid, has, lacks in G23_DISTINCT
     ]
     beta_ok = (star_pencil.verdict == "refuted"
@@ -349,13 +344,13 @@ def _report_g23(include_tail_variant: bool) -> Outputs:
             "canonical": str(kan),
             "decomposition": {"a": dec.a, "b": dec.b, "c": list(dec.c)},
         },
-        "limit_checks": {
-            f"{cid} {series_name(*srd)}": rep.to_json() for (cid, srd), rep in refutes.items()
-        },
-        "witness_checks": {
-            f"{cid} {series_name(*srd)}": rep.to_json() for (cid, srd), rep in verifies.items()
-        },
-        "tail_variant": tail_results,
+        "limit_checks": {f"{cid} {series_name(*srd)}": rep.to_json()
+                         for (cid, srd), rep in reports.items() if isinstance(rep, RefutationReport)},
+        "witness_checks": {f"{cid} {series_name(*srd)}": rep.to_json()
+                           for (cid, srd), rep in reports.items() if not isinstance(rep, RefutationReport)},
+        "tail_variant": {
+            f"{'verify' if witness else 'refute'}_g{r}_{d}": reports[descs[name].curve.id, (r, d)].verdict
+            for name, r, d, witness, _ in G23_TAIL_CHECKS if include_tail_variant},
         "membership_audit": {
             "distinctness": distinctness,
             "two_divisor_curve": {

@@ -430,7 +430,7 @@ def _lattice(r: int, d: int) -> _Lattice:
     ids, vals = tuple(range(n)), tuple(range(d + 1))  # ids: one int object per position
     # The suffixes (s_{r-k}, ..., s_r) for k = 0, ..., r, each from the one before: block v,
     # s_{r-k} = v, is v before the last m = C(d - v, k) suffixes, those with s_{r-k+1} > v.
-    cols, steps, box, size = (vals[r:],), ((-1, *ids[:d - r]),), (*range(1, d - r + 2),), d - r + 1
+    cols, steps, size = (vals[r:],), ((-1, *ids[:d - r]),), d - r + 1
     for k in range(1, r + 1):
         blocks = [(v, comb(d - v, k)) for v in range(r - k, d - k + 1)]
         starts = [*accumulate((m for _, m in blocks), initial=0)]
@@ -449,16 +449,8 @@ def _lattice(r: int, d: int) -> _Lattice:
                 parts += (_reader(row[o:o + run])(shifted[i - 1]) if i else (-1,) * run,
                           _reader(row[o + run:])(shifted[i]))
             rows.append(parts)
-        steps = tuple(tuple(chain.from_iterable(parts)) for parts in rows)
-        # the b <= (v, t) are those <= (v - 1, t) and those (v, t') with t' <= t but not
-        # t' <= (v, t_1, ...), which lies as far from the end of block v of the suffixes,
-        # the block before the last m, as t from the end of its own block
-        parts = [box]
-        for v, m in blocks[1:]:
-            o = size - m
-            below = chain.from_iterable(box[o - comb(d - w, k - 1):o] for w in range(v + 1, d - k + 2))
-            parts.append(tuple(map(sub, map(add, parts[-1][-m:], box[o:]), below)))
-        box, size = tuple(chain.from_iterable(parts)), starts[-1]
+        steps, size = tuple(tuple(chain.from_iterable(parts)) for parts in rows), starts[-1]
+    box = _down_sums(steps, repeat(1, n))
     # caps(s), the complement of s reversed, is n - 1 less the colex rank sum_j C(s_j, j + 1)
     caps = _reader(_column_sums(r, d, [[comb(v, j + 1) for v in vals] for j in range(r + 1)]))(ids[::-1])
     # the rule fails when the orders d - 1 and d both occur, that is when s_{r-1} = d - 1
@@ -618,21 +610,19 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
         return Survivor(tuple(parts), tuple(sorted(flagged)))
 
     if pivot.kind != KIND_ELLIPTIC:
-        # a star: the one candidate is the floors that the tails force on the hub
-        floors = [_branch_table(b.key, r, d, prune).floor for b in branches]
-        if None in floors:  # the first tail that admits no sequence at all
-            return _finish(curve, t, 1, {branches[floors.index(None)].rule: 1}, [], 0, prune)
-        t_hub = SeriesType(pivot.genus, r, d)
-        floor_rams = [vanishing_to_ramification(VanishingSeq(f, d)) for f in floors]
-        result = (factsheet_check(pivot.facts, t_hub, floor_rams) if pivot.kind == KIND_FACTSHEET
-                  else general_pointed_check(t_hub, floor_rams))
+        # a star of lone tails (_analyze): the one candidate is their one floor at every hub node
+        floor = _branch_table(branches[0].key, r, d, prune).floor
+        if floor is None:  # the tails admit no sequence at all
+            return _finish(curve, t, 1, {branches[0].rule: 1}, [], 0, prune)
+        result = _component_oracle(pivot, SeriesType(pivot.genus, r, d), points,
+                                   [VanishingSeq(floor, d)] * len(points))
         notes = ["hub evaluated on the ramification floors forced by the tails"]
         if result.failed:
             return _finish(curve, t, 1, {f"{result.rule}@{pivot.id}": 1}, [], 0, prune, notes)
         listed = []
         if survivor_cap:
             flagged = (pivot.id,) if result.status == "unknown" else ()
-            for i, floor in enumerate(floors):
+            for i in range(len(branches)):
                 flagged += extend(i, _rank(floor, d))
             listed.append(survivor(flagged))
         return _finish(curve, t, 1, {}, listed, 1, prune, notes + [

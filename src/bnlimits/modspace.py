@@ -185,16 +185,8 @@ def boundary_multiplicity_table() -> list[BoundaryRow]:
     r, _, d = bn_divisor_triples(23)[0]
     dec = decompose_canonical(23, r, d)
     rows = []
-    for i in range(1, len(dec.c)):
-        coeff = dec.c[i]
+    for i, coeff in enumerate(dec.c[1:], 1):
         mult = coeff * 2 if i == 1 else coeff
-        if i == 1:
-            bound: int | None = 16
-        elif i == 2:
-            bound = 19
-        elif i == 10:
-            bound = None
-        else:
-            bound = 21 - i
+        bound = {1: 16, 2: 19, 10: None}.get(i, 21 - i)
         rows.append(BoundaryRow(i, coeff, mult, bound, bound is not None and mult == bound))
     return rows
