@@ -126,8 +126,10 @@ def cmd_class(args) -> Outputs:
 
 def cmd_decompose(args) -> Outputs:
     triples = bn_divisor_triples(args.g)
-    if args.r is not None and args.d is not None:
+    if args.d is not None:
         r, d = args.r, args.d
+    elif args.r is not None:  # d is the second optional positional, so r alone was given
+        raise ValueError("pass both r and d, or neither")
     elif triples:
         r, _, d = triples[0]
     else:

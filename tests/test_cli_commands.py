@@ -59,6 +59,7 @@ COMMANDS = [
     # input errors exit 2 with one line on stderr
     ("class", "4"),
     ("decompose", "4", "--json"),
+    ("decompose", "23", "2"),  # r without d
     ("slope", "bn", "4"),
     ("limit", "verify", "septic-star", "3", "20"),
     ("limit", "verify", "septic-star", "3", "20", "--witness", "g2_15", "--json"),
