@@ -27,22 +27,22 @@ and a survivor is flagged unconfirmed when its branch ends in a fact sheet.
 The pivot enumerates: a two-noded elliptic pivot accounts for all pairs
 (a, b) at its nodes, counting whole boxes of them, torsion failures
 included, from down-set sums and walking a box, by rank, only to list
-survivors; a one-noded one scans its sequences; a general or fact-sheet hub
-with one-noded elliptic tails is evaluated once, on the floors (cusps) read
-from the tails' tables.  Survivors list one witness per branch.  Refused shapes:
-a hub arm that is not a one-noded elliptic tail, a two-noded component off
-the pivot that is not a general bridge to a tail or an elliptic link, and an
+survivors; a one-noded one scans its sequences; a star's hub is checked
+once, on the one floor of its tails' shared table, through the same oracle
+as verify_witness.  Survivors list one witness per branch.  Refused shapes: a
+hub arm that is not a one-noded elliptic tail, a two-noded component off the
+pivot that is not a general bridge to a tail or an elliptic link, and an
 elliptic component with three nodes.  Setting prune=False asks whether any
 compatible sequence passes instead of the least one (down-set sums over the
 whole lattice), the reference mode the pruning is validated against.
 
-Each (r, d) lattice is built from its blocks (the sequences from s_0 = v
-are v before a suffix of the shorter ones) with no index of its sequences:
-a position is a closed-form rank.  Its tables and each branch table (keyed
-by the end's kind, genus and fact sheet, the links' torsion orders, r, d
-and prune mode) are immutable tuples and bytes kept between refutations in
-one LRU cache, bounded by the per-sequence entries its tables hold in all
-(MAX_CACHED_SEQUENCES).
+Each (r, d) lattice is built from its blocks (the sequences from s_0 = v are
+v before a suffix of the shorter ones) with no index of its sequences: a
+position is a closed-form rank, and the down-set sizes are one _down_sums
+sweep.  Its tables and each branch table (keyed by the end's kind, genus and
+fact sheet, the links' torsion orders, r, d and prune mode) are immutable
+tuples and bytes kept between refutations in one LRU cache, bounded by the
+per-sequence entries its tables hold in all (MAX_CACHED_SEQUENCES).
 
 Reports are deterministic: candidates are ordered lexicographically and
 repeated runs produce identical output.  A series with more than
