@@ -60,6 +60,11 @@ COMMANDS = [
     ("class", "4"),
     ("decompose", "4", "--json"),
     ("decompose", "23", "2"),  # r without d
+    ("decompose", "2", "1", "3"),  # the genus check comes before the r and d checks
+    ("decompose", "2", "1"),
+    ("class", "2"),
+    ("class", "2", "--canonical"),
+    ("slope", "canonical", "3"),
     ("slope", "bn", "4"),
     ("limit", "verify", "septic-star", "3", "20"),
     ("limit", "verify", "septic-star", "3", "20", "--witness", "g2_15", "--json"),
@@ -73,6 +78,10 @@ COMMANDS = [
     ("slope", "--help"),
     ("slope", "gonal", "--help"),
     ("exist", "--help"),
+    *[(name, "--help") for name in ("rho", "triples", "schubert", "class", "decompose",
+                                    "fixtures")],
+    *[("slope", which, "--help")
+      for which in ("bound", "bn", "canonical", "plane-pencil", "boundary-table")],
     ("rho", "23", "1"),
     (),  # no subcommand
     ("nosuch",),  # an invalid choice
