@@ -4,10 +4,10 @@ Thin wrappers over the library plus the genus-23 audit report.  Each
 command returns its exit code and two functions, one that builds its JSON
 payload and one that builds its text, and `main` builds and prints one of
 the two: the payload with --json, which every command takes, the text
-otherwise.  Both are deterministic, so repeated runs are byte-identical.  Exit codes: 0 on success (and on matching --expect), 1 when
-a verdict differs from the expectation, 2 on input errors, and 141 without a
-message when the reader closes stdout early, as for a process ended by
-SIGPIPE.
+otherwise.  Both are deterministic, so repeated runs are byte-identical.
+Exit codes: 0 on success (and on matching --expect), 1 when a verdict
+differs from the expectation, 2 on input errors, and 141 without a message
+when the reader closes stdout early, as for a process ended by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from . import curvefile, limit_checker, modspace
 from .curvefile import CurveDescription
@@ -108,17 +108,20 @@ def cmd_schubert(args) -> Outputs:
             0)
 
 
+def _class(g: int, canonical: bool) -> modspace.DivisorClass:
+    """The canonical class, or the divisorial class via the genus's first divisorial triple."""
+    if canonical:
+        return modspace.canonical_class(g)
+    triples = bn_divisor_triples(g)
+    if not triples:
+        raise ValueError(f"genus {g} has no divisorial triple")
+    r, _, d = triples[0]
+    return modspace.bn_class(g, r, d)
+
+
 def cmd_class(args) -> Outputs:
-    if args.canonical:
-        cls = modspace.canonical_class(args.g)
-        label = "canonical class"
-    else:
-        triples = bn_divisor_triples(args.g)
-        if not triples:
-            raise ValueError(f"genus {args.g} has no divisorial triple")
-        r, _, d = triples[0]
-        cls = modspace.bn_class(args.g, r, d)
-        label = "divisorial class (up to positive scale)"
+    cls = _class(args.g, args.canonical)
+    label = "canonical class" if args.canonical else "divisorial class (up to positive scale)"
     return (lambda: {"g": args.g, "label": label, "lambda": cls.lam,
                      "delta": list(cls.delta), "text": str(cls)},
             lambda: f"{label}: {cls}", 0)
@@ -149,16 +152,10 @@ def cmd_slope(args) -> Outputs:
     if args.which == "bound":
         val = modspace.slope_bound(args.g)
         return (lambda: {"g": args.g, "slope_bound": val}, lambda: f"6 + 12/(g+1) = {val}", 0)
-    if args.which == "bn":
-        triples = bn_divisor_triples(args.g)
-        if not triples:
-            raise ValueError(f"genus {args.g} has no divisorial triple")
-        r, _, d = triples[0]
-        val = modspace.slope_of_class(modspace.bn_class(args.g, r, d))
-        return (lambda: {"g": args.g, "slope": val}, lambda: f"slope of the divisorial class: {val}", 0)
-    if args.which == "canonical":
-        val = modspace.slope_of_class(modspace.canonical_class(args.g))
-        return (lambda: {"g": args.g, "slope": val}, lambda: f"slope of the canonical class: {val}", 0)
+    if args.which in ("bn", "canonical"):
+        val = modspace.slope_of_class(_class(args.g, args.which == "canonical"))
+        name = "canonical" if args.which == "canonical" else "divisorial"
+        return (lambda: {"g": args.g, "slope": val}, lambda: f"slope of the {name} class: {val}", 0)
     if args.which == "gonal":
         val = modspace.gonal_family_slope(args.g, args.k)
         exceeds = val > modspace.SLOPE_THRESHOLD
@@ -173,12 +170,7 @@ def cmd_slope(args) -> Outputs:
                         f"slope={pen.slope} exceeds_13_2={'yes' if pen.exceeds_13_2 else 'no'}",
                 0)
     rows = modspace.boundary_multiplicity_table()  # boundary-table
-    return (lambda: {"rows": [
-                {"i": row.i, "decomposition_coeff": row.decomposition_coeff,
-                 "multiplicity": row.multiplicity, "cited_bound": row.cited_bound,
-                 "coincide": row.coincide}
-                for row in rows
-            ]},
+    return (lambda: {"rows": [row._asdict() for row in rows]},
             lambda: "\n".join(
                 f"i={row.i}: decomposition {row.decomposition_coeff} -> multiplicity {row.multiplicity}, "
                 f"cited bound {row.cited_bound if row.cited_bound is not None else '-'}"
@@ -315,6 +307,9 @@ def _report_g23(include_tail_variant: bool) -> Outputs:
                    and reports[cid, lacks].verdict == "refuted")}
         for cid, has, lacks in G23_DISTINCT
     ]
+    # the three pairwise intersections in chain order; septic-star lies in the middle one only
+    meets = [f"supp(M^{a}) & supp(M^{b})"
+             for a, b in (("1_12", "2_17"), ("2_17", "3_20"), ("3_20", "1_12"))]
     beta_ok = (star_pencil.verdict == "refuted"
                and all(v.verdict in ("confirmed", "consistent") for v in star_nets.values()))
     claims += [(f"distinctness {claim['pair']}", claim["holds"]) for claim in distinctness]
@@ -362,16 +357,9 @@ def _report_g23(include_tail_variant: bool) -> Outputs:
                 "holds": beta_ok,
             },
             "equality_chain": [
-                {
-                    "statement": "supp(M^1_12) & supp(M^2_17) = supp(M^2_17) & supp(M^3_20)",
-                    "contradicted": beta_ok,
-                    "witness": "septic-star lies in the right-hand side but not in supp(M^1_12)",
-                },
-                {
-                    "statement": "supp(M^2_17) & supp(M^3_20) = supp(M^3_20) & supp(M^1_12)",
-                    "contradicted": beta_ok,
-                    "witness": "septic-star lies in the left-hand side but not in supp(M^1_12)",
-                },
+                {"statement": f"{meets[i]} = {meets[i + 1]}", "contradicted": beta_ok,
+                 "witness": f"septic-star lies in the {side}-hand side but not in supp(M^1_12)"}
+                for i, side in enumerate(("right", "left"))
             ],
             "conclusion": (
                 "the three pairwise intersections cannot all coincide: septic-star lies in "
@@ -482,12 +470,10 @@ def _rho_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("g", type=int)
     p.add_argument("r", type=int)
     p.add_argument("d", type=int)
-    p.add_argument("--json", action="store_true")
 
 
 def _triples_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("g", type=int)
-    p.add_argument("--json", action="store_true")
 
 
 def _exist_arguments(p: argparse.ArgumentParser) -> None:
@@ -497,7 +483,6 @@ def _exist_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ram", action="append", metavar="A0,A1,...",
                    help="ramification sequence; repeatable, one per marked point")
     p.add_argument("--cusps", type=int, default=0, help="number of additional cusped points")
-    p.add_argument("--json", action="store_true")
 
 
 def _schubert_arguments(p: argparse.ArgumentParser) -> None:
@@ -506,38 +491,27 @@ def _schubert_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--index", action="append", metavar="A0,A1,...",
                    help="ramification index of a factor; repeatable")
     p.add_argument("--cusp-power", type=int, default=0, dest="cusp_power")
-    p.add_argument("--json", action="store_true")
 
 
 def _class_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("g", type=int)
     p.add_argument("--canonical", action="store_true")
-    p.add_argument("--json", action="store_true")
 
 
 def _decompose_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("g", type=int)
     p.add_argument("r", type=int, nargs="?", default=None)
     p.add_argument("d", type=int, nargs="?", default=None)
-    p.add_argument("--json", action="store_true")
 
 
-def _slope_arguments(p: argparse.ArgumentParser) -> None:
+def _slope_arguments(p: argparse.ArgumentParser) -> Iterable[argparse.ArgumentParser]:
     slope_sub = p.add_subparsers(dest="which", required=True)
-    q = slope_sub.add_parser("bound")
-    q.add_argument("g", type=int)
-    q = slope_sub.add_parser("bn")
-    q.add_argument("g", type=int)
-    q = slope_sub.add_parser("canonical")
-    q.add_argument("g", type=int)
-    q = slope_sub.add_parser("gonal")
-    q.add_argument("g", type=int)
-    q.add_argument("k", type=int)
-    q = slope_sub.add_parser("plane-pencil")
-    q.add_argument("degree", type=int)
+    for which in ("bound", "bn", "canonical", "gonal"):
+        slope_sub.add_parser(which).add_argument("g", type=int)
+    slope_sub.choices["gonal"].add_argument("k", type=int)
+    slope_sub.add_parser("plane-pencil").add_argument("degree", type=int)
     slope_sub.add_parser("boundary-table")
-    for q in slope_sub.choices.values():
-        q.add_argument("--json", action="store_true")
+    return slope_sub.choices.values()  # a run parses one of these, not slope's own parser
 
 
 def _limit_arguments(p: argparse.ArgumentParser) -> None:
@@ -549,21 +523,15 @@ def _limit_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--expect", help="expected verdict; exit 1 on mismatch")
     p.add_argument("--naive", action="store_true", help="disable minimal-complement pruning")
     p.add_argument("--cap", type=int, default=100, help="survivor listing cap")
-    p.add_argument("--json", action="store_true")
-
-
-def _fixtures_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true")
 
 
 def _report_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("target", help="only 'g23'")
     p.add_argument("--include-tail-variant", action="store_true", dest="include_tail_variant",
                    help="also run the boundary chain with the elliptic tail")
-    p.add_argument("--json", action="store_true")
 
 
-# name: (help, command, the function that adds its arguments), in the order --help lists them
+# name: (help, command, None or the function that adds its arguments), in --help's order
 SUBCOMMANDS = {
     "rho": ("Brill-Noether number g - (r+1)(g-d+r)", cmd_rho, _rho_arguments),
     "triples": ("divisorial (r, s, d) triples of a genus", cmd_triples, _triples_arguments),
@@ -574,7 +542,7 @@ SUBCOMMANDS = {
     "decompose": ("canonical class over the divisorial class", cmd_decompose, _decompose_arguments),
     "slope": ("slope computations", cmd_slope, _slope_arguments),
     "limit": ("refute or verify limit series on a curve file", cmd_limit, _limit_arguments),
-    "fixtures": ("list bundled curve descriptions", cmd_fixtures, _fixtures_arguments),
+    "fixtures": ("list bundled curve descriptions", cmd_fixtures, None),
     "report": ("full verification report", cmd_report, _report_arguments),
 }
 
@@ -597,7 +565,9 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     for name, (help_text, command, add_arguments) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if named in (None, name):
-            add_arguments(p)
+            leaves = add_arguments(p) if add_arguments else None
+            for leaf in leaves or (p,):  # --json comes last in each parser a run parses
+                leaf.add_argument("--json", action="store_true")
             p.set_defaults(func=command)
     return parser
 
