@@ -136,7 +136,7 @@ def cmd_decompose(args) -> Outputs:
     elif triples:
         r, _, d = triples[0]
     else:
-        raise ValueError(f"genus {args.g} has no divisorial triple; pass --r and --d")
+        raise ValueError(f"genus {args.g} has no divisorial triple; pass r and d")
     dec = modspace.decompose_canonical(args.g, r, d)
     return (lambda: {"g": args.g, "r": r, "d": d, "a": dec.a, "b": dec.b,
                      "c": list(dec.c), "boundary_nonnegative": dec.boundary_nonnegative},
