@@ -430,8 +430,9 @@ def _render_report(payload: dict) -> str:
     lines.append(f"  slope bound 6+12/(g+1) = {s['bound']}")
     lines.append(f"  divisorial class slope = {s['divisorial_class']}, "
                  f"canonical class slope = {s['canonical_class']}")
-    for k in (2, 3, 4):
-        lines.append(f"  gonal family k={k}: slope {s['gonal_families'][k]} (> 13/2)")
+    for k, val in s["gonal_families"].items():
+        lines.append(f"  gonal family k={k}: slope {val} "
+                     f"({'> 13/2' if val > modspace.SLOPE_THRESHOLD else '<= 13/2'})")
     for row in s["plane_pencils"]:
         if row["feasible"]:
             lines.append(f"  plane pencil degree {row['degree']}: slope {row['slope']}, "

@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bnlimits import cli, curvefile, limit_checker, schubert
+from bnlimits import cli, curvefile, limit_checker, modspace, schubert
 from bnlimits.cli import main
 from bnlimits.curves import CompactCurve, Component, FactSheet, Node, SeriesDimFact, TorsionPair
 from bnlimits.numerology import RamificationSeq, SeriesType
@@ -670,6 +671,17 @@ def test_report_fails_when_tail_web_is_not_refuted(monkeypatch, capsys):
     assert code == 1 and payload["pass"] is False
     assert payload["tail_variant"]["refute_g3_20"] == "survivors"
     assert payload["mismatches"] == ["chain-9torsion-elliptic-tail has no limit g^3_20"]
+
+
+def test_report_states_the_gonal_comparison_it_makes(monkeypatch, capsys):
+    # each gonal family's text compares its own slope with 13/2
+    real = modspace.gonal_family_slope
+    monkeypatch.setattr(modspace, "gonal_family_slope",
+                        lambda g, k: Fraction(6) if k == 2 else real(g, k))
+    code, out, _ = run(capsys, "report", "g23")
+    assert code == 0
+    assert "\n  gonal family k=2: slope 6 (<= 13/2)\n" in out
+    assert "\n  gonal family k=3: slope 216/29 (> 13/2)\n" in out
 
 
 @given(st.data())
