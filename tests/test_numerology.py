@@ -124,6 +124,15 @@ def test_bn_divisor_triples_small():
         bn_divisor_triples(2)
 
 
+def test_bn_divisor_triples_are_every_factorization():
+    # enumerated by s, not by r; an off-by-one in the search's bound on r would
+    # first miss the s = 3 triple, as (10, 3, 29) at g = 21
+    for g in range(3, 1001):
+        expected = sorted((r, s, r * s - 1) for s in range(3, g + 3) if (g + 1) % (s - 1) == 0
+                          for r in [(g + 1) // (s - 1) - 1] if r >= 1)
+        assert bn_divisor_triples(g) == expected, g
+
+
 @pytest.mark.parametrize("g", [3, 5, 7, 11, 17, 23, 29, 35])
 def test_bn_divisor_triples_invariants(g):
     triples = bn_divisor_triples(g)
