@@ -329,7 +329,6 @@ def _report_g23(include_tail_variant: bool) -> Outputs:
         except ValueError:
             slope_rows.append({"degree": dd, "feasible": False})
     gonal = {k: modspace.gonal_family_slope(g, k) for k in (2, 3, 4)}
-    boundary = modspace.boundary_multiplicity_table()
 
     payload = {
         "genus": g,
@@ -373,9 +372,8 @@ def _report_g23(include_tail_variant: bool) -> Outputs:
             "gonal_families": gonal,
             "plane_pencils": slope_rows,
             "boundary_multiplicities": [
-                {"i": row.i, "multiplicity": row.multiplicity,
-                 "cited_bound": row.cited_bound, "coincide": row.coincide}
-                for row in boundary
+                {k: v for k, v in row._asdict().items() if k != "decomposition_coeff"}
+                for row in modspace.boundary_multiplicity_table()
             ],
         },
         "findings": findings,
@@ -467,40 +465,23 @@ def cmd_report(args) -> Outputs:
 # parser
 
 
-def _rho_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("g", type=int)
-    p.add_argument("r", type=int)
-    p.add_argument("d", type=int)
-
-
-def _triples_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("g", type=int)
-
-
 def _exist_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("g", type=int)
-    p.add_argument("r", type=int)
-    p.add_argument("d", type=int)
     p.add_argument("--ram", action="append", metavar="A0,A1,...",
                    help="ramification sequence; repeatable, one per marked point")
     p.add_argument("--cusps", type=int, default=0, help="number of additional cusped points")
 
 
 def _schubert_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("r", type=int)
-    p.add_argument("d", type=int)
     p.add_argument("--index", action="append", metavar="A0,A1,...",
                    help="ramification index of a factor; repeatable")
     p.add_argument("--cusp-power", type=int, default=0, dest="cusp_power")
 
 
 def _class_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("g", type=int)
     p.add_argument("--canonical", action="store_true")
 
 
 def _decompose_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("g", type=int)
     p.add_argument("r", type=int, nargs="?", default=None)
     p.add_argument("d", type=int, nargs="?", default=None)
 
@@ -532,19 +513,19 @@ def _report_arguments(p: argparse.ArgumentParser) -> None:
                    help="also run the boundary chain with the elliptic tail")
 
 
-# name: (help, command, None or the function that adds its arguments), in --help's order
+# name: (help, command, leading integer positionals, None or the function adding the rest), in --help's order
 SUBCOMMANDS = {
-    "rho": ("Brill-Noether number g - (r+1)(g-d+r)", cmd_rho, _rho_arguments),
-    "triples": ("divisorial (r, s, d) triples of a genus", cmd_triples, _triples_arguments),
+    "rho": ("Brill-Noether number g - (r+1)(g-d+r)", cmd_rho, ("g", "r", "d"), None),
+    "triples": ("divisorial (r, s, d) triples of a genus", cmd_triples, ("g",), None),
     "exist": ("existence of a series with prescribed ramification on a general pointed curve",
-              cmd_exist, _exist_arguments),
-    "schubert": ("product of Schubert classes in G(r+1, d+1)", cmd_schubert, _schubert_arguments),
-    "class": ("divisorial or canonical class on moduli of curves", cmd_class, _class_arguments),
-    "decompose": ("canonical class over the divisorial class", cmd_decompose, _decompose_arguments),
-    "slope": ("slope computations", cmd_slope, _slope_arguments),
-    "limit": ("refute or verify limit series on a curve file", cmd_limit, _limit_arguments),
-    "fixtures": ("list bundled curve descriptions", cmd_fixtures, None),
-    "report": ("full verification report", cmd_report, _report_arguments),
+              cmd_exist, ("g", "r", "d"), _exist_arguments),
+    "schubert": ("product of Schubert classes in G(r+1, d+1)", cmd_schubert, ("r", "d"), _schubert_arguments),
+    "class": ("divisorial or canonical class on moduli of curves", cmd_class, ("g",), _class_arguments),
+    "decompose": ("canonical class over the divisorial class", cmd_decompose, ("g",), _decompose_arguments),
+    "slope": ("slope computations", cmd_slope, (), _slope_arguments),
+    "limit": ("refute or verify limit series on a curve file", cmd_limit, (), _limit_arguments),
+    "fixtures": ("list bundled curve descriptions", cmd_fixtures, (), None),
+    "report": ("full verification report", cmd_report, (), _report_arguments),
 }
 
 
@@ -563,9 +544,11 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     named = argv[0] if argv and argv[0] in SUBCOMMANDS else None
-    for name, (help_text, command, add_arguments) in SUBCOMMANDS.items():
+    for name, (help_text, command, positionals, add_arguments) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if named in (None, name):
+            for positional in positionals:
+                p.add_argument(positional, type=int)
             leaves = add_arguments(p) if add_arguments else None
             for leaf in leaves or (p,):  # --json comes last in each parser a run parses
                 leaf.add_argument("--json", action="store_true")

@@ -125,11 +125,9 @@ def _facts(doc: Any) -> FactSheet:
 
 
 def _component(doc: Any) -> Component:
-    _object(doc, _COMPONENT, _COMPONENT_NEEDS, "{}", _where(doc))
-    torsion = doc.get("torsion", ())
-    if not isinstance(torsion, (list, tuple)):
-        raise _bad(torsion, f"torsion of {_where(doc)}", "an array")
-    torsion = tuple(map(_torsion_pair, torsion))
+    where = _where(doc)
+    _object(doc, _COMPONENT, _COMPONENT_NEEDS, "{}", where)
+    torsion = tuple(map(_torsion_pair, _array(doc.get("torsion", ()), None, "torsion of {}", where)))
     facts = _facts(doc["facts"]) if "facts" in doc else None
     cid = _is(doc["id"], str, "component id")
     genus = _is(doc["genus"], int, "genus of component {}", cid)

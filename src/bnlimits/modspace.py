@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
-from .numerology import SeriesType, bn_divisor_triples, rho
+from .numerology import MAX_GENUS, SeriesType, bn_divisor_triples, rho
 
 SLOPE_THRESHOLD = Fraction(13, 2)  # canonical slope at genus 23
 
@@ -85,6 +85,8 @@ def canonical_class(g: int) -> DivisorClass:
     """13 lambda - 2 delta_0 - 3 delta_1 - 2 delta_2 - ... - 2 delta_[g/2]."""
     if g < 4:
         raise ValueError(f"canonical class needs genus >= 4, got {g}")
+    if g > MAX_GENUS:
+        raise ValueError(f"genus {g} is above the limit of {MAX_GENUS}")
     delta = [Fraction(-2)] + [Fraction(-3 if i == 1 else -2) for i in range(1, g // 2 + 1)]
     return DivisorClass(g, Fraction(13), tuple(delta))
 

@@ -66,6 +66,13 @@ COMMANDS = [
     ("class", "2", "--canonical"),
     ("slope", "canonical", "3"),
     ("slope", "bn", "4"),
+    # a genus above numerology.MAX_GENUS, refused before any work that grows with it
+    ("triples", "1000000000"),
+    ("class", "1000000"),
+    ("class", "1000000", "--canonical"),
+    ("slope", "bn", "1000000"),
+    ("slope", "canonical", "1000000"),
+    ("decompose", "1000000", "--json"),
     ("limit", "verify", "septic-star", "3", "20"),
     ("limit", "verify", "septic-star", "3", "20", "--witness", "g2_15", "--json"),
     ("limit", "verify", "chain-12torsion", "1", "12", "--witness", "nosuch"),

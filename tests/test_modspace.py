@@ -16,7 +16,7 @@ from bnlimits.modspace import (
     slope_bound,
     slope_of_class,
 )
-from bnlimits.numerology import SeriesType, bn_divisor_triples, rho
+from bnlimits.numerology import MAX_GENUS, SeriesType, bn_divisor_triples, rho
 
 
 def test_bn_class_genus23():
@@ -42,6 +42,15 @@ def test_canonical_class():
     assert len(canonical_class(4).delta) == 3
     with pytest.raises(ValueError):
         canonical_class(3)
+
+
+def test_genus_limit():
+    # the two functions every genus-sized command reaches take MAX_GENUS and refuse one more
+    assert bn_divisor_triples(MAX_GENUS) == [(72, 138, 9935), (136, 74, 10063)]  # 10,001 = 73 * 137
+    assert len(canonical_class(MAX_GENUS).delta) == MAX_GENUS // 2 + 1
+    for refused in (bn_divisor_triples, canonical_class):
+        with pytest.raises(ValueError, match=f"^genus {MAX_GENUS + 1} is above the limit of {MAX_GENUS}$"):
+            refused(MAX_GENUS + 1)
 
 
 def test_divisor_class_str():
