@@ -10,7 +10,8 @@ must be a JSON boolean, and the decoded curve re-validates all structural
 invariants.  curve_from_json checks each value where it reads it, in one
 pass over each object: exact type tests (a decoded JSON object is a dict;
 other mappings take the slower abstract test), key sets held by the module,
-and messages formatted only when a check fails.
+and messages formatted only when a check fails.  Component ids, point names
+and node ends are interned, so the reports of many curves share them.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from pathlib import Path
+from sys import intern
 from typing import Any, NamedTuple
 
 from .curves import CompactCurve, Component, FactSheet, Node, SeriesDimFact, TorsionPair
@@ -100,12 +102,6 @@ def _object(value: Any, allowed: frozenset[str] | None, required: frozenset[str]
     return value
 
 
-def _where(doc: Any) -> str:
-    """How messages name a component: by its id, if that is a string."""
-    cid = doc.get("id") if type(doc) is dict or isinstance(doc, Mapping) else None
-    return f"component {cid}" if type(cid) is str else "component"
-
-
 def _torsion_pair(item: Any) -> TorsionPair:
     _object(item, _TORSION, _TORSION, "torsion entry")
     for p in _array(item["points"], 2, "points of torsion entry"):
@@ -125,16 +121,22 @@ def _facts(doc: Any) -> FactSheet:
 
 
 def _component(doc: Any) -> Component:
-    where = _where(doc)
+    cid = doc.get("id") if type(doc) is dict or isinstance(doc, Mapping) else None
+    where = f"component {cid}" if type(cid) is str else "component"  # how messages name it
     _object(doc, _COMPONENT, _COMPONENT_NEEDS, "{}", where)
-    torsion = tuple(map(_torsion_pair, _array(doc.get("torsion", ()), None, "torsion of {}", where)))
+    torsion = (tuple(map(_torsion_pair, _array(doc["torsion"], None, "torsion of {}", where)))
+               if "torsion" in doc else ())
     facts = _facts(doc["facts"]) if "facts" in doc else None
-    cid = _is(doc["id"], str, "component id")
+    cid = intern(_is(doc["id"], str, "component id"))
     genus = _is(doc["genus"], int, "genus of component {}", cid)
     kind = _is(doc["kind"], str, "kind of component {}", cid)
-    for p in _array(doc["points"], None, "points of component {}", cid):
-        _is(p, str, "point of component {}", cid)
-    return Component(cid, genus, kind, doc["points"], torsion, facts)
+    points = _array(doc["points"], None, "points of component {}", cid)
+    try:  # sys.intern takes exact strings only, as _is does
+        points = tuple(map(intern, points))
+    except TypeError:
+        for p in points:
+            _is(p, str, "point of component {}", cid)
+    return Component(cid, genus, kind, points, torsion, facts)
 
 
 def _node(pair: Any) -> Node:
@@ -142,7 +144,8 @@ def _node(pair: Any) -> Node:
     for ref in _array(pair, 2, "node"):
         if type(ref) is not str or ref.count(".") != 1:
             raise ValueError(f"point reference {_shown(ref)} must look like component.point")
-        ends.append(tuple(ref.split(".")))
+        comp_id, _, point = ref.partition(".")
+        ends.append((intern(comp_id), intern(point)))
     return Node(ends)
 
 

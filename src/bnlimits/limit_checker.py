@@ -52,11 +52,12 @@ MAX_SEQUENCES vanishing sequences per point is refused.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter, OrderedDict
+from collections import Counter, OrderedDict, defaultdict
 from functools import cached_property
 from itertools import accumulate, chain, compress, groupby, islice, repeat
 from math import comb
 from operator import add, and_, itemgetter, mul, not_, sub
+from sys import intern
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .curves import (KIND_ELLIPTIC, KIND_FACTSHEET, KIND_GENERAL, RULE_ELLIPTIC_LINK,
@@ -67,6 +68,9 @@ from .curves import (KIND_ELLIPTIC, KIND_FACTSHEET, KIND_GENERAL, RULE_ELLIPTIC_
 from .numerology import SeriesType, VanishingSeq, rho, vanishing_to_ramification
 
 SMOOTHABILITY_NOTE = "smoothability not verified"
+# the notes of every refutation report, then the one of a report with survivors
+_NOTES = ("crude node matchings included (sums >= d)", "eliminations use necessary rules only",
+          f"survivors satisfy the necessary rules; {SMOOTHABILITY_NOTE}")
 
 # Largest number C(d+1, r+1) of vanishing sequences per point that a scan
 # materialises.  The g23 audit needs 5,985; a g^5_24 would need 177,100.
@@ -141,7 +145,7 @@ class Survivor(NamedTuple):
     unconfirmed: tuple[str, ...] = ()
 
     def assignment_dict(self) -> dict[str, dict[str, tuple[int, ...]]]:
-        return {comp: {pt: seq for pt, seq in pts} for comp, pts in self.assignment}
+        return {comp: dict(pts) for comp, pts in self.assignment}
 
     def to_json(self) -> dict:
         out: dict = {"aspects": {c: {p: list(s) for p, s in pts} for c, pts in self.assignment}}
@@ -294,8 +298,8 @@ def _node_map(curve: CompactCurve) -> tuple[dict[str, list[str]], dict[tuple[str
     return {c.id: [p for p in c.points if (c.id, p) in across] for c in curve.components}, across
 
 
-def _analyze(curve: CompactCurve) -> tuple[Component, tuple[_Branch, ...]]:
-    """The pivot, and the branch behind each of its nodes in marked-point order."""
+def _analyze(curve: CompactCurve) -> tuple[Component, tuple[_Branch, ...], list[str]]:
+    """The pivot, the branch behind each of its nodes and its node points, in marked-point order."""
     if len(curve.components) < 2:
         raise UnsupportedCurveError("need at least two components joined at a node")
     node_points, across = _node_map(curve)
@@ -331,7 +335,7 @@ def _analyze(curve: CompactCurve) -> tuple[Component, tuple[_Branch, ...]]:
         if pivot.kind != KIND_ELLIPTIC and (b.kind != "tail" or b.links):
             raise UnsupportedCurveError(
                 f"star around {pivot.id} requires one-noded elliptic tails, got {b.parts[0][0].id}")
-    return pivot, branches
+    return pivot, branches, node_points[pivot.id]
 
 
 # ---------------------------------------------------------------------------
@@ -569,20 +573,21 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
     unconfirmed.  The first survivor_cap survivors are listed, in candidate
     order, as positions in the lattice, one slot per node end laid out at the
     first survivor listed (_layout); a branch's witness is filled in once per
-    aspect across its node, from the tables of its fold, and a component's
-    aspects are built once per listing, shared by the survivors that repeat them.
+    aspect across its node, from the tables of its fold.  A listing builds each
+    (point, sequence) pair, each component's aspects and each unconfirmed tuple
+    once, shared by the survivors that repeat them.
     """
     if t.g != curve.genus:
         raise ValueError(f"series genus {t.g} does not match curve genus {curve.genus}")
     if survivor_cap < 0:
         raise ValueError(f"survivor cap must be nonnegative, got {survivor_cap}")
-    pivot, branches = _analyze(curve)
+    pivot, branches, points = _analyze(curve)
     r, d = t.r, t.d
     lat = _lattice(r, d)
     caps, pole_ok = lat.caps, lat.pole_ok
     n = len(caps)
-    points = curve.node_points(pivot.id)
-    layout: list = []  # slot, groups, at_pivot, filled and shared, once a survivor is listed
+    tables = [_branch_table(branches[0].key, r, d, prune)] * len(branches)  # a star's tails share one
+    layout: list = []  # slot, groups, at_pivot, filled and flags, once a survivor is listed
     walks: list = [None] * len(branches)
 
     def extend(i: int, ia: int) -> tuple[str, ...]:
@@ -592,7 +597,7 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
         slot, _, at_pivot, filled, _ = layout
         filled[at_pivot[i]] = ia
         if walks[i] is None:
-            walks[i] = _walk(branches[i], slot, lat, r, d, prune)
+            walks[i] = _walk(branches[i], tables[i], slot, lat, r, d, prune)
         steps, end_slot, flagged = walks[i]
         for near, far, beyond, torsion, floor in steps:  # a link's first partner, a bridge's floor
             filled[near] = ia = caps[ia]
@@ -601,17 +606,20 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
         return flagged
 
     def survivor(flagged: tuple[str, ...]) -> Survivor:
-        _, groups, _, filled, shared = layout
+        _, groups, _, filled, flags = layout
         parts = []  # survivors repeat a component's aspects: each is built once per listing
-        for (comp_id, span, names), memo in zip(groups, shared):
-            if (part := memo.get(key := tuple(filled[span]))) is None:
-                part = memo[key] = comp_id, tuple(zip(names, map(lat.seqs.__getitem__, key)))
+        for comp_id, span, names, pairs, memo in groups:
+            if (part := memo.get(key := tuple(filled[span]))) is None:  # its pairs, by point name
+                part = memo[key] = comp_id, tuple(map(dict.setdefault, pairs, key,
+                                                      zip(names, map(lat.seqs.__getitem__, key))))
             parts.append(part)
-        return Survivor(tuple(parts), tuple(sorted(flagged)))
+        if (unconfirmed := flags.get(flagged)) is None:
+            unconfirmed = flags[flagged] = tuple(sorted(flagged))
+        return Survivor(tuple(parts), unconfirmed)
 
     if pivot.kind != KIND_ELLIPTIC:
         # a star of lone tails (_analyze): the one candidate is their one floor at every hub node
-        floor = _branch_table(branches[0].key, r, d, prune).floor
+        floor = tables[0].floor
         if floor is None:  # the tails admit no sequence at all
             return _finish(curve, t, 1, {branches[0].rule: 1}, [], 0, prune)
         result = _component_oracle(pivot, SeriesType(pivot.genus, r, d), points,
@@ -631,7 +639,7 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
     # an elliptic pivot: a sequence a at its first node fails the single-pole rule or
     # the branch behind that node, or is open
     key_pole = f"{RULE_ELLIPTIC_SINGLE_POLE}@{pivot.id}"
-    live_u = _branch_table(branches[0].key, r, d, prune).live
+    live_u = tables[0].live
     opened = list(compress(range(n), map(and_, pole_ok, live_u)))
     pole_fails = n - sum(pole_ok)
     if len(branches) == 1:
@@ -645,7 +653,7 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
     # counted and its survivors walked.
     branch_v = branches[1]
     torsion = pivot.torsion_between(*points)
-    live_v, good_in, *_ = _branch_table(branch_v.key, r, d, prune, True)
+    live_v, good_in, *_ = tables[1] = _branch_table(branch_v.key, r, d, prune, True)
     tops = _reader(opened)(caps)
     in_box, pole, goods = map(_reader(tops), (lat.box, lat.pole_in, good_in))
     in_box, pole, good = sum(in_box), sum(pole), sum(goods)
@@ -671,21 +679,23 @@ def refute(curve: CompactCurve, t: SeriesType, *, prune: bool = True,
 
 def _layout(curve: CompactCurve, pivot_id: str, points: list[str]) -> tuple:
     """refute's survivor slots, one per node end in Survivor.assignment's order: the slot of
-    each end; per component its id, its slots and its points; the pivot's slots; positions to
-    fill; and per component a dict of its aspects as listed, by positions."""
+    each end; per component its id, its slots, its points, their (point, sequence) pairs as
+    listed, by position, one dict per point name, and a dict of its aspects as listed, by
+    positions; the pivot's slots; positions to fill; and the unconfirmed tuples, by flags."""
     ends = sorted(end for node in curve.nodes for end in node.ends)
     slot = {end: k for k, end in enumerate(ends)}
-    groups = [(comp_id, slice(slot[pts[0]], slot[pts[-1]] + 1), tuple(p for _, p in pts))
+    pairs = defaultdict(dict)
+    groups = [(comp_id, slice(slot[pts[0]], slot[pts[-1]] + 1), (names := tuple(map(itemgetter(1), pts))),
+               tuple(map(pairs.__getitem__, names)), {})
               for comp_id, pts in ((c, [*g]) for c, g in groupby(ends, itemgetter(0)))]
-    return slot, groups, [slot[pivot_id, p] for p in points], [0] * len(ends), [{} for _ in groups]
+    return slot, groups, [slot[pivot_id, p] for p in points], [0] * len(ends), {}
 
 
-def _walk(branch: _Branch, slot: Mapping[tuple[str, str], int], lat: _Lattice, r: int, d: int,
-          prune: bool) -> tuple:
-    """How refute fills a branch's slots: per link or bridge, its near and far slots,
-    the admit bits beyond it, its torsion and (a bridge) the position of its tail's
-    floor; then the end's slot, and (its id,) if it is a fact sheet, else ()."""
-    table = _branch_table(branch.key, r, d, prune)
+def _walk(branch: _Branch, table: _BranchTable, slot: Mapping[tuple[str, str], int], lat: _Lattice,
+          r: int, d: int, prune: bool) -> tuple:
+    """How refute fills a branch's slots from its table: per link or bridge, its near and
+    far slots, the admit bits beyond it, its torsion and (a bridge) the position of its
+    tail's floor; then the end's slot, and (its id,) if it is a fact sheet, else ()."""
     beyond = [*table.beyond]
     if branch.kind == "bridge":
         beyond.append(_branch_table(("tail", 1, None, ()), r, d, prune))
@@ -698,12 +708,10 @@ def _walk(branch: _Branch, slot: Mapping[tuple[str, str], int], lat: _Lattice, r
 
 
 def _finish(curve, t, candidates, hits, survivors, count, prune, extra_notes=()) -> RefutationReport:
-    notes = ["crude node matchings included (sums >= d)", "eliminations use necessary rules only"]
-    if count:
-        notes.append(f"survivors satisfy the necessary rules; {SMOOTHABILITY_NOTE}")
+    """The report, with its rule keys interned: the reports a caller keeps share them."""
     return RefutationReport(curve.id, (t.r, t.d), "survivors" if count else "refuted", candidates,
-                            tuple(sorted(hits.items())), count, tuple(survivors),
-                            count > len(survivors), prune, (*notes, *extra_notes))
+                            tuple(sorted(zip(map(intern, hits), hits.values()))), count, tuple(survivors),
+                            count > len(survivors), prune, (*_NOTES[:2 + bool(count)], *extra_notes))
 
 
 def _partners(ia: int, d: int, lat: _Lattice, live: Sequence[int],

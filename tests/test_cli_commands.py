@@ -54,6 +54,7 @@ COMMANDS = [
         ("report", "g23"),
     )],
     ("limit", "refute", LINK_TO_FACTSHEET, "1", "3"),  # refuted behind the link
+    *[("limit", "refute", LINK_TO_FACTSHEET, "1", "4", "--naive", *fmt) for fmt in ((), ("--json",))],
     *[("limit", "refute", NO_TORSION, *series) for series in (
         ("1", "12"), ("2", "17"), ("3", "20"), ("3", "20", "--json"))],
     # input errors exit 2 with one line on stderr

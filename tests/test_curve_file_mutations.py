@@ -16,6 +16,8 @@ tests/golden/curve_file_mutations.txt, written by
 from __future__ import annotations
 
 import json
+import operator
+import sys
 from pathlib import Path
 from types import MappingProxyType
 
@@ -206,6 +208,36 @@ def test_frozen_mutations_report_as_the_plain_ones():
     assert compared > 1000
     doc = {"schema": "compact-curve/1", "id": "x", "genus": 0, "components": {}, "nodes": []}
     assert _outcome(_frozen(doc)) == "ValueError: components must be an array, got {}"
+
+def _names(desc) -> list[str]:
+    """The component ids, marked points and node ends of a loaded curve."""
+    curve = desc.curve
+    return [*(n for c in curve.components for n in (c.id, *c.points)),
+            *(n for node in curve.nodes for end in node.ends for n in end)]
+
+
+def test_loaded_names_are_interned():
+    # ids, points and node ends are interned, read as plain JSON or as mappingproxy objects
+    # and tuples, mutated or not, so two loads of one file hold the same string objects
+    checked = 0
+    for path in curve_files():
+        text = path.read_text(encoding="utf-8")
+        for label, edit in [("as read", lambda d: None), *_mutations(json.loads(text))]:
+            doc = json.loads(text)
+            edit(doc)
+            for form in (doc, _frozen(doc)):
+                try:
+                    desc = curvefile.curve_from_json(form)
+                except ValueError:
+                    continue
+                checked += 1
+                for name in _names(desc):
+                    assert name is sys.intern(name), (path.name, label, name)
+        if not path.name.startswith("malformed"):
+            first, second = (_names(curvefile.load_curve_file(path)) for _ in range(2))
+            assert all(map(operator.is_, first, second)) and len(first) == len(second), path.name
+    assert checked > 100
+
 
 if __name__ == "__main__":
     print("\n".join(mutation_lines()))

@@ -569,6 +569,24 @@ def test_listed_survivors_share_equal_component_aspects(fixtures, name, series):
         assert len(by_value) < len(parts) or len(parts) == len(curve.components), prune
 
 
+@pytest.mark.parametrize("name,series", [*MEMO_CASES, ("link_to_factsheet", (1, 4))])
+def test_listed_survivors_share_pairs_and_flags(fixtures, name, series):
+    # a listing builds each (point, sequence) pair and each unconfirmed tuple once: equal ones
+    # are one object, across the survivors and across components with the same point name,
+    # and some pair repeats in every listing of two or more
+    curve = _memo_curve(fixtures, name)
+    t = SeriesType(curve.genus, *series)
+    for prune in (True, False):
+        survivors = refute(curve, t, prune=prune).survivors
+        pairs = [pair for s in survivors for _, pts in s.assignment for pair in pts]
+        flags = [s.unconfirmed for s in survivors]
+        for kept in (pairs, flags):
+            by_value = {}
+            for item in kept:
+                assert by_value.setdefault(item, item) is item, (prune, item)
+        assert len({*map(id, pairs)}) < len(pairs) or len(survivors) == 1, prune
+
+
 def test_verify_memo_keeps_the_first_error(fixtures):
     # with every component's aspects in the memo, a fault in a later component (plan order
     # C1, E, C2) raises the message of a cold call, before any oracle runs; the earlier fault
@@ -880,7 +898,7 @@ def test_every_star_arm_is_the_one_tail(fixtures):
     # refute reads one tail table for all of a star's arms: every arm that _analyze
     # accepts around a general or fact-sheet hub has the same key, that of a lone tail
     for curve in (fixtures["septic_star"].curve, _star("general"), _star("factsheet")):
-        pivot, branches = _analyze(curve)
+        pivot, branches, _ = _analyze(curve)
         assert pivot.kind != "elliptic" and len(branches) >= 2, curve.id
         assert {b.key for b in branches} == {TAIL_KEY}, curve.id
 

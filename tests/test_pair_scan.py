@@ -116,7 +116,7 @@ def test_random_pair_curves_match_brute_force(drawn, cap):
     curve, r, d = drawn
     expected = brute_force_pairs(curve, r, d, cap)
     _, _, sides = pivot_sides(curve, r, d)
-    _, branches = _analyze(curve)
+    _, branches, _ = _analyze(curve)
     lat = _lattice(r, d)
     for prune in (True, False):
         report = refute(curve, SeriesType(curve.genus, r, d), prune=prune, survivor_cap=cap)
@@ -195,8 +195,8 @@ def test_partners_read_a_few_entries_per_run(name, r, d):
     # which _partners finds by bisection: at most ceil(log2(d + 2)) admit-bit reads per run,
     # and fewer than half of the box elements that pass the single-pole rule
     curve = load_fixture(name).curve
-    pivot, branches = _analyze(curve)
-    torsion = pivot.torsion_between(*curve.node_points(pivot.id))
+    pivot, branches, points = _analyze(curve)
+    torsion = pivot.torsion_between(*points)
     lat = _lattice(r, d)
     index = {s: k for k, s in enumerate(lat.seqs)}
     for prune in (True, False):
@@ -224,8 +224,8 @@ def test_partners_skip_the_subtrees_that_fail(name, r, d):
     # at most the partners yielded plus one per walk; a walk of every prefix of each box
     # reads 4,499 runs for 271 partners on the g^2_12, and 27,607 for 1 on the g^3_12
     curve = load_fixture(name).curve
-    pivot, branches = _analyze(curve)
-    torsion = pivot.torsion_between(*curve.node_points(pivot.id))
+    pivot, branches, points = _analyze(curve)
+    torsion = pivot.torsion_between(*points)
     lat = _lattice(r, d)
     counted = lat._replace(pole_ok=_CountedReads(lat.pole_ok))
     for prune in (True, False):
