@@ -22,8 +22,8 @@ _HOMES = {name: module for module, names in {
                 " decompose_canonical gonal_family_slope plane_pencil_slope slope_bound"
                 " slope_of_class",
     "numerology": "RamificationSeq SeriesType VanishingSeq adjusted_rho bn_divisor_pairs"
-                  " bn_divisor_triples pointed_exists"
-                  " ramification_to_vanishing residual rho vanishing_to_ramification weight",
+                  " bn_divisor_triples pointed_exists ramification_to_vanishing residual rho"
+                  " two_point_exists vanishing_to_ramification weight",
     "schubert": "CohomologyClass bn_condition cusp_class_power identity_class index_to_partition"
                 " lr_product rect_for schubert_class",
 }.items() for name in names.split()}

@@ -18,10 +18,11 @@ from .numerology import (
     SeriesType,
     VanishingSeq,
     pointed_exists,
+    two_point_exists,
     weight,
 )
 
-schubert = None  # the Schubert calculus module, imported by general_pointed_check when needed
+schubert = None  # the Schubert calculus module, imported by general_pointed_check for three or more points
 
 KIND_GENERAL = "general"
 KIND_ELLIPTIC = "elliptic"
@@ -209,9 +210,9 @@ class CheckResult(NamedTuple):
 _SINGLE_POLE_PASS = CheckResult("pass", RULE_ELLIPTIC_SINGLE_POLE, exact=True)
 _PAIR_PASS = (CheckResult("pass", RULE_ELLIPTIC_PAIR_BOUND),  # by witness grade
               CheckResult("pass", RULE_ELLIPTIC_PAIR_BOUND, exact=True, witness_grade=True))
-# by number of cusps, then by the clamp's answer
-_CLAMP = tuple(tuple(CheckResult(status, rule, exact=True) for status in ("fail", "pass"))
-               for rule in (RULE_GENERAL_POINTED, RULE_GENERAL_CUSP))
+# by rule label (the clamp, the cusp clamp, Schubert), then by the answer
+_LABELLED = tuple(tuple(CheckResult(status, rule, exact=True) for status in ("fail", "pass"))
+                  for rule in (RULE_GENERAL_POINTED, RULE_GENERAL_CUSP, RULE_SCHUBERT))
 
 
 def elliptic_single_point_check(d: int, a: VanishingSeq) -> CheckResult:
@@ -285,24 +286,27 @@ def general_pointed_check(t: SeriesType, rams: list[RamificationSeq] | tuple[Ram
 
     Each extra cusp is one more power of the cusp class, as on a curve of
     genus one higher, so every criterion is asked at that shifted genus.
-    One ramification condition with at most one cusp, or none and no cusp (the
-    zero sequence), goes through the clamp criterion (the cusp clamp with the
-    cusp), and anything else through the Schubert nonvanishing criterion.
-    Both are if-and-only-if statements, so both pass and fail are exact.
+    At most two ramification conditions go through the closed forms, the
+    one-point clamp and the Eisenbud-Harris two-point criterion (no
+    condition is the zero sequence), and three or more through the Schubert
+    nonvanishing criterion.  All are if-and-only-if statements, so both pass
+    and fail are exact.  The rule label names the clamp for one condition or
+    none without cusps, the cusp clamp for one condition with one cusp, and
+    the Schubert criterion, which decides the same question, otherwise.
     """
     if extra_cusps < 0:
         raise ValueError(f"number of extra cusps must be nonnegative, got {extra_cusps}")
     shifted = SeriesType(t.g + extra_cusps, t.r, t.d)
-    rams = list(rams)
-    if not rams and extra_cusps == 0:
-        rams = [RamificationSeq((0,) * (t.r + 1), t.r, t.d)]
-    if len(rams) == 1 and extra_cusps <= 1:
-        return _CLAMP[extra_cusps][pointed_exists(shifted, rams[0])]
-    global schubert
-    if schubert is None:  # imported on first use: few checks reach it
-        from . import schubert
-    ok = schubert.bn_condition(shifted, rams)
-    return CheckResult("pass" if ok else "fail", RULE_SCHUBERT, exact=True)
+    n = len(rams)
+    if n > 2:
+        global schubert
+        if schubert is None:  # imported on first use: few checks reach it
+            from . import schubert
+        return _LABELLED[2][schubert.bn_condition(shifted, rams)]
+    if n == 2:
+        return _LABELLED[2][two_point_exists(shifted, *rams)]
+    alpha = rams[0] if n else RamificationSeq((0,) * (t.r + 1), t.r, t.d)
+    return _LABELLED[extra_cusps if extra_cusps <= n else 2][pointed_exists(shifted, alpha)]
 
 
 def factsheet_check(facts: FactSheet | None, t: SeriesType,

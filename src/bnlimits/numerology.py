@@ -3,15 +3,15 @@
 The number rho(g, r, d) = g - (r+1)(g-d+r), vanishing and ramification
 sequences at a point, Serre residuation, the divisorial (r, s, d) triples
 for a given genus, and the closed-form existence tests for a linear series
-with prescribed ramification on a general pointed curve.
+with prescribed ramification on a general curve with one or two marked points.
 
 Everything here is exact integer arithmetic on immutable values.
 """
 
 from __future__ import annotations
 
-from operator import lt, sub
-from typing import NamedTuple
+from operator import add, lt, sub
+from typing import Iterable, NamedTuple
 
 # The largest genus that bn_divisor_triples and modspace.canonical_class take.
 # The commands built on them (class, decompose, slope bn and canonical, triples)
@@ -84,11 +84,15 @@ def weight(alpha: RamificationSeq) -> int:
     return sum(alpha.entries)
 
 
+def _check_bound(t: SeriesType, alpha: RamificationSeq) -> None:
+    if (alpha.r, alpha.d) != (t.r, t.d):
+        raise ValueError(f"ramification bound ({alpha.r}, {alpha.d}) does not match series {t}")
+
+
 def adjusted_rho(t: SeriesType, rams: list[RamificationSeq] | tuple[RamificationSeq, ...]) -> int:
     """rho(g, r, d) minus the total weight of the imposed ramification."""
     for a in rams:
-        if (a.r, a.d) != (t.r, t.d):
-            raise ValueError(f"ramification bound ({a.r}, {a.d}) does not match series {t}")
+        _check_bound(t, a)
     return rho(t) - sum(weight(a) for a in rams)
 
 
@@ -141,16 +145,33 @@ def bn_divisor_pairs(g: int) -> list[tuple[tuple[int, int, int], tuple[int, int,
     return pairs
 
 
+def _clamp(t: SeriesType, sums: Iterable[int]) -> bool:
+    """The clamp sum_i max(s_i + g - d + r, 0) <= g over bare ramification sums s_i."""
+    shift = t.g - t.d + t.r
+    return sum(max(x + shift, 0) for x in sums) <= t.g
+
+
 def pointed_exists(t: SeriesType, alpha: RamificationSeq) -> bool:
     """Clamp criterion for a general 1-pointed curve of genus t.g.
 
     A general pointed curve carries a g^r_d with ramification at least alpha
     at the marked point iff sum_i max(alpha_i + g - d + r, 0) <= g.
     """
-    if (alpha.r, alpha.d) != (t.r, t.d):
-        raise ValueError(f"ramification bound ({alpha.r}, {alpha.d}) does not match series {t}")
-    shift = t.g - t.d + t.r
-    return sum(max(x + shift, 0) for x in alpha.entries) <= t.g
+    _check_bound(t, alpha)
+    return _clamp(t, alpha.entries)
+
+
+def two_point_exists(t: SeriesType, alpha: RamificationSeq, beta: RamificationSeq) -> bool:
+    """Eisenbud-Harris criterion for a general 2-pointed curve of genus t.g.
+
+    A general curve with two general marked points carries a g^r_d with
+    ramification at least alpha at one and beta at the other iff
+    sum_i max(alpha_i + beta_{r-i} + g - d + r, 0) <= g.  With beta = 0 this
+    is pointed_exists.
+    """
+    _check_bound(t, alpha)
+    _check_bound(t, beta)
+    return _clamp(t, map(add, alpha.entries, reversed(beta.entries)))
 
 
 def cusp_pointed_exists(t: SeriesType, alpha: RamificationSeq) -> bool:

@@ -68,10 +68,11 @@ def test_schubert_commands_match_golden(capsys, golden, args):
 
 
 def test_exist_cusps_on_a_rectangle_without_columns(capsys):
-    # d = r leaves no room for a cusp index; the cusp class is zero there
-    code, out, err = run(capsys, "exist", "3", "1", "1", "--ram", "0,0", "--ram", "0,0")
+    # d = r leaves no room for a cusp index; the cusp class is zero there (three points,
+    # so that the Schubert criterion answers)
+    code, out, err = run(capsys, "exist", "3", "1", "1", *["--ram", "0,0"] * 3)
     assert (code, out, err) == (0, "exists: no (criterion: schubert-nonvanishing)\n", "")
-    code, out, _ = run(capsys, "exist", "0", "1", "1", "--ram", "0,0", "--ram", "0,0")
+    code, out, _ = run(capsys, "exist", "0", "1", "1", *["--ram", "0,0"] * 3)
     assert (code, out) == (0, "exists: yes (criterion: schubert-nonvanishing)\n")
 
 
@@ -82,14 +83,15 @@ def test_exist_rejects_negative_cusps(capsys):
 
 def test_exist_cost_does_not_grow_with_cusps(capsys):
     # each extra cusp is one more power of the cusp class, not one more factor:
-    # two marked points expand two Littlewood-Richardson products at most
+    # three marked points expand three Littlewood-Richardson products at most
     schubert.lr_coefficients.cache_clear()
-    code, out, _ = run(capsys, "exist", "5", "0", "4", "--ram", "1", "--ram", "2", "--cusps", "1000000")
+    code, out, _ = run(capsys, "exist", "5", "0", "4", "--ram", "1", "--ram", "2", "--ram", "0",
+                       "--cusps", "1000000")
     assert (code, out) == (0, "exists: yes (criterion: schubert-nonvanishing)\n")
-    assert schubert.lr_coefficients.cache_info().misses <= 2
+    assert schubert.lr_coefficients.cache_info().misses <= 3
     code, out, _ = run(capsys, "exist", "5", "1", "4", "--cusps", "100000000")
     assert (code, out) == (0, "exists: no (criterion: schubert-nonvanishing)\n")
-    assert schubert.lr_coefficients.cache_info().misses <= 2
+    assert schubert.lr_coefficients.cache_info().misses <= 3
 
 
 def test_exist_with_many_points_needs_no_recursion(capsys):
@@ -98,10 +100,12 @@ def test_exist_with_many_points_needs_no_recursion(capsys):
     assert schubert.bn_condition(t, [RamificationSeq((0, 1), 1, 3000)] * 1500)
     for args in (
         ("3000", "1", "3000", *["--ram", "0,1"] * 1500),
-        # a Littlewood-Richardson expansion of 41 letters in 41 rows
-        ("38", "40", "80", *["--ram", ",".join(["1"] * 41)] * 2),
+        # a Littlewood-Richardson expansion of 41 letters in 41 rows (a third, unramified
+        # point sends two-point queries to the Schubert search)
+        ("38", "40", "80", *["--ram", ",".join(["1"] * 41)] * 2, "--ram", ",".join(["0"] * 41)),
         # one box in a rectangle of 1,501 rows
-        ("10", "1500", "1510", *["--ram", ",".join(["0"] * 1500 + ["1"])] * 2),
+        ("10", "1500", "1510", *["--ram", ",".join(["0"] * 1500 + ["1"])] * 2,
+         "--ram", ",".join(["0"] * 1501)),
     ):
         code, out, err = run(capsys, "exist", *args)
         assert (code, out, err) == (0, "exists: yes (criterion: schubert-nonvanishing)\n", ""), args[:3]
@@ -485,19 +489,19 @@ def test_closed_stdout_exits_quietly(tmp_path):
     assert err == ""
 
 
-def test_default_g23_report_does_not_import_schubert():
-    # the default audit makes no Schubert nonvanishing call, so it neither compiles nor
-    # holds the Schubert calculus; the tail variant's one call imports it
+def test_g23_reports_do_not_import_schubert():
+    # neither audit makes a Schubert nonvanishing call: the tail variant's one general
+    # two-point check is decided in closed form, so neither compiles nor holds the calculus
     src = str(Path(curvefile.__file__).resolve().parents[1])
     probe = ("import contextlib, io, sys\n"
              "from bnlimits import cli\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    code = cli.main(sys.argv[1:])\n"
              "print(code, 'bnlimits.schubert' in sys.modules)")
-    for tail, imported in (([], False), (["--include-tail-variant"], True)):
+    for tail in ([], ["--include-tail-variant"]):
         out = subprocess.run([sys.executable, "-c", probe, "report", "g23", *tail], capture_output=True,
                              text=True, check=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
-        assert out.stdout == f"0 {imported}\n", tail
+        assert out.stdout == "0 False\n", tail
 
 
 def test_cold_process_exits_through_entry():

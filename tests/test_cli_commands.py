@@ -39,6 +39,9 @@ COMMANDS = [
         ("exist", "4", "1", "4", "--cusps", "1"),  # one cusp alone: Schubert
         ("exist", "9", "2", "17", "--ram", "4,8,11", "--cusps", "2"),
         ("exist", "2", "2", "7", "--ram", "0,0,4", "--ram", "0,0,3", "--cusps", "2"),
+        # two points without cusps, yes and no: the two-point criterion, labelled Schubert
+        ("exist", "10", "2", "17", "--ram", "4,8,11", "--ram", "0,1,1"),
+        ("exist", "10", "2", "17", "--ram", "4,8,11", "--ram", "0,1,2"),
         ("schubert", "1", "12", "--cusp-power", "23"),
         ("schubert", "2", "6", "--index", "0,1,1", "--index", "1,1,2", "--cusp-power", "1"),
         ("class", "23"),

@@ -175,6 +175,35 @@ def test_general_pointed_multipoint_route():
     assert res.passed and res.rule == "schubert-nonvanishing"
 
 
+# the rule label and the answers for genus 0..11 of g^2_7 with the first `points` of
+# (0,1,1), (0,0,2), (1,1,1) and `cusps` cusps, by (points, cusps); `exist` prints the label,
+# so it stays whichever criterion decides the shape
+SHAPES = {
+    (0, 0): ("general-pointed-clamp", "yyyyyyyynnnn"),
+    (0, 1): ("schubert-nonvanishing", "yyyyyyynnnnn"),
+    (0, 2): ("schubert-nonvanishing", "yyyyyynnnnnn"),
+    (1, 0): ("general-pointed-clamp", "yyyyyyynnnnn"),
+    (1, 1): ("general-pointed-cusp-clamp", "yyyyyynnnnnn"),
+    (1, 2): ("schubert-nonvanishing", "yyyyynnnnnnn"),
+    (2, 0): ("schubert-nonvanishing", "yyyyyynnnnnn"),
+    (2, 1): ("schubert-nonvanishing", "yyyyynnnnnnn"),
+    (2, 2): ("schubert-nonvanishing", "yyyynnnnnnnn"),
+    (3, 0): ("schubert-nonvanishing", "yyyyynnnnnnn"),
+    (3, 1): ("schubert-nonvanishing", "yyyynnnnnnnn"),
+    (3, 2): ("schubert-nonvanishing", "yyynnnnnnnnn"),
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda shape: "%d-points-%d-cusps" % shape)
+def test_general_pointed_rule_label_by_shape(shape):
+    points, cusps = shape
+    rams = [RamificationSeq(a, 2, 7) for a in ((0, 1, 1), (0, 0, 2), (1, 1, 1))][:points]
+    results = [general_pointed_check(SeriesType(g, 2, 7), rams, cusps) for g in range(12)]
+    assert {res.rule for res in results} == {SHAPES[shape][0]}
+    assert all(res.exact for res in results)
+    assert "".join("y" if res.passed else "n" for res in results) == SHAPES[shape][1]
+
+
 def test_factsheet_counting():
     facts = FactSheet((SeriesDimFact(1, 12, 7),), gonality=6)
     t = SeriesType(15, 1, 12)

@@ -1,10 +1,11 @@
+from itertools import combinations_with_replacement
 from math import isqrt
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bnlimits.curves import RULE_GENERAL_CUSP, general_pointed_check
+from bnlimits.curves import RULE_GENERAL_CUSP, RULE_SCHUBERT, general_pointed_check
 from bnlimits.numerology import (
     RamificationSeq,
     SeriesType,
@@ -17,9 +18,11 @@ from bnlimits.numerology import (
     ramification_to_vanishing,
     residual,
     rho,
+    two_point_exists,
     vanishing_to_ramification,
     weight,
 )
+from bnlimits.schubert import bn_condition
 
 
 def test_rho_goldens():
@@ -200,7 +203,6 @@ def test_cusp_pointed_exists_goldens():
 
 def test_pointed_exists_monotone_small():
     # downward closure in the ramification, spot grid (the full grid runs in acceptance)
-    from itertools import combinations_with_replacement
     for g in range(0, 6):
         for d in range(1, 7):
             for r in range(0, min(2, d) + 1):
@@ -212,3 +214,58 @@ def test_pointed_exists_monotone_small():
                         if all(x <= y for x, y in zip(smaller, alpha)):
                             assert pointed_exists(t, RamificationSeq(smaller, r, d))
 
+
+def _conditions(r, d):
+    return [RamificationSeq(a, r, d) for a in combinations_with_replacement(range(d - r + 1), r + 1)]
+
+
+def test_two_point_exists_goldens():
+    t = SeriesType(10, 2, 17)
+    alpha = RamificationSeq((4, 8, 11), 2, 17)
+    # the sums alpha_i + beta_(r-i) are 5, 9, 11: clamps 0, 4, 6, exactly the genus
+    assert two_point_exists(t, alpha, RamificationSeq((0, 1, 1), 2, 17))
+    assert not two_point_exists(t, alpha, RamificationSeq((0, 1, 2), 2, 17))
+    # alpha_i pairs with beta_(r-i): sums 5, 0, 5 clamp to 0 on g^2_10 in genus 3, where
+    # alpha_i + beta_i would read 0, 0, 10 and clamp to 5
+    cusp_like = RamificationSeq((0, 0, 5), 2, 10)
+    assert two_point_exists(SeriesType(3, 2, 10), cusp_like, cusp_like)
+    # the zero sequence at the second point is the one-point clamp
+    zero = RamificationSeq((0, 0, 0), 2, 17)
+    for g in range(8, 14):
+        t = SeriesType(g, 2, 17)
+        assert two_point_exists(t, alpha, zero) == two_point_exists(t, zero, alpha) == pointed_exists(t, alpha)
+    for bad in ((alpha, RamificationSeq((0, 1, 1), 2, 16)), (RamificationSeq((0, 1, 1), 2, 16), alpha)):
+        with pytest.raises(ValueError, match=r"^ramification bound \(2, 16\) does not match series"):
+            two_point_exists(t, *bad)
+
+
+def test_two_point_exists_is_schubert_nonvanishing():
+    # every unordered pair of conditions (the criterion is symmetric in the two points)
+    # for r <= 3, d <= 8 and g <= 12, against the Littlewood-Richardson search
+    pairs = 0
+    for r in range(4):
+        for d in range(r, 9):
+            rams = _conditions(r, d)
+            for g in range(13):
+                t = SeriesType(g, r, d)
+                for i, alpha in enumerate(rams):
+                    for beta in rams[i:]:
+                        assert two_point_exists(t, alpha, beta) == bn_condition(t, [alpha, beta]), \
+                            (t, alpha, beta)
+                pairs += len(rams) * (len(rams) + 1) // 2
+    assert pairs == 246_935
+
+
+def test_two_point_check_with_cusps_is_schubert_nonvanishing():
+    # two points and 0-3 cusps on a general curve: bn_condition at the genus raised by the cusps
+    for r in range(3):
+        for d in range(r, 7):
+            rams = _conditions(r, d)
+            for g in range(7):
+                for cusps in range(4):
+                    shifted = SeriesType(g + cusps, r, d)
+                    for i, alpha in enumerate(rams):
+                        for beta in rams[i:]:
+                            res = general_pointed_check(SeriesType(g, r, d), [alpha, beta], cusps)
+                            assert res.rule == RULE_SCHUBERT and res.exact
+                            assert res.passed is bn_condition(shifted, [alpha, beta]), (g, cusps, alpha, beta)
