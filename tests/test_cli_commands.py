@@ -25,6 +25,13 @@ GOLDEN = ROOT / "tests" / "golden" / "cli_commands.json"
 LINK_TO_FACTSHEET = "tests/curves/link_to_factsheet.json"
 # the 9-torsion chain without its torsion: every torsion count walks one class per axis
 NO_TORSION = "tests/curves/chain_no_torsion.json"
+# eight elliptic curves with 3-torsion links: a trigonal limit, so 2 g^1_3 survives
+CHAIN8 = "tests/curves/elliptic_chain_8_3torsion.json"
+# the 12-torsion chain's pencil on 9-torsion: an incompatible node and a failing component
+REJECTED = "tests/curves/chain_9torsion_pencil_rejected.json"
+BUNDLED = ("chain-9torsion", "chain-12torsion", "chain-9torsion-elliptic-tail", "septic-star")
+WITNESSES = (("chain-9torsion", "2", "17", "g2_17"), ("chain-9torsion-elliptic-tail", "2", "17", "g2_17"),
+             ("septic-star", "2", "15", "g2_15"), ("septic-star", "3", "20", "g3_20"))
 SLOPES = (("bound", "23"), ("bn", "23"), ("canonical", "23"), ("gonal", "23", "3"),
           ("plane-pencil", "10"), ("boundary-table",))
 COMMANDS = [
@@ -53,9 +60,23 @@ COMMANDS = [
         ("limit", "refute", "chain-9torsion", "2", "17", "--expect", "refuted"),
         ("limit", "verify", "chain-12torsion", "1", "12", "--witness", "g1_12"),
         ("limit", "refute", LINK_TO_FACTSHEET, "1", "4"),  # 16 survivors, each unconfirmed
+        ("limit", "refute", CHAIN8, "2", "5"),  # refuted
+        ("limit", "refute", CHAIN8, "2", "6"),  # survivors at rho = -4
+        *[("limit", "verify", curve, r, d, "--witness", witness) for curve, r, d, witness in WITNESSES],
+        ("limit", "verify", REJECTED, "1", "12", "--witness", "g1_12"),
         ("fixtures",),
         ("report", "g23"),
+        ("report", "g23", "--include-tail-variant"),
     )],
+    *[("limit", "refute", curve, *series) for curve in BUNDLED
+      for series in (("0", "0"), ("1", "12"), ("2", "17"), ("3", "20"))],
+    ("limit", "refute", "chain-9torsion", "3", "20", "--expect", "refuted"),
+    ("exist", "5", "3", "15", "--ram", "0,1,2,3", "--ram", "0,1,3,3", "--ram", "0,1,2,3",
+     "--ram", "1,2,3,3", "--cusps", "1"),
+    # adjusted rho is 6 here, so the degree alone does not answer no: every branch is searched
+    ("exist", "1", "3", "20", "--ram", "1,2,5,5", "--ram", "0,1,1,1", "--ram", "3,3,3,11",
+     "--ram", "0,1,5,14", "--cusps", "1"),
+    ("decompose", "23", "1", "12", "--json"),
     ("limit", "refute", LINK_TO_FACTSHEET, "1", "3"),  # refuted behind the link
     *[("limit", "refute", LINK_TO_FACTSHEET, "1", "4", "--naive", *fmt) for fmt in ((), ("--json",))],
     *[("limit", "refute", NO_TORSION, *series) for series in (
@@ -82,6 +103,7 @@ COMMANDS = [
     ("limit", "verify", "chain-12torsion", "1", "12", "--witness", "nosuch"),
     ("report", "g24", "--json"),
     ("exist", "11", "2", "17", "--ram", "4,x,11"),
+    ("limit", "refute", "tests/curves/malformed_component_genus.json", "1", "12"),
     # argparse: help exits 0 on stdout, a usage error exits 2 on stderr
     ("--help",),
     ("limit", "--help"),
