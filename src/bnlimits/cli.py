@@ -25,7 +25,7 @@ from . import curvefile, limit_checker, modspace
 from .curvefile import CurveDescription
 from .curves import RULE_GENERAL_CUSP, RULE_GENERAL_POINTED, RULE_SCHUBERT, general_pointed_check
 from .limit_checker import RefutationReport, series_name
-from .numerology import RamificationSeq, SeriesType, bn_divisor_pairs, bn_divisor_triples, rho
+from .numerology import MAX_GENUS, RamificationSeq, SeriesType, bn_divisor_pairs, bn_divisor_triples, rho
 
 REGENERATION_NOTE = "asserted per Regeneration Theorem, not verified"
 # the criterion `exist` names for each rule of general_pointed_check
@@ -81,7 +81,14 @@ def cmd_triples(args) -> Outputs:
             text, 0)
 
 
+def _check_r(r: int) -> None:
+    """Refuse a series dimension above MAX_GENUS before anything of r + 1 entries is built."""
+    if r > MAX_GENUS:
+        raise ValueError(f"series dimension r={r} is above the limit of {MAX_GENUS}")
+
+
 def cmd_exist(args) -> Outputs:
+    _check_r(args.r)
     t = SeriesType(args.g, args.r, args.d)
     rams = [RamificationSeq(_parse_seq(s), args.r, args.d) for s in args.ram or []]
     result = general_pointed_check(t, rams, extra_cusps=args.cusps)
@@ -93,6 +100,7 @@ def cmd_exist(args) -> Outputs:
 
 
 def cmd_schubert(args) -> Outputs:
+    _check_r(args.r)
     from . import schubert  # on first use: the other commands compile it only if a check asks
 
     rect = schubert.rect_for(args.r, args.d)

@@ -17,6 +17,8 @@ from typing import Iterable, NamedTuple
 # The commands built on them (class, decompose, slope bn and canonical, triples)
 # cost time, memory and output linearly in the genus: genus 10,000 costs about a
 # cold start, but `class 1000000` took 1.8 s and 147 MB and wrote 11 MB (2-core x86).
+# It bounds the series dimension r of the exist and schubert commands too, which
+# build tuples of r + 1 entries: `exist 1 10000000 10000000` took 2.0 s and 169 MB.
 MAX_GENUS = 10_000
 
 

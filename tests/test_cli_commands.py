@@ -5,12 +5,18 @@ terminal, so `--help` wraps the same everywhere; the bundled fixture
 directory is written as <fixtures>, and the curve files under tests/curves are
 named relative to the repository root, where every invocation runs.  Run this
 file as a script to rewrite tests/golden/cli_commands.json from the current code.
+
+`_cold` runs one command line as `python -m bnlimits` in a new process instead:
+the tests run three lines that way, and CI every line of the golden (README,
+"Install and test", gives the command).
 """
 
 import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from functools import cache
 from pathlib import Path
 
@@ -98,6 +104,9 @@ COMMANDS = [
     ("slope", "bn", "1000000"),
     ("slope", "canonical", "1000000"),
     ("decompose", "1000000", "--json"),
+    # and a series dimension above it, before tuples of r + 1 entries are built
+    ("exist", "1", "1000000000", "1000000000"),
+    ("schubert", "1000000000", "1000000000"),
     ("limit", "verify", "septic-star", "3", "20"),
     ("limit", "verify", "septic-star", "3", "20", "--witness", "g2_15", "--json"),
     ("limit", "verify", "chain-12torsion", "1", "12", "--witness", "nosuch"),
@@ -123,18 +132,30 @@ COMMANDS = [
 ]
 
 
+def _case(args: str, code: int, out: str, err: str) -> dict:
+    """One invocation's outcome in the form the golden stores."""
+    return {"args": args, "exit": code,
+            "stdout": out.replace(str(curvefile.fixture_dir()), "<fixtures>").split("\n"),
+            "stderr": err.split("\n")}
+
+
 def _run(args: tuple[str, ...]) -> dict:
-    """stdout, stderr and exit code of one invocation, in the form the golden stores."""
+    """stdout, stderr and exit code of one invocation through `cli.main`, in process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(list(args))
         except SystemExit as exc:
             code = exc.code
-    fixtures = str(curvefile.fixture_dir())
-    return {"args": " ".join(args), "exit": code,
-            "stdout": out.getvalue().replace(fixtures, "<fixtures>").split("\n"),
-            "stderr": err.getvalue().split("\n")}
+    return _case(" ".join(args), code, out.getvalue(), err.getvalue())
+
+
+def _cold(line: str, timeout: float = 60) -> dict:
+    """The same for a command line as the golden writes it, run as `python -m bnlimits` at the root."""
+    done = subprocess.run([sys.executable, "-m", "bnlimits", *line.split()],
+                          capture_output=True, cwd=ROOT, timeout=timeout,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80"))
+    return _case(line, done.returncode, done.stdout.decode(), done.stderr.decode())
 
 
 @cache
@@ -144,6 +165,8 @@ def _golden() -> dict:
 
 def test_golden_lists_every_command_once():
     assert list(_golden()) == [" ".join(args) for args in COMMANDS]
+    # _cold splits a line at its spaces, so no token may hold whitespace or be empty
+    assert all(token.split() == [token] for args in COMMANDS for token in args)
 
 
 @pytest.mark.parametrize("args", COMMANDS, ids=" ".join)
@@ -151,6 +174,26 @@ def test_command_bytes_match_golden(monkeypatch, args):
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(ROOT)
     assert _run(args) == _golden()[" ".join(args)]
+
+
+# `python -m bnlimits` ends in cli.entry, which freezes the heap before it exits:
+# stdout, stderr and the exit code read as main leaves them
+@pytest.mark.parametrize("line", ["report g23 --json",
+                                  "limit refute chain-12torsion 1 12 --expect refuted",  # exit 1
+                                  "class 4"])  # exit 2
+def test_cold_process_matches_golden(line):
+    assert _cold(line) == _golden()[line]
+
+
+# the full scan must print every pinned text-mode refutation that exits 0 or 1 byte for byte
+@pytest.mark.parametrize("args", [
+    args for args in COMMANDS
+    if args[:2] == ("limit", "refute") and not {"--json", "--naive"} & set(args)
+    and _golden().get(" ".join(args), {}).get("exit") in (0, 1)], ids=" ".join)
+def test_naive_scan_matches_golden(monkeypatch, args):
+    monkeypatch.chdir(ROOT)
+    naive, pruned = _run((*args, "--naive")), _golden()[" ".join(args)]
+    assert (naive["stdout"], naive["exit"]) == (pruned["stdout"], pruned["exit"])
 
 
 if __name__ == "__main__":
