@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
@@ -101,6 +102,12 @@ def cmd_exist(args) -> Outputs:
 
 def cmd_schubert(args) -> Outputs:
     _check_r(args.r)
+    # a cusp power runs through the ring's C(d + 1, r + 1) Schubert classes; for d > r that
+    # count is at least d + 1, so a larger d is refused without the binomial
+    limit = limit_checker.MAX_SEQUENCES
+    if args.cusp_power > 0 and (args.d >= limit or comb(args.d + 1, args.r + 1) > limit):
+        raise ValueError(f"--cusp-power needs the C({args.d + 1}, {args.r + 1}) Schubert classes"
+                         f" of G({args.r + 1},{args.d + 1}), more than the limit of {limit}")
     from . import schubert  # on first use: the other commands compile it only if a check asks
 
     rect = schubert.rect_for(args.r, args.d)

@@ -296,7 +296,8 @@ def general_pointed_check(t: SeriesType, rams: list[RamificationSeq] | tuple[Ram
     """
     if extra_cusps < 0:
         raise ValueError(f"number of extra cusps must be nonnegative, got {extra_cusps}")
-    shifted = SeriesType(t.g + extra_cusps, t.r, t.d)
+    # t is a valid type, so the same type at a higher genus needs no checks
+    shifted = tuple.__new__(SeriesType, (t.g + extra_cusps, t.r, t.d)) if extra_cusps else t
     n = len(rams)
     if n > 2:
         global schubert

@@ -73,7 +73,9 @@ _NOTES = ("crude node matchings included (sums >= d)", "eliminations use necessa
           f"survivors satisfy the necessary rules; {SMOOTHABILITY_NOTE}")
 
 # Largest number C(d+1, r+1) of vanishing sequences per point that a scan
-# materialises.  The g23 audit needs 5,985; a g^5_24 would need 177,100.
+# materialises.  The g23 audit needs 5,985; a g^5_24 would need 177,100.  The same
+# count is G(r+1, d+1)'s number of Schubert classes, and `schubert --cusp-power` above 0
+# refuses a larger ring (`schubert 1 446 --cusp-power 890`, at 99,681, takes about 1 s).
 MAX_SEQUENCES = 100_000
 # Largest number of entries, one per sequence, that the lattices and branch
 # tables kept between refutations hold in all: four lattices at MAX_SEQUENCES,

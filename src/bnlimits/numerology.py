@@ -10,8 +10,9 @@ Everything here is exact integer arithmetic on immutable values.
 
 from __future__ import annotations
 
-from operator import add, lt, sub
-from typing import Iterable, NamedTuple
+from bisect import bisect_right
+from operator import add, le, lt, sub
+from typing import NamedTuple, Sequence
 
 # The largest genus that bn_divisor_triples and modspace.canonical_class take.
 # The commands built on them (class, decompose, slope bn and canonical, triples)
@@ -71,7 +72,7 @@ class RamificationSeq(NamedTuple("RamificationSeq",
             raise ValueError(f"expected {r + 1} entries, got {b}")
         if b[0] < 0 or b[-1] > d - r:
             raise ValueError(f"ramification sequence {b} out of range [0, {d - r}]")
-        if any(x > y for x, y in zip(b, b[1:])):
+        if not all(map(le, b, b[1:])):
             raise ValueError(f"ramification sequence {b} is not weakly increasing")
         return tuple.__new__(cls, (b, r, d))
 
@@ -87,7 +88,7 @@ def weight(alpha: RamificationSeq) -> int:
 
 
 def _check_bound(t: SeriesType, alpha: RamificationSeq) -> None:
-    if (alpha.r, alpha.d) != (t.r, t.d):
+    if alpha.r != t.r or alpha.d != t.d:
         raise ValueError(f"ramification bound ({alpha.r}, {alpha.d}) does not match series {t}")
 
 
@@ -95,7 +96,7 @@ def adjusted_rho(t: SeriesType, rams: list[RamificationSeq] | tuple[Ramification
     """rho(g, r, d) minus the total weight of the imposed ramification."""
     for a in rams:
         _check_bound(t, a)
-    return rho(t) - sum(weight(a) for a in rams)
+    return rho(t) - sum(map(weight, rams))
 
 
 def vanishing_to_ramification(a: VanishingSeq) -> RamificationSeq:
@@ -147,10 +148,15 @@ def bn_divisor_pairs(g: int) -> list[tuple[tuple[int, int, int], tuple[int, int,
     return pairs
 
 
-def _clamp(t: SeriesType, sums: Iterable[int]) -> bool:
-    """The clamp sum_i max(s_i + g - d + r, 0) <= g over bare ramification sums s_i."""
-    shift = t.g - t.d + t.r
-    return sum(max(x + shift, 0) for x in sums) <= t.g
+def _clamp(g: int, shift: int, terms: Sequence[int]) -> bool:
+    """The clamp sum_i max(x_i + shift, 0) <= g over terms in ascending order.
+
+    Exactly the terms above -shift add to the sum, and they are a suffix: one
+    bisection finds it, and the sum is the suffix's plus shift per term in it.
+    The Eisenbud-Harris criteria take shift = g - d + r.
+    """
+    j = bisect_right(terms, -shift)
+    return sum(terms[j:]) + shift * (len(terms) - j) <= g
 
 
 def pointed_exists(t: SeriesType, alpha: RamificationSeq) -> bool:
@@ -160,7 +166,7 @@ def pointed_exists(t: SeriesType, alpha: RamificationSeq) -> bool:
     at the marked point iff sum_i max(alpha_i + g - d + r, 0) <= g.
     """
     _check_bound(t, alpha)
-    return _clamp(t, alpha.entries)
+    return _clamp(t.g, t.g - t.d + t.r, alpha.entries)  # weakly increasing, as the kernel reads them
 
 
 def two_point_exists(t: SeriesType, alpha: RamificationSeq, beta: RamificationSeq) -> bool:
@@ -173,7 +179,7 @@ def two_point_exists(t: SeriesType, alpha: RamificationSeq, beta: RamificationSe
     """
     _check_bound(t, alpha)
     _check_bound(t, beta)
-    return _clamp(t, map(add, alpha.entries, reversed(beta.entries)))
+    return _clamp(t.g, t.g - t.d + t.r, sorted(map(add, alpha.entries, reversed(beta.entries))))
 
 
 def cusp_pointed_exists(t: SeriesType, alpha: RamificationSeq) -> bool:

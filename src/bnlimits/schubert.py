@@ -18,12 +18,13 @@ searched depth first, factor by factor, keeping only partitions that pass.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate
 from operator import add
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .numerology import RamificationSeq, SeriesType, adjusted_rho
+from .numerology import RamificationSeq, SeriesType, _clamp, adjusted_rho
 
 Partition = tuple[int, ...]
 Rect = tuple[int, int]  # (rows, cols)
@@ -55,8 +56,13 @@ def validate_partition(p: Partition, rect: Rect) -> Partition:
 
 
 def index_to_partition(alpha: RamificationSeq) -> Partition:
-    """Partition attached to a ramification index: the entries reversed."""
-    return _trim(reversed(alpha.entries))
+    """Partition attached to a ramification index: the entries reversed.
+
+    The entries are nonnegative and weakly increasing, so the zeros that the
+    partition drops are the leading ones.
+    """
+    entries = alpha.entries
+    return entries[bisect_right(entries, 0):][::-1]
 
 
 class CohomologyClass(NamedTuple("CohomologyClass", [
@@ -226,11 +232,12 @@ def bn_condition(t: SeriesType, rams: list[RamificationSeq] | tuple[Ramification
     if adjusted_rho(t, rams) < 0:  # checks every bound first
         return False
     k, m = rect_for(t.r, t.d)
-    factors = [index_to_partition(alpha) for alpha in rams]
+    factors = list(map(index_to_partition, rams))
     if not factors:  # the empty product is sigma_(), which passes the clamp
         return True
     # empty rows add max(shift, 0); when shift > 0 the padded clamp is |lambda| <= rho,
-    # which every lambda here meets since adjusted rho >= 0, so they can be left out
+    # which every lambda here meets since adjusted rho >= 0, so they can be left out.
+    # The clamp is numerology's, which reads the rows in ascending order.
     g, shift, last = t.g, t.g - t.d + t.r, len(factors) - 1
     stack: list[tuple[int, Partition]] = [(0, ())]
     seen: set[tuple[int, Partition]] = set()
@@ -239,7 +246,7 @@ def bn_condition(t: SeriesType, rams: list[RamificationSeq] | tuple[Ramification
         # pushed in reverse, so the child with the shortest first row, the likeliest
         # to pass the clamp at the next level too, is expanded first
         for nu, _ in reversed(lr_coefficients(lam, factors[i], k, m)):
-            if sum(max(x + shift, 0) for x in nu) > g:
+            if not _clamp(g, shift, nu[::-1]):
                 continue
             if i == last:
                 return True

@@ -107,6 +107,10 @@ COMMANDS = [
     # and a series dimension above it, before tuples of r + 1 entries are built
     ("exist", "1", "1000000000", "1000000000"),
     ("schubert", "1000000000", "1000000000"),
+    # a positive cusp power in a ring of more than limit_checker.MAX_SEQUENCES Schubert
+    # classes: C(201, 3) is refused, and C(447, 2) = 99,681 answers
+    ("schubert", "2", "200", "--cusp-power", "200"),
+    ("schubert", "1", "446", "--cusp-power", "1"),
     ("limit", "verify", "septic-star", "3", "20"),
     ("limit", "verify", "septic-star", "3", "20", "--witness", "g2_15", "--json"),
     ("limit", "verify", "chain-12torsion", "1", "12", "--witness", "nosuch"),

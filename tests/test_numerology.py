@@ -1,4 +1,4 @@
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import isqrt
 
 import pytest
@@ -10,6 +10,7 @@ from bnlimits.numerology import (
     RamificationSeq,
     SeriesType,
     VanishingSeq,
+    _clamp,
     adjusted_rho,
     bn_divisor_pairs,
     bn_divisor_triples,
@@ -171,6 +172,20 @@ def test_bn_divisor_pairs_are_the_residual_classes():
             assert selfs == [(m - 1, m + 1, g - 1)], g
             self_residual.append(g)
     assert self_residual == [m * m - 1 for m in range(2, 15)]
+
+
+def test_clamp_is_its_definition():
+    # every term tuple of length 0-4 with entries 0-6, genus 0-10 and shift s from -8 to 4,
+    # with s <= g as for s = g - d + r, against the literal sum; the kernel reads the terms
+    # in ascending order
+    cases = 0
+    for terms in (t for n in range(5) for t in product(range(7), repeat=n)):
+        ascending = tuple(sorted(terms))
+        for g in range(11):
+            for s in range(-8, min(4, g) + 1):
+                assert _clamp(g, s, ascending) == (sum(max(x + s, 0) for x in terms) <= g), (terms, g, s)
+                cases += 1
+    assert cases == 372_533
 
 
 def test_pointed_exists_goldens():
